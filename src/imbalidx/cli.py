@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_capture(path) -> list:
+def _read_capture(path) -> pk.PacketTable:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"capture not found: {p}")
@@ -112,15 +112,14 @@ def cmd_extract(args) -> int:
     rules = fl.read_label_csv(args.labels) if args.labels else []
     feats = fl.features_from_packets(packets, rules, idle_timeout=args.idle_timeout)
     fl.write_features_csv(feats, args.out)
-    n_attack = sum(1 for f in feats if f.label == fl.ATTACK)
-    print(f"{len(feats)} flows ({n_attack} attack) -> {args.out}")
+    print(f"{len(feats)} flows ({feats.n_attack} attack) -> {args.out}")
     return 0
 
 
 def cmd_build(args) -> int:
-    feats = fl.read_features_csv(args.features)
-    attacks = [f for f in feats if f.label == fl.ATTACK]
-    normals = [f for f in feats if f.label == fl.NORMAL]
+    pool = fl.read_features_csv(args.features)
+    attacks = pool.x[pool.y == fl.ATTACK]
+    normals = pool.x[pool.y == fl.NORMAL]
     n_attack = args.n_attack if args.n_attack is not None else len(attacks)
     data = ds.build_imbalanced(attacks, normals, n_attack, args.ratio, args.seed)
     ds.save_dataset(data, args.out, ratio=args.ratio, seed=args.seed)
@@ -132,7 +131,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_smote(args) -> int:
-    data = ds.read_dataset_csv(args.data)
+    data = fl.read_features_csv(args.data)
     mino = minority_class(data.y)
     rows = np.flatnonzero(data.y == mino)
     if args.target_count is not None:
@@ -151,7 +150,7 @@ def cmd_smote(args) -> int:
     y_out = np.concatenate(
         [data.y, np.full(result.n_synthetic, mino, dtype=np.int64)]
     )
-    ds.write_dataset_csv(ds.LabeledDataset(x_out, y_out), args.out)
+    fl.write_features_csv(fl.LabeledDataset(x_out, y_out), args.out)
     if args.provenance:
         write_provenance_csv(result, args.provenance)
     print(
@@ -181,7 +180,7 @@ def _train_options(args):
 
 
 def cmd_train(args) -> int:
-    data = ds.read_dataset_csv(args.data)
+    data = fl.read_features_csv(args.data)
     layer_sizes, cfg = _train_options(args)
     stats = ds.normalize_fit(data.x)
     z = ds.normalize_apply(data, stats)
@@ -205,7 +204,7 @@ def cmd_evaluate(args) -> int:
             "evaluate needs the stats saved at training time"
         )
     stats = ds.load_stats(stats_path)
-    data = ds.read_dataset_csv(args.data)
+    data = fl.read_features_csv(args.data)
     z = ds.normalize_apply(data.x, stats)
     preds = mlp.predict(model, z, args.threshold)
     report = MetricsReport.from_confusion(confusion(preds, data.y))

@@ -9,19 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
-from .flows import (
-    ATTACK,
-    FEATURE_CSV_HEADER,
-    FEATURE_NAMES,
-    NORMAL,
-    FlowFeatures,
-    LabelParseError,
-    _INT_FEATURES,
-)
+from .flows import ATTACK, NORMAL, LabeledDataset, write_features_csv
 
 
 class InsufficientPool(ValueError):
@@ -30,42 +22,6 @@ class InsufficientPool(ValueError):
 
 class DegenerateSplit(ValueError):
     """A stratified split would leave some side without one of the classes."""
-
-
-@dataclass
-class LabeledDataset:
-    """Feature matrix plus aligned 0/1 labels."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.x.ndim != 2:
-            raise ValueError(f"x must be 2-d, got shape {self.x.shape}")
-        if self.y.shape != (self.x.shape[0],):
-            raise ValueError(
-                f"y shape {self.y.shape} does not match {self.x.shape[0]} rows"
-            )
-        bad = set(np.unique(self.y)) - {NORMAL, ATTACK}
-        if bad:
-            raise ValueError(f"labels must be 0 or 1, found {sorted(bad)}")
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_attack(self) -> int:
-        return int(np.count_nonzero(self.y == ATTACK))
-
-    @property
-    def n_normal(self) -> int:
-        return int(np.count_nonzero(self.y == NORMAL))
-
-    @property
-    def ratio(self) -> float:
-        return self.n_attack / len(self) if len(self) else 0.0
 
 
 def required_normals(n_attack: int, ratio: float) -> int:
@@ -78,22 +34,16 @@ def required_normals(n_attack: int, ratio: float) -> int:
     return round(n_attack * (1.0 - ratio) / ratio)
 
 
-Pool = Union[Sequence[FlowFeatures], np.ndarray]
-
-
-def _pool_matrix(pool: Pool, name: str) -> np.ndarray:
-    if isinstance(pool, np.ndarray):
-        m = np.asarray(pool, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValueError(f"{name} array must be 2-d, got shape {m.shape}")
-        return m
-    m = np.array([feat.vector() for feat in pool], dtype=np.float64)
-    return m.reshape(len(pool), len(FEATURE_NAMES)) if m.size == 0 else m
+def _pool_matrix(pool: np.ndarray, name: str) -> np.ndarray:
+    m = np.asarray(pool, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"{name} array must be 2-d, got shape {m.shape}")
+    return m
 
 
 def build_imbalanced(
-    attack_pool: Pool,
-    normal_pool: Pool,
+    attack_pool: np.ndarray,
+    normal_pool: np.ndarray,
     n_attack: int,
     ratio: float,
     seed=None,
@@ -102,7 +52,7 @@ def build_imbalanced(
 
     Draws n_attack attack rows and round(n_attack*(1-ratio)/ratio) normal
     rows, each uniformly without replacement, then shuffles the combined
-    rows. Pools may be FlowFeatures sequences or plain row matrices.
+    rows. Pools are feature matrices, one row per flow.
     Attack rows are drawn before normal rows, then the shuffle; seed (an
     int or a Generator) pins all three draws.
     """
@@ -224,55 +174,9 @@ def load_stats(path) -> NormalizationStats:
         return NormalizationStats.from_json(f.read())
 
 
-def write_dataset_csv(data: LabeledDataset, path) -> None:
-    """Same column layout as the feature CSV. Count columns print as bare
-    integers when they hold whole numbers."""
-    int_cols = frozenset(
-        i for i, name in enumerate(FEATURE_NAMES) if name in _INT_FEATURES
-    )
-    with open(path, "w", newline="") as f:
-        f.write(FEATURE_CSV_HEADER + "\n")
-        for row, label in zip(data.x, data.y):
-            parts = []
-            for i, v in enumerate(row):
-                if i in int_cols and float(v).is_integer():
-                    parts.append(str(int(v)))
-                else:
-                    parts.append(f"{v:.6f}")
-            parts.append(str(int(label)))
-            f.write(",".join(parts) + "\n")
-
-
-def read_dataset_csv(path) -> LabeledDataset:
-    """Read a dataset CSV back as float arrays (no integer coercion)."""
-    n_fields = len(FEATURE_NAMES) + 1
-    rows: List[List[float]] = []
-    labels: List[int] = []
-    with open(path, "r", newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != FEATURE_CSV_HEADER:
-            raise LabelParseError(1, f"expected header {FEATURE_CSV_HEADER!r}")
-        for line_no, raw in enumerate(f, start=2):
-            raw = raw.rstrip("\r\n")
-            if not raw:
-                continue
-            fields = raw.split(",")
-            if len(fields) != n_fields:
-                raise LabelParseError(
-                    line_no, f"expected {n_fields} fields, got {len(fields)}"
-                )
-            try:
-                rows.append([float(v) for v in fields[:-1]])
-                labels.append(int(fields[-1]))
-            except ValueError:
-                raise LabelParseError(line_no, f"bad numeric field in {raw!r}") from None
-    x = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
-    return LabeledDataset(x, np.array(labels, dtype=np.int64))
-
-
 def save_dataset(data: LabeledDataset, csv_path, ratio=None, seed=None) -> None:
-    """Dataset CSV plus a .meta.json sidecar recording how it was built."""
-    write_dataset_csv(data, csv_path)
+    """Feature CSV plus a .meta.json sidecar recording how it was built."""
+    write_features_csv(data, csv_path)
     meta = {
         "ratio": ratio,
         "seed": seed,

@@ -1,20 +1,20 @@
-"""Bidirectional flow assembly and per-flow traffic features.
+"""Bidirectional flow assembly and per-flow traffic features, on columns.
 
 Packets sharing a canonical 5-tuple form one flow until an idle gap longer
 than the timeout closes it. The endpoint that sent the flow's first packet
-is the source for every directional feature.
+is the source for every directional feature. Assembly, features and
+labelling all work on the columns of a PacketTable; the result is one
+feature matrix row per flow, in flow creation order.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .packets import PacketRecord, Protocol
+from .packets import PacketTable, parse_addr
 
 NORMAL = 0
 ATTACK = 1
@@ -26,98 +26,85 @@ class UnorderedInput(ValueError):
     """Packet stream is not sorted by timestamp."""
 
 
-class EmptyFlow(ValueError):
-    """Feature computation needs at least one packet."""
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Packets grouped into flows by assemble_flows.
 
+    Per-packet columns: `flow` (index of the packet's flow) and `forward`
+    (sent by the flow's initiator). `order` lists packet indices grouped by
+    flow, in time order within each flow. Per-flow columns, in creation
+    order: initiator `src`/`sport`, responder `dst`/`dport`, and the times
+    of the first and last packet, `start` and `end`.
+    """
 
-class FlowKey(NamedTuple):
-    """Canonical 5-tuple: the lexicographically smaller endpoint comes first,
-    so a packet and its reverse map to the same key."""
+    packets: PacketTable
+    order: np.ndarray
+    flow: np.ndarray
+    forward: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    sport: np.ndarray
+    dport: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
 
-    addr_a: str
-    port_a: int
-    addr_b: str
-    port_b: int
-    protocol: Protocol
-
-
-def _canonical(src: str, sport: int, dst: str, dport: int, proto: Protocol):
-    if (src, sport) <= (dst, dport):
-        return (src, sport, dst, dport, proto)
-    return (dst, dport, src, sport, proto)
-
-
-@dataclass(slots=True)
-class FlowRecord:
-    """Accumulated per-direction state for one flow. fwd is the initiator
-    direction."""
-
-    key: FlowKey
-    initiator_addr: str
-    initiator_port: int
-    responder_addr: str
-    responder_port: int
-    fwd_times: List[float] = field(default_factory=list)
-    bwd_times: List[float] = field(default_factory=list)
-    fwd_bytes: int = 0
-    bwd_bytes: int = 0
-    fwd_loss: int = 0
-    bwd_loss: int = 0
-    start_time: float = 0.0
-    end_time: float = 0.0
-
-    @property
-    def packet_count(self) -> int:
-        return len(self.fwd_times) + len(self.bwd_times)
+    def __len__(self) -> int:
+        return self.start.shape[0]
 
 
 def assemble_flows(
-    packets: Iterable[PacketRecord], idle_timeout: float = DEFAULT_IDLE_TIMEOUT
-) -> List[FlowRecord]:
-    """Fold a time-ordered packet stream into flows.
+    packets: PacketTable, idle_timeout: float = DEFAULT_IDLE_TIMEOUT
+) -> FlowTable:
+    """Group a time-ordered packet table into flows.
 
-    A gap longer than idle_timeout between consecutive packets of the same
-    key closes the flow; the next packet opens a fresh one. Output order is
-    flow creation order.
+    The canonical key is the smaller and the larger endpoint
+    (address << 16 | port) plus the protocol, so a packet and its reverse
+    share a key. A gap longer than idle_timeout between consecutive packets
+    of one key closes the flow; the next packet opens a fresh one. Flows
+    are numbered in creation order, the order of their first packets.
     """
-    flows: List[FlowRecord] = []
-    open_flows: Dict[tuple, FlowRecord] = {}
-    last_ts = -math.inf
-    for pkt in packets:
-        if pkt.timestamp < last_ts:
-            raise UnorderedInput(
-                f"packet at {pkt.timestamp} follows one at {last_ts}"
-            )
-        last_ts = pkt.timestamp
-        key = _canonical(
-            pkt.src_addr, pkt.src_port, pkt.dst_addr, pkt.dst_port, pkt.protocol
+    ts = packets.ts
+    behind = ts[1:] < ts[:-1]
+    if behind.any():
+        i = int(np.argmax(behind))
+        raise UnorderedInput(
+            f"packet at {ts[i + 1].item()} follows one at {ts[i].item()}"
         )
-        flow = open_flows.get(key)
-        if flow is None or pkt.timestamp - flow.end_time > idle_timeout:
-            flow = FlowRecord(
-                key=FlowKey(*key),
-                initiator_addr=pkt.src_addr,
-                initiator_port=pkt.src_port,
-                responder_addr=pkt.dst_addr,
-                responder_port=pkt.dst_port,
-                start_time=pkt.timestamp,
-                end_time=pkt.timestamp,
-            )
-            open_flows[key] = flow
-            flows.append(flow)
-        forward = (
-            pkt.src_addr == flow.initiator_addr and pkt.src_port == flow.initiator_port
-        )
-        if forward:
-            flow.fwd_times.append(pkt.timestamp)
-            flow.fwd_bytes += pkt.wire_len
-            flow.fwd_loss += pkt.is_retransmission
-        else:
-            flow.bwd_times.append(pkt.timestamp)
-            flow.bwd_bytes += pkt.wire_len
-            flow.bwd_loss += pkt.is_retransmission
-        flow.end_time = pkt.timestamp
-    return flows
+    src_ep = (packets.src.astype(np.uint64) << 16) | packets.sport
+    dst_ep = (packets.dst.astype(np.uint64) << 16) | packets.dport
+    lo = np.minimum(src_ep, dst_ep)
+    hi = (np.maximum(src_ep, dst_ep) << 8) | packets.proto
+    # lexsort is stable, so packets of one key stay in time order.
+    order = np.lexsort((hi, lo))
+    lo, hi, t = lo[order], hi[order], ts[order]
+
+    new = np.ones(len(packets), dtype=bool)
+    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) | (t[1:] - t[:-1] > idle_timeout)
+    segment = np.cumsum(new) - 1
+    heads = order[new]
+    closes = np.empty_like(new)
+    closes[:-1] = new[1:]
+    closes[-1:] = True
+    tails = order[closes]
+    by_creation = np.argsort(heads)
+    rank = np.empty_like(by_creation)
+    rank[by_creation] = np.arange(by_creation.size)
+    flow = np.empty(len(packets), dtype=np.int64)
+    flow[order] = rank[segment]
+
+    first, last = heads[by_creation], tails[by_creation]
+    return FlowTable(
+        packets=packets,
+        order=order,
+        flow=flow,
+        forward=src_ep == src_ep[first][flow],
+        src=packets.src[first],
+        dst=packets.dst[first],
+        sport=packets.sport[first],
+        dport=packets.dport[first],
+        start=ts[first],
+        end=ts[last],
+    )
 
 
 FEATURE_NAMES = (
@@ -148,122 +135,68 @@ FEATURE_NAMES = (
 
 FEATURE_CSV_HEADER = ",".join(FEATURE_NAMES) + ",label"
 
-# Feature CSV prints these as bare integers, the rest as 6-decimal floats.
+# Feature CSV prints these as bare integers when they hold whole numbers,
+# everything else as 6-decimal floats.
 _INT_FEATURES = frozenset(
     ("sport", "dport", "spkts", "dpkts", "tpkts", "sbytes", "dbytes", "tbytes")
 )
 
 
-@dataclass(slots=True)
-class FlowFeatures:
-    """The 23 per-flow features plus a ground-truth label.
+def _gap_stats_ms(flows: FlowTable, direction: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per flow, mean and population stddev of the gaps between consecutive
+    packets of one direction, in milliseconds; 0 with fewer than 2 packets.
 
-    Endpoint and time-window metadata ride along for labelling but are not
-    part of the feature vector and do not survive the feature CSV.
+    np.bincount adds its weights in index order, so each flow's sums are
+    taken left to right in time order.
     """
-
-    mean_dur: float
-    sport: int
-    dport: int
-    spkts: int
-    dpkts: int
-    tpkts: int
-    sbytes: int
-    dbytes: int
-    tbytes: int
-    sload: float
-    dload: float
-    tload: float
-    srate: float
-    drate: float
-    trate: float
-    sloss: int
-    dloss: int
-    tloss: int
-    ploss: float
-    src_jitter: float
-    dst_jitter: float
-    s_intpkt: float
-    d_intpkt: float
-    label: int = NORMAL
-    src_addr: str = ""
-    dst_addr: str = ""
-    start_time: float = 0.0
-    end_time: float = 0.0
-
-    def vector(self) -> List[float]:
-        return [float(getattr(self, name)) for name in FEATURE_NAMES]
+    idx = flows.order[direction[flows.order]]
+    owner, t = flows.flow[idx], flows.packets.ts[idx]
+    same = owner[1:] == owner[:-1]
+    gaps = (t[1:][same] - t[:-1][same]) * 1000.0
+    owner = owner[1:][same]
+    count = np.maximum(np.bincount(owner, minlength=len(flows)), 1)
+    mean = np.bincount(owner, weights=gaps, minlength=len(flows)) / count
+    dev = gaps - mean[owner]
+    var = np.bincount(owner, weights=dev * dev, minlength=len(flows)) / count
+    return mean, np.sqrt(var)
 
 
-def _gap_stats_ms(times: Sequence[float]) -> Tuple[float, float]:
-    """Mean and population stddev of consecutive gaps, in milliseconds."""
-    n = len(times)
-    if n < 2:
-        return 0.0, 0.0
-    gaps = [(times[i + 1] - times[i]) * 1000.0 for i in range(n - 1)]
-    m = sum(gaps) / len(gaps)
-    var = sum((g - m) ** 2 for g in gaps) / len(gaps)
-    return m, math.sqrt(var)
-
-
-def compute_features(flow: FlowRecord) -> FlowFeatures:
-    """Summarize one flow. Zero-duration flows get zero rates and loads."""
-    if flow.packet_count == 0:
-        raise EmptyFlow("flow has no packets")
-    dur = flow.end_time - flow.start_time
-    spkts = len(flow.fwd_times)
-    dpkts = len(flow.bwd_times)
-    tpkts = spkts + dpkts
-    sbytes = flow.fwd_bytes
-    dbytes = flow.bwd_bytes
+def feature_matrix(flows: FlowTable) -> np.ndarray:
+    """The (n_flows, 23) feature matrix, columns in FEATURE_NAMES order.
+    Zero-duration flows get zero rates and loads."""
+    n = len(flows)
+    fid, fwd, retx = flows.flow, flows.forward, flows.packets.retx
+    wire_len = flows.packets.wire_len.astype(np.float64)
+    tpkts = np.bincount(fid, minlength=n)
+    spkts = np.bincount(fid[fwd], minlength=n)
+    dpkts = tpkts - spkts
+    sbytes = np.bincount(fid[fwd], weights=wire_len[fwd], minlength=n)
+    dbytes = np.bincount(fid[~fwd], weights=wire_len[~fwd], minlength=n)
     tbytes = sbytes + dbytes
-    if dur > 0:
-        sload = 8.0 * sbytes / dur
-        dload = 8.0 * dbytes / dur
-        tload = 8.0 * tbytes / dur
-        srate = spkts / dur
-        drate = dpkts / dur
-        trate = tpkts / dur
-    else:
-        sload = dload = tload = srate = drate = trate = 0.0
-    sloss = flow.fwd_loss
-    dloss = flow.bwd_loss
+    sloss = np.bincount(fid[fwd & retx], minlength=n)
+    dloss = np.bincount(fid[~fwd & retx], minlength=n)
     tloss = sloss + dloss
-    s_intpkt, src_jitter = _gap_stats_ms(flow.fwd_times)
-    d_intpkt, dst_jitter = _gap_stats_ms(flow.bwd_times)
-    return FlowFeatures(
-        mean_dur=dur,
-        sport=flow.initiator_port,
-        dport=flow.responder_port,
-        spkts=spkts,
-        dpkts=dpkts,
-        tpkts=tpkts,
-        sbytes=sbytes,
-        dbytes=dbytes,
-        tbytes=tbytes,
-        sload=sload,
-        dload=dload,
-        tload=tload,
-        srate=srate,
-        drate=drate,
-        trate=trate,
-        sloss=sloss,
-        dloss=dloss,
-        tloss=tloss,
-        ploss=100.0 * tloss / tpkts,
-        src_jitter=src_jitter,
-        dst_jitter=dst_jitter,
-        s_intpkt=s_intpkt,
-        d_intpkt=d_intpkt,
-        src_addr=flow.initiator_addr,
-        dst_addr=flow.responder_addr,
-        start_time=flow.start_time,
-        end_time=flow.end_time,
-    )
+    dur = flows.end - flows.start
+    moving = dur > 0
+
+    def per_second(v):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(moving, v / dur, 0.0)
+
+    s_intpkt, src_jitter = _gap_stats_ms(flows, fwd)
+    d_intpkt, dst_jitter = _gap_stats_ms(flows, ~fwd)
+    return np.column_stack([
+        dur, flows.sport, flows.dport, spkts, dpkts, tpkts,
+        sbytes, dbytes, tbytes,
+        per_second(8.0 * sbytes), per_second(8.0 * dbytes), per_second(8.0 * tbytes),
+        per_second(spkts), per_second(dpkts), per_second(tpkts),
+        sloss, dloss, tloss, 100.0 * tloss / tpkts,
+        src_jitter, dst_jitter, s_intpkt, d_intpkt,
+    ])
 
 
 class LabelParseError(ValueError):
-    """Malformed label CSV; message carries the 1-based line number."""
+    """Malformed label or feature CSV; message carries the 1-based line number."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -320,73 +253,119 @@ def read_label_csv(path) -> List[LabelRule]:
     return rules
 
 
-class _WindowIndex:
-    """Per address pair: windows sorted by start with a prefix max of ends,
-    so overlap queries are O(log n)."""
-
-    def __init__(self, windows: List[Tuple[float, float]]):
-        windows.sort()
-        self.starts = [w[0] for w in windows]
-        self.max_end = []
-        top = -math.inf
-        for _, end in windows:
-            top = max(top, end)
-            self.max_end.append(top)
-
-    def overlaps(self, start: float, end: float) -> bool:
-        hi = bisect_right(self.starts, end)
-        return hi > 0 and self.max_end[hi - 1] >= start
+def _pair_key(a, b) -> np.ndarray:
+    """Unordered IPv4 address pair as one integer: min << 32 | max."""
+    a, b = np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
+    return (np.minimum(a, b) << 32) | np.maximum(a, b)
 
 
-def label_flows(
-    features: Sequence[FlowFeatures], rules: Sequence[LabelRule]
-) -> List[FlowFeatures]:
-    """Label each flow Attack iff an attack rule matches its address pair
-    and overlaps its time window; everything else is Normal."""
-    by_pair: Dict[tuple, List[Tuple[float, float]]] = {}
+def label_flows(flows: FlowTable, rules: Sequence[LabelRule]) -> np.ndarray:
+    """Per flow, ATTACK iff an attack rule names its address pair (in
+    either order) and the rule's window overlaps the flow's [start, end],
+    closed at both ends; NORMAL otherwise. A rule address that is not a
+    dotted-quad IPv4 address matches no flow."""
+    labels = np.full(len(flows), NORMAL, dtype=np.int64)
+    windows = []
     for r in rules:
-        if r.label == ATTACK:
-            pair = tuple(sorted((r.src_addr, r.dst_addr)))
-            by_pair.setdefault(pair, []).append((r.start_time, r.end_time))
-    index = {pair: _WindowIndex(ws) for pair, ws in by_pair.items()}
+        if r.label != ATTACK:
+            continue
+        try:
+            windows.append((parse_addr(r.src_addr), parse_addr(r.dst_addr),
+                            r.start_time, r.end_time))
+        except ValueError:
+            continue
+    if not windows:
+        return labels
+    a, b, w_start, w_end = (np.array(c) for c in zip(*windows))
+    w_pair = _pair_key(a, b)
+    by_pair = np.lexsort((w_start, w_pair))
+    w_pair, w_start, w_end = w_pair[by_pair], w_start[by_pair], w_end[by_pair]
+    pairs, w_first = np.unique(w_pair, return_index=True)
+    w_bounds = np.append(w_first, w_pair.size)
 
-    out: List[FlowFeatures] = []
-    for feat in features:
-        if not feat.src_addr or not feat.dst_addr:
-            raise ValueError("flow features lack endpoint metadata; label before CSV export")
-        idx = index.get(tuple(sorted((feat.src_addr, feat.dst_addr))))
-        hit = idx is not None and idx.overlaps(feat.start_time, feat.end_time)
-        out.append(replace(feat, label=ATTACK if hit else NORMAL))
-    return out
+    f_pair = _pair_key(flows.src, flows.dst)
+    f_order = np.argsort(f_pair, kind="stable")
+    f_sorted = f_pair[f_order]
+    f_lo = np.searchsorted(f_sorted, pairs, side="left")
+    f_hi = np.searchsorted(f_sorted, pairs, side="right")
+    for k in range(pairs.size):
+        starts = w_start[w_bounds[k]:w_bounds[k + 1]]
+        max_end = np.maximum.accumulate(w_end[w_bounds[k]:w_bounds[k + 1]])
+        sel = f_order[f_lo[k]:f_hi[k]]
+        # Windows starting no later than the flow ends; the latest end
+        # among them decides the overlap.
+        n_before = np.searchsorted(starts, flows.end[sel], side="right")
+        hit = (n_before > 0) & (max_end[np.maximum(n_before - 1, 0)] >= flows.start[sel])
+        labels[sel[hit]] = ATTACK
+    return labels
+
+
+@dataclass
+class LabeledDataset:
+    """Feature matrix plus aligned 0/1 labels."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=np.float64)
+        self.y = np.asarray(self.y, dtype=np.int64)
+        if self.x.ndim != 2:
+            raise ValueError(f"x must be 2-d, got shape {self.x.shape}")
+        if self.y.shape != (self.x.shape[0],):
+            raise ValueError(
+                f"y shape {self.y.shape} does not match {self.x.shape[0]} rows"
+            )
+        bad = set(np.unique(self.y)) - {NORMAL, ATTACK}
+        if bad:
+            raise ValueError(f"labels must be 0 or 1, found {sorted(bad)}")
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def n_attack(self) -> int:
+        return int(np.count_nonzero(self.y == ATTACK))
+
+    @property
+    def n_normal(self) -> int:
+        return int(np.count_nonzero(self.y == NORMAL))
+
+    @property
+    def ratio(self) -> float:
+        return self.n_attack / len(self) if len(self) else 0.0
 
 
 def features_from_packets(
-    packets: Iterable[PacketRecord],
+    packets: PacketTable,
     rules: Sequence[LabelRule] = (),
     idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-) -> List[FlowFeatures]:
-    """assemble -> compute -> label, the standard extraction pipeline."""
-    feats = [compute_features(f) for f in assemble_flows(packets, idle_timeout)]
-    return label_flows(feats, rules) if rules else feats
+) -> LabeledDataset:
+    """assemble -> features -> label: one labelled row per flow, in flow
+    creation order."""
+    flows = assemble_flows(packets, idle_timeout)
+    return LabeledDataset(feature_matrix(flows), label_flows(flows, rules))
 
 
-def write_features_csv(features: Iterable[FlowFeatures], path) -> None:
-    """Feature matrix CSV: floats with 6 decimals, counts as integers,
+def write_features_csv(data: LabeledDataset, path) -> None:
+    """Feature CSV, for flow pools and built datasets alike: 6-decimal
+    floats, count columns as bare integers when they hold whole numbers,
     label 0/1 last."""
+    int_cols = [name in _INT_FEATURES for name in FEATURE_NAMES]
     with open(path, "w", newline="") as f:
         f.write(FEATURE_CSV_HEADER + "\n")
-        for feat in features:
-            parts = []
-            for name in FEATURE_NAMES:
-                v = getattr(feat, name)
-                parts.append(str(int(v)) if name in _INT_FEATURES else f"{float(v):.6f}")
-            parts.append(str(int(feat.label)))
-            f.write(",".join(parts) + "\n")
+        for row, label in zip(data.x, data.y.tolist()):
+            cells = [str(int(v)) if whole and v.is_integer() else f"{v:.6f}"
+                     for v, whole in zip(row.tolist(), int_cols)]
+            cells.append(str(label))
+            f.write(",".join(cells) + "\n")
 
 
-def read_features_csv(path) -> List[FlowFeatures]:
-    feats: List[FlowFeatures] = []
+def read_features_csv(path) -> LabeledDataset:
+    """Read a feature CSV back as a float matrix and 0/1 labels."""
     n_fields = len(FEATURE_NAMES) + 1
+    rows: List[List[float]] = []
+    labels: List[int] = []
     with open(path, "r", newline="") as f:
         header = f.readline().rstrip("\r\n")
         if header != FEATURE_CSV_HEADER:
@@ -407,19 +386,12 @@ def read_features_csv(path) -> List[FlowFeatures]:
                 raise LabelParseError(line_no, f"bad numeric field in {raw!r}") from None
             if label not in (NORMAL, ATTACK):
                 raise LabelParseError(line_no, f"label must be 0 or 1, got {fields[-1]!r}")
-            kwargs = {}
-            for name, v in zip(FEATURE_NAMES, values):
-                kwargs[name] = int(v) if name in _INT_FEATURES else v
-            for name in ("sloss", "dloss", "tloss"):
-                kwargs[name] = int(kwargs[name])
-            feats.append(FlowFeatures(label=label, **kwargs))
-    return feats
+            rows.append(values)
+            labels.append(label)
+    x = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
+    return LabeledDataset(x, np.array(labels, dtype=np.int64))
 
 
-def to_arrays(features: Sequence[FlowFeatures]) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack features into an (n, 23) float matrix and an (n,) label vector."""
-    x = np.array([feat.vector() for feat in features], dtype=np.float64)
-    y = np.array([feat.label for feat in features], dtype=np.int64)
-    if x.size == 0:
-        x = x.reshape(0, len(FEATURE_NAMES))
-    return x, y
+def to_arrays(data: LabeledDataset) -> Tuple[np.ndarray, np.ndarray]:
+    """The (n, 23) float matrix and the (n,) label vector."""
+    return data.x, data.y

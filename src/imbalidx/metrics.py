@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 class LengthMismatch(ValueError):
     """Prediction and truth vectors differ in length (or are empty)."""
@@ -36,18 +38,10 @@ def confusion(predictions: Sequence[int], truth: Sequence[int]) -> ConfusionMatr
         raise LengthMismatch(
             f"got {len(predictions)} predictions for {len(truth)} truth labels"
         )
-    tp = tn = fp = fn = 0
-    for p, t in zip(predictions, truth):
-        if t:
-            if p:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p:
-                fp += 1
-            else:
-                tn += 1
+    # Any nonzero value counts as attack. Cell index: truth * 2 + prediction.
+    pred = np.asarray(predictions).reshape(len(predictions)) != 0
+    true = np.asarray(truth).reshape(len(truth)) != 0
+    tn, fp, fn, tp = np.bincount(true * 2 + pred, minlength=4).tolist()
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 
 

@@ -1,5 +1,9 @@
 """Packet capture I/O: classic pcap files and a flat CSV interchange format.
 
+A capture in memory is a PacketTable: one numpy column per field, one row
+per frame. Addresses are IPv4 as 32-bit integers and the protocol column
+holds IANA protocol numbers.
+
 Only classic pcap is handled (24-byte global header, magic 0xA1B2C3D4 in
 either byte order, microsecond timestamps, Ethernet link type). Written
 frames are minimal Ethernet+IPv4+TCP/UDP constructions padded out to the
@@ -9,17 +13,21 @@ of the IPv4 flags field so a capture round-trips every field.
 
 from __future__ import annotations
 
-import math
+import os
 import struct
-from dataclasses import dataclass
-from enum import Enum
-from typing import BinaryIO, Iterable, List, Sequence
+from enum import IntEnum
+from typing import BinaryIO, Iterable, List, NamedTuple
+
+import numpy as np
 
 
-class Protocol(Enum):
-    TCP = "TCP"
-    UDP = "UDP"
-    OTHER = "OTHER"
+class Protocol(IntEnum):
+    """Transport protocol, valued by its IANA protocol number. OTHER uses
+    253, the number reserved for experimentation."""
+
+    TCP = 6
+    UDP = 17
+    OTHER = 253
 
 
 class BadMagic(ValueError):
@@ -42,22 +50,45 @@ class ParseError(ValueError):
         self.line = line
 
 
+class BadRow(ValueError):
+    """A packet table row breaks a field rule; `row` is its 0-based index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 # Minimum wire lengths accepted per protocol (IP + transport headers).
 MIN_WIRE_LEN = {Protocol.TCP: 40, Protocol.UDP: 28, Protocol.OTHER: 0}
 
 PCAP_MAGIC_LE = 0xA1B2C3D4
 _ETH_HDR = 14
 _IP_HDR = 20
-# Written frames cannot shrink below their header stack even when the
-# claimed wire length is smaller; orig_len still records the wire length.
-_MIN_FRAME = {Protocol.TCP: 54, Protocol.UDP: 42, Protocol.OTHER: 34}
-# IANA "experimentation" protocol number used for OTHER records.
-_PROTO_NUM = {Protocol.TCP: 6, Protocol.UDP: 17, Protocol.OTHER: 253}
+_MAX_U32 = 0xFFFFFFFF
 
 
-@dataclass(slots=True)
-class PacketRecord:
-    """One captured frame, reduced to the fields the flow features need."""
+def parse_addr(text: str) -> int:
+    """Dotted-quad IPv4 address to its 32-bit integer value."""
+    parts = text.split(".")
+    if len(parts) != 4:
+        raise ValueError(f"not a dotted-quad IPv4 address: {text!r}")
+    try:
+        quad = [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"not a dotted-quad IPv4 address: {text!r}") from None
+    if any(not 0 <= q <= 255 for q in quad):
+        raise ValueError(f"not a dotted-quad IPv4 address: {text!r}")
+    return (quad[0] << 24) | (quad[1] << 16) | (quad[2] << 8) | quad[3]
+
+
+def format_addr(value: int) -> str:
+    """32-bit integer IPv4 address to dotted-quad text."""
+    return f"{value >> 24}.{(value >> 16) & 255}.{(value >> 8) & 255}.{value & 255}"
+
+
+class PacketRecord(NamedTuple):
+    """One frame as plain values: the row form of a PacketTable, for
+    building small captures by hand. PacketTable checks the fields."""
 
     timestamp: float
     src_addr: str
@@ -68,22 +99,102 @@ class PacketRecord:
     wire_len: int
     is_retransmission: bool = False
 
-    def __post_init__(self):
-        if not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise ValueError(f"timestamp must be finite and >= 0, got {self.timestamp!r}")
-        for name in ("src_port", "dst_port"):
-            p = getattr(self, name)
-            if not 0 <= p <= 65535:
-                raise ValueError(f"{name} out of range: {p!r}")
-        if self.wire_len < MIN_WIRE_LEN[self.protocol]:
-            raise ValueError(
-                f"wire_len {self.wire_len} below minimum "
-                f"{MIN_WIRE_LEN[self.protocol]} for {self.protocol.value}"
-            )
+
+def _int_column(values, name: str) -> np.ndarray:
+    """An integer array as given, anything else converted to int64."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        row = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise BadRow(row, f"{name} out of range: {values[row]!r}") from None
+
+
+def _check_rows(ts, src, dst, sport, dport, proto, wire_len) -> None:
+    """Raise BadRow for the first row that breaks a field rule."""
+    known = np.isin(proto, list(Protocol))
+    too_short = np.zeros(len(ts), dtype=bool)
+    for p, min_len in MIN_WIRE_LEN.items():
+        too_short |= (proto == p) & (wire_len < min_len)
+    rules = (
+        (~(np.isfinite(ts) & (ts >= 0)),
+         lambda i: f"timestamp must be finite and >= 0, got {ts[i].item()!r}"),
+        ((src < 0) | (src > _MAX_U32), lambda i: f"src_addr out of range: {src[i]}"),
+        ((dst < 0) | (dst > _MAX_U32), lambda i: f"dst_addr out of range: {dst[i]}"),
+        ((sport < 0) | (sport > 65535), lambda i: f"src_port out of range: {sport[i]}"),
+        ((dport < 0) | (dport > 65535), lambda i: f"dst_port out of range: {dport[i]}"),
+        (~known, lambda i: f"unknown protocol number {proto[i]}"),
+        (too_short,
+         lambda i: f"wire_len {wire_len[i]} below minimum "
+                   f"{MIN_WIRE_LEN[Protocol(proto[i])]} for {Protocol(proto[i]).name}"),
+        (wire_len > _MAX_U32,
+         lambda i: f"wire_len {wire_len[i]} exceeds the pcap field range"),
         # OTHER frames carry no transport header, so ports cannot survive a
         # pcap round trip; forbid them up front.
-        if self.protocol is Protocol.OTHER and (self.src_port or self.dst_port):
-            raise ValueError("OTHER records must have zero ports")
+        ((proto == Protocol.OTHER) & ((sport != 0) | (dport != 0)),
+         lambda i: "OTHER records must have zero ports"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(msg for mask, msg in rules if mask[i])
+        raise BadRow(i, message(i))
+
+
+class PacketTable:
+    """A capture as columns: `ts` (float64 seconds), `src`/`dst` (uint32
+    IPv4), `sport`/`dport` (uint16), `proto` (uint8 IANA number),
+    `wire_len` (uint32) and `retx` (bool, retransmission flag).
+
+    The constructor checks every row (finite non-negative timestamps, ports
+    in range, wire length at least the protocol's headers, zero ports for
+    OTHER) and raises BadRow for the first row that fails.
+    """
+
+    COLUMNS = ("ts", "src", "dst", "sport", "dport", "proto", "wire_len", "retx")
+    __slots__ = COLUMNS
+
+    def __init__(self, ts, src, dst, sport, dport, proto, wire_len, retx):
+        ts = np.asarray(ts, dtype=np.float64)
+        ints = {name: _int_column(v, name) for name, v in (
+            ("src_addr", src), ("dst_addr", dst), ("src_port", sport),
+            ("dst_port", dport), ("protocol", proto), ("wire_len", wire_len))}
+        retx = np.asarray(retx, dtype=bool)
+        n = ts.shape[0]
+        if ts.ndim != 1 or retx.shape != (n,) or any(v.shape != (n,) for v in ints.values()):
+            raise ValueError("packet columns must be 1-d and of equal length")
+        _check_rows(ts, *ints.values())
+        self.ts = ts
+        self.src = ints["src_addr"].astype(np.uint32, copy=False)
+        self.dst = ints["dst_addr"].astype(np.uint32, copy=False)
+        self.sport = ints["src_port"].astype(np.uint16, copy=False)
+        self.dport = ints["dst_port"].astype(np.uint16, copy=False)
+        self.proto = ints["protocol"].astype(np.uint8, copy=False)
+        self.wire_len = ints["wire_len"].astype(np.uint32, copy=False)
+        self.retx = retx
+
+    @classmethod
+    def from_records(cls, records: Iterable[PacketRecord]) -> "PacketTable":
+        rows = [tuple(r) for r in records]
+        cols = list(zip(*rows)) if rows else [()] * len(cls.COLUMNS)
+        src = [parse_addr(a) for a in cols[1]]
+        dst = [parse_addr(a) for a in cols[2]]
+        return cls(cols[0], src, dst, *cols[3:])
+
+    def __len__(self) -> int:
+        return self.ts.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PacketTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c))
+                   for c in self.COLUMNS)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PacketTable({len(self)} packets)"
 
 
 def quantize_timestamp(t: float) -> float:
@@ -92,162 +203,190 @@ def quantize_timestamp(t: float) -> float:
     return (us // 1_000_000) + (us % 1_000_000) / 1e6
 
 
-def _split_timestamp(t: float) -> tuple[int, int]:
-    sec = int(t)
-    usec = round((t - sec) * 1e6)
-    if usec >= 1_000_000:
-        sec += 1
-        usec -= 1_000_000
-    return sec, usec
+def _split_timestamps(ts: np.ndarray):
+    """Whole seconds and rounded microseconds, carried at 1e6."""
+    sec = np.floor(ts)
+    usec = np.rint((ts - sec) * 1e6)
+    carry = usec >= 1_000_000
+    return sec + carry, usec - 1_000_000 * carry
 
 
-def _addr_bytes(addr: str) -> bytes:
-    parts = addr.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"not a dotted-quad IPv4 address: {addr!r}")
-    try:
-        quad = [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"not a dotted-quad IPv4 address: {addr!r}") from None
-    if any(not 0 <= q <= 255 for q in quad):
-        raise ValueError(f"not a dotted-quad IPv4 address: {addr!r}")
-    return bytes(quad)
+_ETH = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01" + b"\x08\x00"
+# Record header (little-endian) plus Ethernet and IPv4 headers, then the
+# transport header of each protocol; written frames cannot shrink below
+# this stack even when the claimed wire length is smaller (orig_len still
+# records the wire length).
+_BASE_FIELDS = [
+    ("sec", "<u4"), ("usec", "<u4"), ("incl_len", "<u4"), ("orig_len", "<u4"),
+    ("eth", "V14"), ("ver_ihl", "u1"), ("tos", "u1"), ("ip_len", ">u2"),
+    ("ip_id", ">u2"), ("flags_frag", ">u2"), ("ttl", "u1"), ("proto", "u1"),
+    ("checksum", ">u2"), ("src", ">u4"), ("dst", ">u4"),
+]
+_HEADER_DTYPE = {
+    Protocol.TCP: np.dtype(_BASE_FIELDS + [
+        ("sport", ">u2"), ("dport", ">u2"), ("seq", ">u4"), ("ack", ">u4"),
+        ("offset", "u1"), ("tcp_flags", "u1"), ("window", ">u2"),
+        ("l4_checksum", ">u2"), ("urgent", ">u2")]),
+    Protocol.UDP: np.dtype(_BASE_FIELDS + [
+        ("sport", ">u2"), ("dport", ">u2"), ("udp_len", ">u2"),
+        ("l4_checksum", ">u2")]),
+    Protocol.OTHER: np.dtype(_BASE_FIELDS),
+}
 
 
-def _addr_str(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
-
-
-def _ip_checksum(header: bytes) -> int:
-    total = 0
-    for i in range(0, len(header), 2):
-        total += (header[i] << 8) | header[i + 1]
+def _ip_checksum(words) -> np.ndarray:
+    """Ones' complement checksum of IPv4 headers given as 16-bit word
+    columns (checksum field zero)."""
+    total = sum(np.asarray(w, dtype=np.uint64) for w in words)
     total = (total & 0xFFFF) + (total >> 16)
     total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
 
 
-def _build_frame(pkt: PacketRecord) -> bytes:
-    """Reconstruct a minimal Ethernet+IPv4(+TCP/UDP) frame for one record."""
-    frame_len = max(_MIN_FRAME[pkt.protocol], pkt.wire_len)
-    ip_len = min(frame_len - _ETH_HDR, 0xFFFF)
+def _records(packets: PacketTable, rows: slice) -> np.ndarray:
+    """The pcap records (header and frame) of a slice of rows, back to
+    back, as a uint8 array."""
+    proto = packets.proto[rows]
+    wire_len = packets.wire_len[rows]
+    src, dst = packets.src[rows], packets.dst[rows]
+    header_len = np.select(
+        [proto == Protocol.TCP, proto == Protocol.UDP],
+        [_HEADER_DTYPE[Protocol.TCP].itemsize, _HEADER_DTYPE[Protocol.UDP].itemsize],
+        _HEADER_DTYPE[Protocol.OTHER].itemsize)
+    frame_len = np.maximum(header_len - 16, wire_len.astype(np.int64))
+    ip_len = np.minimum(frame_len - _ETH_HDR, 0xFFFF)
+    flags_frag = np.where(packets.retx[rows], 0x8000, 0)
+    sec, usec = (c.astype(np.int64) for c in _split_timestamps(packets.ts[rows]))
+    checksum = _ip_checksum([
+        0x4500, ip_len, flags_frag, (64 << 8) | proto.astype(np.uint64),
+        src >> 16, src & 0xFFFF, dst >> 16, dst & 0xFFFF])
 
-    eth = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01" + b"\x08\x00"
+    ends = np.cumsum(16 + frame_len)
+    starts = ends - (16 + frame_len)
+    out = np.zeros(int(ends[-1]) if len(ends) else 0, dtype=np.uint8)
+    for p, dtype in _HEADER_DTYPE.items():
+        sel = np.flatnonzero(proto == p)
+        if sel.size == 0:
+            continue
+        hdr = np.zeros(sel.size, dtype=dtype)
+        for name, col in (("sec", sec), ("usec", usec), ("incl_len", frame_len),
+                          ("orig_len", wire_len), ("ip_len", ip_len),
+                          ("flags_frag", flags_frag), ("checksum", checksum),
+                          ("src", src), ("dst", dst)):
+            hdr[name] = col[sel]
+        hdr["eth"] = np.void(_ETH)
+        hdr["ver_ihl"], hdr["ttl"], hdr["proto"] = 0x45, 64, p
+        if p is not Protocol.OTHER:
+            hdr["sport"] = packets.sport[rows][sel]
+            hdr["dport"] = packets.dport[rows][sel]
+        if p is Protocol.TCP:
+            hdr["offset"], hdr["tcp_flags"], hdr["window"] = 0x50, 0x18, 8192
+        elif p is Protocol.UDP:
+            hdr["udp_len"] = np.minimum(frame_len[sel] - _ETH_HDR - _IP_HDR, 0xFFFF)
+        # The output alternates runs of other bytes and these headers; mark
+        # the header runs, then fill them in order.
+        at = starts[sel]
+        runs = np.empty(2 * sel.size + 1, dtype=np.int64)
+        runs[0:-1:2] = np.diff(at, prepend=-dtype.itemsize) - dtype.itemsize
+        runs[1::2] = dtype.itemsize
+        runs[-1] = out.size - at[-1] - dtype.itemsize
+        covered = np.repeat(np.arange(runs.size) % 2 == 1, runs)
+        out[covered] = hdr.view(np.uint8)
+    return out
 
-    flags_frag = 0x8000 if pkt.is_retransmission else 0
-    ip = struct.pack(
-        ">BBHHHBBH4s4s",
-        0x45,
-        0,
-        ip_len,
-        0,
-        flags_frag,
-        64,
-        _PROTO_NUM[pkt.protocol],
-        0,
-        _addr_bytes(pkt.src_addr),
-        _addr_bytes(pkt.dst_addr),
-    )
-    ip = ip[:10] + struct.pack(">H", _ip_checksum(ip)) + ip[12:]
 
-    if pkt.protocol is Protocol.TCP:
-        l4 = struct.pack(
-            ">HHIIBBHHH", pkt.src_port, pkt.dst_port, 0, 0, 0x50, 0x18, 8192, 0, 0
-        )
-    elif pkt.protocol is Protocol.UDP:
-        udp_len = min(frame_len - _ETH_HDR - _IP_HDR, 0xFFFF)
-        l4 = struct.pack(">HHHH", pkt.src_port, pkt.dst_port, udp_len, 0)
-    else:
-        l4 = b""
-
-    frame = eth + ip + l4
-    if len(frame) < frame_len:
-        frame += b"\x00" * (frame_len - len(frame))
-    return frame
+# Rows encoded per write, which bounds the writer's buffers.
+_WRITE_CHUNK = 1 << 16
 
 
-def write_pcap(packets: Iterable[PacketRecord], path) -> None:
-    """Write records to a little-endian classic pcap file.
+def write_pcap(packets: PacketTable, path) -> None:
+    """Write a packet table to a little-endian classic pcap file.
 
-    The whole sequence is validated before any bytes go out, so a bad
-    record never leaves a partially written file behind. Round trips are
-    exact for records whose timestamps sit on the microsecond grid (see
-    quantize_timestamp).
+    The table is checked before any bytes go out, so a bad row never
+    leaves a partially written file behind. Round trips are exact for
+    timestamps on the microsecond grid (see quantize_timestamp).
     """
-    packets = list(packets)
-    for pkt in packets:
-        if pkt.wire_len < MIN_WIRE_LEN[pkt.protocol]:
-            raise ValueError(
-                f"wire_len {pkt.wire_len} below minimum "
-                f"{MIN_WIRE_LEN[pkt.protocol]} for {pkt.protocol.value}"
-            )
-        if pkt.wire_len > 0xFFFFFFFF:
-            raise ValueError(f"wire_len {pkt.wire_len} exceeds the pcap field range")
-        if _split_timestamp(pkt.timestamp)[0] > 0xFFFFFFFF:
-            raise ValueError(f"timestamp {pkt.timestamp} exceeds the pcap epoch range")
+    _check_rows(packets.ts, packets.src, packets.dst, packets.sport,
+                packets.dport, packets.proto, packets.wire_len)
+    if len(packets) and _split_timestamps(packets.ts)[0].max() > _MAX_U32:
+        raise ValueError(
+            f"timestamp {packets.ts.max()} exceeds the pcap epoch range")
     with open(path, "wb") as f:
         f.write(struct.pack("<IHHiIII", PCAP_MAGIC_LE, 2, 4, 0, 0, 65535, 1))
-        for pkt in packets:
-            sec, usec = _split_timestamp(pkt.timestamp)
-            frame = _build_frame(pkt)
-            f.write(struct.pack("<IIII", sec, usec, len(frame), pkt.wire_len))
-            f.write(frame)
+        for lo in range(0, len(packets), _WRITE_CHUNK):
+            f.write(_records(packets, slice(lo, lo + _WRITE_CHUNK)))
 
 
-def _parse_frame(data: bytes, wire_len: int) -> tuple[str, str, int, int, Protocol, bool]:
-    """Best-effort decode; anything that is not clean IPv4 TCP/UDP is OTHER."""
-    if len(data) < _ETH_HDR + _IP_HDR or data[12:14] != b"\x08\x00":
-        return "0.0.0.0", "0.0.0.0", 0, 0, Protocol.OTHER, False
-    ver_ihl = data[_ETH_HDR]
-    ihl = (ver_ihl & 0x0F) * 4
-    if ver_ihl >> 4 != 4 or ihl < 20 or len(data) < _ETH_HDR + ihl:
-        return "0.0.0.0", "0.0.0.0", 0, 0, Protocol.OTHER, False
+# Enough of each frame to decode: Ethernet, the longest IPv4 header, ports.
+_PREFIX = _ETH_HDR + 60 + 4
 
-    flags_frag = (data[20] << 8) | data[21]
-    retx = bool(flags_frag & 0x8000)
-    src = _addr_str(data[26:30])
-    dst = _addr_str(data[30:34])
-    proto_num = data[23]
+
+def _big_endian(cols: np.ndarray) -> np.ndarray:
+    value = np.zeros(cols.shape[0], dtype=np.int64)
+    for j in range(cols.shape[1]):
+        value = (value << 8) | cols[:, j]
+    return value
+
+
+def _decode_frames(frames: np.ndarray, incl_len: np.ndarray, wire_len: np.ndarray):
+    """Best-effort decode of frame prefixes, one per row; anything that is
+    not clean IPv4 TCP/UDP is OTHER. Returns src, dst, sport, dport, proto
+    and retx columns."""
+    ihl = (frames[:, 14] & 0x0F).astype(np.int64) * 4
+    ip = ((incl_len >= _ETH_HDR + _IP_HDR) & (frames[:, 12] == 0x08)
+          & (frames[:, 13] == 0x00) & (frames[:, 14] >> 4 == 4)
+          & (ihl >= 20) & (incl_len >= _ETH_HDR + ihl))
     l4 = _ETH_HDR + ihl
-
-    if proto_num == 6 and len(data) >= l4 + 4 and wire_len >= MIN_WIRE_LEN[Protocol.TCP]:
-        sport, dport = struct.unpack_from(">HH", data, l4)
-        return src, dst, sport, dport, Protocol.TCP, retx
-    if proto_num == 17 and len(data) >= l4 + 4 and wire_len >= MIN_WIRE_LEN[Protocol.UDP]:
-        sport, dport = struct.unpack_from(">HH", data, l4)
-        return src, dst, sport, dport, Protocol.UDP, retx
-    return src, dst, 0, 0, Protocol.OTHER, retx
-
-
-def _read_records(f: BinaryIO, fmt: str) -> List[PacketRecord]:
-    records: List[PacketRecord] = []
-    while True:
-        hdr = f.read(16)
-        if not hdr:
-            return records
-        if len(hdr) < 16:
-            raise Truncated("record header cut short")
-        ts_sec, ts_usec, incl_len, orig_len = struct.unpack(fmt + "IIII", hdr)
-        data = f.read(incl_len)
-        if len(data) < incl_len:
-            raise Truncated(f"record claims {incl_len} bytes, {len(data)} remain")
-        src, dst, sport, dport, proto, retx = _parse_frame(data, orig_len)
-        records.append(
-            PacketRecord(
-                timestamp=ts_sec + ts_usec / 1e6,
-                src_addr=src,
-                dst_addr=dst,
-                src_port=sport,
-                dst_port=dport,
-                protocol=proto,
-                wire_len=orig_len,
-                is_retransmission=retx,
-            )
-        )
+    has_ports = ip & (incl_len >= l4 + 4)
+    tcp = has_ports & (frames[:, 23] == 6) & (wire_len >= MIN_WIRE_LEN[Protocol.TCP])
+    udp = has_ports & (frames[:, 23] == 17) & (wire_len >= MIN_WIRE_LEN[Protocol.UDP])
+    ports = np.take_along_axis(frames, l4[:, None] + np.arange(4), axis=1)
+    return (
+        _big_endian(frames[:, 26:30]) * ip,
+        _big_endian(frames[:, 30:34]) * ip,
+        _big_endian(ports[:, :2]) * (tcp | udp),
+        _big_endian(ports[:, 2:]) * (tcp | udp),
+        np.select([tcp, udp], [Protocol.TCP, Protocol.UDP], Protocol.OTHER),
+        ip & (frames[:, 20] & 0x80 != 0),
+    )
 
 
-def read_pcap(path) -> List[PacketRecord]:
-    """Read a classic pcap file into packet records, in file order.
+def _read_records(f: BinaryIO, fmt: str) -> PacketTable:
+    """Walk the record headers, then decode every record at once."""
+    width = 16 + _PREFIX
+    size = os.fstat(f.fileno()).st_size - f.tell()
+    # Zero padding past the end keeps every row below inside the buffer.
+    buf = np.zeros(size + width, dtype=np.uint8)
+    size = f.readinto(memoryview(buf)[:size])
+    incl_field = struct.Struct(fmt + "I")
+    starts: List[int] = []
+    pos = 0
+    while pos + 16 <= size:
+        (incl_len,) = incl_field.unpack_from(buf, pos + 8)
+        starts.append(pos)
+        pos += 16 + incl_len
+    if pos > size:
+        remain = size - starts[-1] - 16
+        raise Truncated(f"record claims {incl_len} bytes, {remain} remain")
+    if pos < size:
+        raise Truncated("record header cut short")
+    # Each record's header and frame prefix as one row. Bytes past a short
+    # frame belong to the next record (or padding); the decoder checks the
+    # frame length before it trusts any byte.
+    rows = np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
+    hdr = np.ascontiguousarray(rows[:, :16]).view(np.dtype([
+        ("sec", fmt + "u4"), ("usec", fmt + "u4"),
+        ("incl_len", fmt + "u4"), ("orig_len", fmt + "u4")]))[:, 0]
+    wire_len = hdr["orig_len"].astype(np.int64)
+    src, dst, sport, dport, proto, retx = _decode_frames(
+        rows[:, 16:], hdr["incl_len"].astype(np.int64), wire_len)
+    ts = hdr["sec"] + hdr["usec"] / 1e6
+    return PacketTable(ts, src, dst, sport, dport, proto, wire_len, retx)
+
+
+def read_pcap(path) -> PacketTable:
+    """Read a classic pcap file into a packet table, in file order. The
+    path must name a regular file: its size sets how much is read.
 
     Raises BadMagic, UnsupportedLinkType, or Truncated; never anything else,
     no matter what bytes the file holds.
@@ -274,14 +413,25 @@ def read_pcap(path) -> List[PacketRecord]:
 CSV_HEADER = "timestamp,src_addr,src_port,dst_addr,dst_port,protocol,wire_len,is_retransmission"
 
 
-def write_packet_csv(packets: Iterable[PacketRecord], path) -> None:
+def _addr_texts(col: np.ndarray) -> List[str]:
+    """Dotted-quad text per row, formatting each distinct address once."""
+    uniq, inverse = np.unique(col, return_inverse=True)
+    names = [format_addr(a) for a in uniq.tolist()]
+    return [names[i] for i in inverse.tolist()]
+
+
+def write_packet_csv(packets: PacketTable, path) -> None:
+    proto_names = {p.value: p.name for p in Protocol}
+    rows = zip(
+        packets.ts.tolist(), _addr_texts(packets.src), packets.sport.tolist(),
+        _addr_texts(packets.dst), packets.dport.tolist(),
+        [proto_names[p] for p in packets.proto.tolist()],
+        packets.wire_len.tolist(), packets.retx.view(np.uint8).tolist(),
+    )
     with open(path, "w", newline="") as f:
         f.write(CSV_HEADER + "\n")
-        for p in packets:
-            f.write(
-                f"{p.timestamp:.6f},{p.src_addr},{p.src_port},{p.dst_addr},"
-                f"{p.dst_port},{p.protocol.value},{p.wire_len},{int(p.is_retransmission)}\n"
-            )
+        for ts, src, sport, dst, dport, proto, wire_len, retx in rows:
+            f.write(f"{ts:.6f},{src},{sport},{dst},{dport},{proto},{wire_len},{retx}\n")
 
 
 def _parse_timestamp(text: str, line: int) -> float:
@@ -298,8 +448,12 @@ def _parse_timestamp(text: str, line: int) -> float:
     return sec + usec / 1e6
 
 
-def read_packet_csv(path) -> List[PacketRecord]:
-    records: List[PacketRecord] = []
+def read_packet_csv(path) -> PacketTable:
+    protocols = {p.name: p.value for p in Protocol}
+    addrs: dict = {}
+    cols: List[list] = [[] for _ in PacketTable.COLUMNS]
+    ts, src, dst, sport, dport, proto, wire_len, retx = cols
+    lines: List[int] = []
     with open(path, "r", newline="") as f:
         header = f.readline().rstrip("\r\n")
         if header != CSV_HEADER:
@@ -311,36 +465,30 @@ def read_packet_csv(path) -> List[PacketRecord]:
             fields = raw.split(",")
             if len(fields) != 8:
                 raise ParseError(line_no, f"expected 8 fields, got {len(fields)}")
-            ts_s, src, sport_s, dst, dport_s, proto_s, wlen_s, retx_s = fields
-            ts = _parse_timestamp(ts_s, line_no)
+            ts_s, src_s, sport_s, dst_s, dport_s, proto_s, wlen_s, retx_s = fields
+            ts.append(_parse_timestamp(ts_s, line_no))
+            if proto_s not in protocols:
+                raise ParseError(line_no, f"unknown protocol {proto_s!r}")
+            proto.append(protocols[proto_s])
             try:
-                proto = Protocol(proto_s)
-            except ValueError:
-                raise ParseError(line_no, f"unknown protocol {proto_s!r}") from None
-            try:
-                sport, dport, wlen = int(sport_s), int(dport_s), int(wlen_s)
+                sport.append(int(sport_s))
+                dport.append(int(dport_s))
+                wire_len.append(int(wlen_s))
             except ValueError:
                 raise ParseError(line_no, "ports and wire_len must be integers") from None
             if retx_s not in ("0", "1"):
                 raise ParseError(line_no, f"is_retransmission must be 0 or 1, got {retx_s!r}")
-            for name, addr in (("src_addr", src), ("dst_addr", dst)):
-                try:
-                    _addr_bytes(addr)
-                except ValueError:
-                    raise ParseError(line_no, f"bad {name} {addr!r}") from None
-            try:
-                records.append(
-                    PacketRecord(
-                        timestamp=ts,
-                        src_addr=src,
-                        dst_addr=dst,
-                        src_port=sport,
-                        dst_port=dport,
-                        protocol=proto,
-                        wire_len=wlen,
-                        is_retransmission=retx_s == "1",
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(line_no, str(exc)) from None
-    return records
+            retx.append(retx_s == "1")
+            for name, text, col in (("src_addr", src_s, src), ("dst_addr", dst_s, dst)):
+                value = addrs.get(text)
+                if value is None:
+                    try:
+                        value = addrs[text] = parse_addr(text)
+                    except ValueError:
+                        raise ParseError(line_no, f"bad {name} {text!r}") from None
+                col.append(value)
+            lines.append(line_no)
+    try:
+        return PacketTable(*cols)
+    except BadRow as exc:
+        raise ParseError(lines[exc.row], str(exc)) from None

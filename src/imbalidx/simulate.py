@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .flows import ATTACK, LabelRule
-from .packets import PacketRecord, Protocol
+from .packets import PacketTable, Protocol, parse_addr
 
 _EPHEMERAL_BASE = 1024
 _EPHEMERAL_SPAN = 65536 - 1024
@@ -92,6 +92,11 @@ class SimConfig:
         addrs = {self.hmi_addr, self.plc_addr, self.attacker_addr}
         if len(addrs) != 3 or not all(addrs):
             raise ConfigInvalid("hmi, plc and attacker addresses must be distinct")
+        for addr in addrs:
+            try:
+                parse_addr(addr)
+            except (AttributeError, ValueError):
+                raise ConfigInvalid(f"{addr!r} is not a dotted-quad IPv4 address") from None
         if not 0 < self.modbus_port <= 65535:
             raise ConfigInvalid(f"bad service port {self.modbus_port}")
         if self.base_time < 0 or self.attack_start < 0:
@@ -275,7 +280,7 @@ def _grid_seconds(us: np.ndarray) -> np.ndarray:
 
 def simulate(
     config: SimConfig, rng: np.random.Generator = None
-) -> Tuple[List[PacketRecord], List[LabelRule]]:
+) -> Tuple[PacketTable, List[LabelRule]]:
     """Generate the merged packet stream and one label window per attack
     session. Packets come back sorted by timestamp. Randomness comes from
     rng when given, else from config.seed."""
@@ -354,33 +359,30 @@ def simulate(
             )
 
     if not col_times:
-        return [], []
+        return PacketTable.from_records([]), []
 
+    # Merge one column at a time, dropping each source as it goes.
     us = _quantize_us(np.concatenate(col_times))
-    code = np.concatenate(col_code)
-    eph = np.concatenate(col_eph)
-    length = np.concatenate(col_len)
-    retx = np.concatenate(col_retx)
+    del col_times
     order = np.argsort(us, kind="stable")
-
-    ts = _grid_seconds(us[order]).tolist()
-    code_l = code[order].tolist()
-    eph_l = eph[order].tolist()
-    len_l = length[order].tolist()
-    retx_l = retx[order].tolist()
-
-    hmi, plc, atk = cfg.hmi_addr, cfg.plc_addr, cfg.attacker_addr
-    svc = cfg.modbus_port
-    tcp = Protocol.TCP
-    packets: List[PacketRecord] = []
-    add = packets.append
-    for t, c, e, ln, rx in zip(ts, code_l, eph_l, len_l, retx_l):
-        if c == _HMI_TO_PLC:
-            add(PacketRecord(t, hmi, plc, e, svc, tcp, ln, rx))
-        elif c == _PLC_TO_HMI:
-            add(PacketRecord(t, plc, hmi, svc, e, tcp, ln, rx))
-        elif c == _ATK_TO_PLC:
-            add(PacketRecord(t, atk, plc, e, svc, tcp, ln, rx))
-        else:
-            add(PacketRecord(t, plc, atk, svc, e, tcp, ln, rx))
+    ts = _grid_seconds(us[order])
+    del us
+    code = np.concatenate(col_code)[order]
+    eph = np.concatenate(col_eph)[order].astype(np.uint16)
+    del col_code, col_eph
+    hmi, plc, atk = (parse_addr(a) for a in (cfg.hmi_addr, cfg.plc_addr, cfg.attacker_addr))
+    # Indexed by endpoint code: _HMI_TO_PLC, _PLC_TO_HMI, _ATK_TO_PLC, _PLC_TO_ATK.
+    src_of = np.array([hmi, plc, atk, plc], dtype=np.uint32)
+    dst_of = np.array([plc, hmi, plc, atk], dtype=np.uint32)
+    to_plc = (code == _HMI_TO_PLC) | (code == _ATK_TO_PLC)
+    packets = PacketTable(
+        ts=ts,
+        src=src_of[code],
+        dst=dst_of[code],
+        sport=np.where(to_plc, eph, cfg.modbus_port),
+        dport=np.where(to_plc, cfg.modbus_port, eph),
+        proto=np.full(order.size, Protocol.TCP, dtype=np.uint8),
+        wire_len=np.concatenate(col_len)[order].astype(np.uint32),
+        retx=np.concatenate(col_retx)[order],
+    )
     return packets, rules

@@ -29,6 +29,7 @@ from imbalidx.mlp import gradient_check, init_model
 from imbalidx.packets import (
     BadMagic,
     PacketRecord,
+    PacketTable,
     Protocol,
     Truncated,
     UnsupportedLinkType,
@@ -186,7 +187,7 @@ def test_capture_round_trips(tmp_path):
     start = time.monotonic()
     rng = np.random.default_rng(55)
     for trial in range(40):
-        packets = _random_packets(rng, int(rng.integers(0, 61)))
+        packets = PacketTable.from_records(_random_packets(rng, int(rng.integers(0, 61))))
         pcap = tmp_path / f"t{trial}.pcap"
         csv = tmp_path / f"t{trial}.csv"
         write_pcap(packets, pcap)

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from imbalidx import dataset as ds
 from imbalidx import flows as fl
 from imbalidx import mlp
 from imbalidx.cli import main
@@ -62,11 +61,11 @@ def test_simulate_outputs(pipeline):
 def test_extract_outputs(pipeline):
     feats = fl.read_features_csv(pipeline["features"])
     assert len(feats) == 72
-    assert sum(f.label for f in feats) == 12
+    assert feats.n_attack == 12
 
 
 def test_build_outputs(pipeline):
-    data = ds.read_dataset_csv(pipeline["dataset"])
+    data = fl.read_features_csv(pipeline["dataset"])
     assert len(data) == 60
     assert data.n_attack == 12
     meta = json.loads(
@@ -77,8 +76,8 @@ def test_build_outputs(pipeline):
 
 
 def test_smote_outputs(pipeline):
-    before = ds.read_dataset_csv(pipeline["dataset"])
-    after = ds.read_dataset_csv(pipeline["augmented"])
+    before = fl.read_features_csv(pipeline["dataset"])
+    after = fl.read_features_csv(pipeline["augmented"])
     assert len(after) == len(before) + 20  # minority 12 grown to 32
     assert after.n_attack == 32
     prov = pipeline["provenance"].read_text().splitlines()

@@ -16,14 +16,12 @@ from imbalidx.dataset import (
     load_stats,
     normalize_apply,
     normalize_fit,
-    read_dataset_csv,
     required_normals,
     save_dataset,
     save_stats,
     split_train_test,
-    write_dataset_csv,
 )
-from imbalidx.flows import ATTACK, NORMAL
+from imbalidx.flows import ATTACK, NORMAL, read_features_csv, write_features_csv
 
 
 def tagged_pool(n, offset=0.0, width=23):
@@ -218,11 +216,14 @@ def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     x = np.abs(rng.normal(100, 40, size=(30, 23)))
     x[:, 1:9] = rng.integers(0, 5000, size=(30, 8))  # count columns
+    x[0, 3] = 12.25  # a synthetic row's count need not be whole
     y = rng.integers(0, 2, size=30)
     data = LabeledDataset(x, y)
     path = tmp_path / "d.csv"
-    write_dataset_csv(data, path)
-    back = read_dataset_csv(path)
+    write_features_csv(data, path)
+    first_row = path.read_text().splitlines()[1].split(",")
+    assert first_row[3] == "12.250000" and first_row[4] == str(int(x[0, 4]))
+    back = read_features_csv(path)
     assert np.array_equal(back.y, data.y)
     assert np.allclose(back.x, data.x, atol=5e-7)
     # Count columns survive exactly.
@@ -232,8 +233,8 @@ def test_dataset_csv_round_trip(tmp_path):
 def test_dataset_csv_empty_round_trip(tmp_path):
     empty = LabeledDataset(np.zeros((0, 23)), np.zeros(0, dtype=np.int64))
     path = tmp_path / "e.csv"
-    write_dataset_csv(empty, path)
-    back = read_dataset_csv(path)
+    write_features_csv(empty, path)
+    back = read_features_csv(path)
     assert len(back) == 0
     assert back.x.shape == (0, 23)
 

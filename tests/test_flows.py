@@ -1,27 +1,26 @@
 """Flow assembly and the 23 per-flow features, checked against hand
-computations and an independent statistics-library oracle."""
+computations, an independent statistics-library oracle, and the
+one-object-per-flow reference in flow_oracle.py."""
 
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flow_oracle
 from imbalidx.flows import (
     ATTACK,
     FEATURE_CSV_HEADER,
     FEATURE_NAMES,
     NORMAL,
-    EmptyFlow,
-    FlowFeatures,
-    FlowRecord,
-    FlowKey,
     LabelParseError,
     LabelRule,
     UnorderedInput,
     assemble_flows,
-    compute_features,
+    feature_matrix,
     features_from_packets,
     label_flows,
     read_features_csv,
@@ -30,7 +29,8 @@ from imbalidx.flows import (
     write_features_csv,
     write_label_csv,
 )
-from imbalidx.packets import PacketRecord, Protocol
+from imbalidx.packets import PacketRecord, PacketTable, Protocol, parse_addr
+from imbalidx.simulate import SimConfig, simulate
 
 
 def pkt(ts, src, dst, sport=5000, dport=502, n=100, proto=Protocol.TCP, retx=False):
@@ -46,6 +46,16 @@ def pkt(ts, src, dst, sport=5000, dport=502, n=100, proto=Protocol.TCP, retx=Fal
     )
 
 
+def table(records):
+    return PacketTable.from_records(records)
+
+
+def features(records, idle_timeout=5.0):
+    """One {feature name: value} dict per flow."""
+    x = feature_matrix(assemble_flows(table(records), idle_timeout))
+    return [dict(zip(FEATURE_NAMES, row)) for row in x.tolist()]
+
+
 A, B = "10.0.0.1", "10.0.0.2"
 
 
@@ -59,85 +69,73 @@ def four_packet_flow():
 
 
 def test_worked_four_packet_example():
-    flows = assemble_flows(four_packet_flow())
+    flows = features(four_packet_flow())
     assert len(flows) == 1
-    f = compute_features(flows[0])
-    assert f.spkts == 3
-    assert f.dpkts == 1
-    assert f.tpkts == 4
-    assert f.sbytes == 300
-    assert f.dbytes == 50
-    assert f.tbytes == 350
-    assert f.mean_dur == pytest.approx(0.350, abs=1e-12)
-    assert f.sload == pytest.approx(8 * 300 / 0.35, rel=1e-12)
-    assert f.dload == pytest.approx(8 * 50 / 0.35, rel=1e-12)
-    assert f.tload == pytest.approx(8 * 350 / 0.35, rel=1e-12)
-    assert f.srate == pytest.approx(3 / 0.35, rel=1e-12)
-    assert f.trate == pytest.approx(4 / 0.35, rel=1e-12)
-    assert f.s_intpkt == pytest.approx(175.0, abs=1e-9)   # mean(200 ms, 150 ms)
-    assert f.src_jitter == pytest.approx(25.0, abs=1e-9)  # popstddev(200, 150)
-    assert f.dst_jitter == 0.0
-    assert f.d_intpkt == 0.0
-    assert f.sport == 5000
-    assert f.dport == 502
-    assert f.ploss == 0.0
+    f = flows[0]
+    assert f["spkts"] == 3
+    assert f["dpkts"] == 1
+    assert f["tpkts"] == 4
+    assert f["sbytes"] == 300
+    assert f["dbytes"] == 50
+    assert f["tbytes"] == 350
+    assert f["mean_dur"] == pytest.approx(0.350, abs=1e-12)
+    assert f["sload"] == pytest.approx(8 * 300 / 0.35, rel=1e-12)
+    assert f["dload"] == pytest.approx(8 * 50 / 0.35, rel=1e-12)
+    assert f["tload"] == pytest.approx(8 * 350 / 0.35, rel=1e-12)
+    assert f["srate"] == pytest.approx(3 / 0.35, rel=1e-12)
+    assert f["trate"] == pytest.approx(4 / 0.35, rel=1e-12)
+    assert f["s_intpkt"] == pytest.approx(175.0, abs=1e-9)   # mean(200 ms, 150 ms)
+    assert f["src_jitter"] == pytest.approx(25.0, abs=1e-9)  # popstddev(200, 150)
+    assert f["dst_jitter"] == 0.0
+    assert f["d_intpkt"] == 0.0
+    assert f["sport"] == 5000
+    assert f["dport"] == 502
+    assert f["ploss"] == 0.0
 
 
 def test_single_packet_flow_conventions():
-    f = compute_features(assemble_flows([pkt(3.5, A, B)])[0])
-    assert f.mean_dur == 0.0
-    assert f.spkts == 1 and f.dpkts == 0
-    assert f.sload == f.dload == f.tload == 0.0
-    assert f.srate == f.drate == f.trate == 0.0
-    assert f.src_jitter == f.dst_jitter == 0.0
-    assert f.s_intpkt == f.d_intpkt == 0.0
-    assert f.ploss == 0.0
+    (f,) = features([pkt(3.5, A, B)])
+    assert f["mean_dur"] == 0.0
+    assert f["spkts"] == 1 and f["dpkts"] == 0
+    assert f["sload"] == f["dload"] == f["tload"] == 0.0
+    assert f["srate"] == f["drate"] == f["trate"] == 0.0
+    assert f["src_jitter"] == f["dst_jitter"] == 0.0
+    assert f["s_intpkt"] == f["d_intpkt"] == 0.0
+    assert f["ploss"] == 0.0
 
 
 def test_feature_vector_has_23_fields():
     assert len(FEATURE_NAMES) == 23
-    f = compute_features(assemble_flows([pkt(0.0, A, B)])[0])
-    assert len(f.vector()) == 23
+    x = feature_matrix(assemble_flows(table([pkt(0.0, A, B)])))
+    assert x.shape == (1, 23)
 
 
 def test_idle_timeout_splits_flows():
     close = [pkt(0.0, A, B), pkt(0.1, A, B)]
-    assert len(assemble_flows(close, idle_timeout=5.0)) == 1
+    assert len(assemble_flows(table(close), idle_timeout=5.0)) == 1
     far_apart = [pkt(0.0, A, B), pkt(10.0, A, B)]
-    assert len(assemble_flows(far_apart, idle_timeout=5.0)) == 2
+    assert len(assemble_flows(table(far_apart), idle_timeout=5.0)) == 2
     # The boundary gap does not split: strict inequality.
     edge = [pkt(0.0, A, B), pkt(5.0, A, B)]
-    assert len(assemble_flows(edge, idle_timeout=5.0)) == 1
+    assert len(assemble_flows(table(edge), idle_timeout=5.0)) == 1
 
 
 def test_reverse_direction_joins_the_same_flow():
     flows = assemble_flows(
-        [pkt(0.0, A, B), pkt(0.1, B, A, sport=502, dport=5000)]
+        table([pkt(0.0, A, B), pkt(0.1, B, A, sport=502, dport=5000)])
     )
     assert len(flows) == 1
-    assert flows[0].initiator_addr == A
-    assert isinstance(flows[0].key, FlowKey)
+    assert flows.src.tolist() == [parse_addr(A)]
+    assert flows.forward.tolist() == [True, False]
 
 
 def test_unordered_input_rejected():
     with pytest.raises(UnorderedInput):
-        assemble_flows([pkt(1.0, A, B), pkt(0.5, A, B)])
-
-
-def test_empty_flow_rejected():
-    bare = FlowRecord(
-        key=FlowKey(A, 1, B, 2, Protocol.TCP),
-        initiator_addr=A,
-        initiator_port=1,
-        responder_addr=B,
-        responder_port=2,
-    )
-    with pytest.raises(EmptyFlow):
-        compute_features(bare)
+        assemble_flows(table([pkt(1.0, A, B), pkt(0.5, A, B)]))
 
 
 def test_retransmissions_become_loss_counts():
-    flows = assemble_flows(
+    (f,) = features(
         [
             pkt(0.0, A, B, retx=True),
             pkt(0.1, B, A, sport=502, dport=5000, retx=True),
@@ -145,11 +143,10 @@ def test_retransmissions_become_loss_counts():
             pkt(0.3, A, B),
         ]
     )
-    f = compute_features(flows[0])
-    assert f.sloss == 2
-    assert f.dloss == 1
-    assert f.tloss == 3
-    assert f.ploss == pytest.approx(100.0 * 3 / 4)
+    assert f["sloss"] == 2
+    assert f["dloss"] == 1
+    assert f["tloss"] == 3
+    assert f["ploss"] == pytest.approx(100.0 * 3 / 4)
 
 
 flow_packets = st.lists(
@@ -179,26 +176,29 @@ def build_packets(raw, a=A, b=B):
 @settings(max_examples=200)
 def test_additivity_and_oracle(raw):
     packets = build_packets(raw)
-    for flow in assemble_flows(packets, idle_timeout=1e9):
-        f = compute_features(flow)
-        assert f.tpkts == f.spkts + f.dpkts
-        assert f.tbytes == f.sbytes + f.dbytes
-        assert f.tloss == f.sloss + f.dloss
-        assert f.ploss == pytest.approx(100.0 * f.tloss / f.tpkts)
+    flows = assemble_flows(table(packets), idle_timeout=1e9)
+    x = feature_matrix(flows)
+    for i, row in enumerate(x.tolist()):
+        f = dict(zip(FEATURE_NAMES, row))
+        assert f["tpkts"] == f["spkts"] + f["dpkts"]
+        assert f["tbytes"] == f["sbytes"] + f["dbytes"]
+        assert f["tloss"] == f["sloss"] + f["dloss"]
+        assert f["ploss"] == pytest.approx(100.0 * f["tloss"] / f["tpkts"])
         # Independent recomputation of the directional statistics.
-        fwd = flow.fwd_times
+        fwd = [p.timestamp for p, mine, forward in
+               zip(packets, flows.flow == i, flows.forward) if mine and forward]
         if len(fwd) >= 2:
             gaps = [(t2 - t1) * 1e3 for t1, t2 in zip(fwd, fwd[1:])]
-            assert f.s_intpkt == pytest.approx(statistics.fmean(gaps), abs=1e-9)
-            assert f.src_jitter == pytest.approx(statistics.pstdev(gaps), abs=1e-9)
+            assert f["s_intpkt"] == pytest.approx(statistics.fmean(gaps), abs=1e-9)
+            assert f["src_jitter"] == pytest.approx(statistics.pstdev(gaps), abs=1e-9)
         else:
-            assert f.s_intpkt == 0.0 and f.src_jitter == 0.0
-        dur = flow.end_time - flow.start_time
+            assert f["s_intpkt"] == 0.0 and f["src_jitter"] == 0.0
+        dur = flows.end[i] - flows.start[i]
         if dur > 0:
-            assert f.sload == pytest.approx(8 * f.sbytes / dur, rel=1e-12)
-            assert f.trate == pytest.approx(f.tpkts / dur, rel=1e-12)
+            assert f["sload"] == pytest.approx(8 * f["sbytes"] / dur, rel=1e-12)
+            assert f["trate"] == pytest.approx(f["tpkts"] / dur, rel=1e-12)
         else:
-            assert f.sload == 0.0 and f.trate == 0.0
+            assert f["sload"] == 0.0 and f["trate"] == 0.0
 
 
 @given(flow_packets)
@@ -206,32 +206,20 @@ def test_additivity_and_oracle(raw):
 def test_direction_symmetry_at_the_flow_level(raw):
     # Swapping the two direction roles of an assembled flow must swap every
     # S* feature with its D* partner and leave the t* features untouched.
-    packets = build_packets(raw)
-    for flow in assemble_flows(packets, idle_timeout=1e9):
-        mirror = FlowRecord(
-            key=flow.key,
-            initiator_addr=flow.responder_addr,
-            initiator_port=flow.responder_port,
-            responder_addr=flow.initiator_addr,
-            responder_port=flow.initiator_port,
-            fwd_times=flow.bwd_times,
-            bwd_times=flow.fwd_times,
-            fwd_bytes=flow.bwd_bytes,
-            bwd_bytes=flow.fwd_bytes,
-            fwd_loss=flow.bwd_loss,
-            bwd_loss=flow.fwd_loss,
-            start_time=flow.start_time,
-            end_time=flow.end_time,
-        )
-        f, g = compute_features(flow), compute_features(mirror)
-        assert (f.tpkts, f.tbytes, f.tloss) == (g.tpkts, g.tbytes, g.tloss)
-        assert f.tload == g.tload and f.trate == g.trate
-        assert f.mean_dur == g.mean_dur and f.ploss == g.ploss
-        assert (f.spkts, f.sbytes, f.sloss) == (g.dpkts, g.dbytes, g.dloss)
-        assert (f.dpkts, f.dbytes, f.dloss) == (g.spkts, g.sbytes, g.sloss)
-        assert (f.sport, f.dport) == (g.dport, g.sport)
-        assert f.sload == g.dload and f.srate == g.drate
-        assert f.src_jitter == g.dst_jitter and f.s_intpkt == g.d_intpkt
+    flows = assemble_flows(table(build_packets(raw)), idle_timeout=1e9)
+    mirror = replace(
+        flows, forward=~flows.forward,
+        src=flows.dst, dst=flows.src, sport=flows.dport, dport=flows.sport,
+    )
+    for row_f, row_g in zip(feature_matrix(flows).tolist(),
+                            feature_matrix(mirror).tolist()):
+        f, g = dict(zip(FEATURE_NAMES, row_f)), dict(zip(FEATURE_NAMES, row_g))
+        for name in ("tpkts", "tbytes", "tloss", "tload", "trate", "mean_dur", "ploss"):
+            assert f[name] == g[name], name
+        for s, d in (("spkts", "dpkts"), ("sbytes", "dbytes"), ("sloss", "dloss"),
+                     ("sport", "dport"), ("sload", "dload"), ("srate", "drate"),
+                     ("src_jitter", "dst_jitter"), ("s_intpkt", "d_intpkt")):
+            assert (f[s], f[d]) == (g[d], g[s]), s
 
 
 @given(flow_packets)
@@ -249,52 +237,47 @@ def test_endpoint_mirror_reanchors_the_initiator(raw):
         )
         for p in packets
     ]
-    orig = [compute_features(f) for f in assemble_flows(packets, idle_timeout=1e9)]
-    swap = [compute_features(f) for f in assemble_flows(mirrored, idle_timeout=1e9)]
+    orig = features(packets, idle_timeout=1e9)
+    swap = features(mirrored, idle_timeout=1e9)
     assert len(orig) == len(swap)
     for f, g in zip(orig, swap):
-        assert (f.sport, f.dport) == (g.dport, g.sport)
-        assert (f.spkts, f.sbytes, f.sloss) == (g.spkts, g.sbytes, g.sloss)
-        assert (f.tpkts, f.tbytes, f.tloss) == (g.tpkts, g.tbytes, g.tloss)
-        assert f.src_jitter == g.src_jitter and f.s_intpkt == g.s_intpkt
+        assert (f["sport"], f["dport"]) == (g["dport"], g["sport"])
+        for name in ("spkts", "sbytes", "sloss", "tpkts", "tbytes", "tloss",
+                     "src_jitter", "s_intpkt"):
+            assert f[name] == g[name], name
 
 
 @given(flow_packets, st.integers(1, 10**6))
 @settings(max_examples=100)
 def test_time_shift_invariance(raw, shift):
     packets = build_packets(raw)
-    shifted = [
-        pkt(
-            p.timestamp + shift, p.src_addr, p.dst_addr,
-            sport=p.src_port, dport=p.dst_port,
-            n=p.wire_len, retx=p.is_retransmission,
-        )
-        for p in packets
-    ]
-    orig = [compute_features(f) for f in assemble_flows(packets, idle_timeout=1e9)]
-    moved = [compute_features(f) for f in assemble_flows(shifted, idle_timeout=1e9)]
-    for f, g in zip(orig, moved):
-        for name in FEATURE_NAMES:
-            assert getattr(f, name) == pytest.approx(
-                getattr(g, name), rel=1e-6, abs=1e-5
-            ), name
+    shifted = [p._replace(timestamp=p.timestamp + shift) for p in packets]
+    orig = feature_matrix(assemble_flows(table(packets), idle_timeout=1e9))
+    moved = feature_matrix(assemble_flows(table(shifted), idle_timeout=1e9))
+    assert orig.shape == moved.shape
+    for f, g in zip(orig.tolist(), moved.tolist()):
+        for name, a, b in zip(FEATURE_NAMES, f, g):
+            assert a == pytest.approx(b, rel=1e-6, abs=1e-5), name
 
 
 def test_labeling_by_window_overlap():
-    feats = [compute_features(f) for f in assemble_flows(four_packet_flow())]
-    inside = [LabelRule(A, B, 0.0, 1.0, ATTACK)]
-    assert label_flows(feats, inside)[0].label == ATTACK
-    disjoint = [LabelRule(A, B, 5.0, 6.0, ATTACK)]
-    assert label_flows(feats, disjoint)[0].label == NORMAL
-    assert label_flows(feats, [])[0].label == NORMAL
+    flows = assemble_flows(table(four_packet_flow()))
+
+    def label(rules):
+        return label_flows(flows, rules).tolist()
+
+    assert label([LabelRule(A, B, 0.0, 1.0, ATTACK)]) == [ATTACK]
+    assert label([LabelRule(A, B, 5.0, 6.0, ATTACK)]) == [NORMAL]
+    assert label([]) == [NORMAL]
     # Address order in the rule does not matter.
-    reversed_pair = [LabelRule(B, A, 0.0, 1.0, ATTACK)]
-    assert label_flows(feats, reversed_pair)[0].label == ATTACK
-    # Touching windows count as overlap (closed intervals).
-    touching = [LabelRule(A, B, 0.35, 2.0, ATTACK)]
-    assert label_flows(feats, touching)[0].label == ATTACK
-    other_pair = [LabelRule(A, "10.9.9.9", 0.0, 1.0, ATTACK)]
-    assert label_flows(feats, other_pair)[0].label == NORMAL
+    assert label([LabelRule(B, A, 0.0, 1.0, ATTACK)]) == [ATTACK]
+    # Touching windows count as overlap (closed intervals), at either edge.
+    assert label([LabelRule(A, B, 0.35, 2.0, ATTACK)]) == [ATTACK]
+    assert label([LabelRule(A, B, -1.0, 0.0, ATTACK)]) == [ATTACK]
+    assert label([LabelRule(A, "10.9.9.9", 0.0, 1.0, ATTACK)]) == [NORMAL]
+    # Only attack rules label, and an unparseable address matches nothing.
+    assert label([LabelRule(A, B, 0.0, 1.0, NORMAL)]) == [NORMAL]
+    assert label([LabelRule(A, "host-b", 0.0, 1.0, ATTACK)]) == [NORMAL]
 
 
 def test_label_csv_round_trip(tmp_path):
@@ -328,40 +311,24 @@ def test_features_csv_round_trip(tmp_path):
     packets = four_packet_flow() + [
         pkt(9.0, A, "10.0.0.7", sport=1100, dport=502, n=70, retx=True),
     ]
-    feats = features_from_packets(packets, [LabelRule(A, B, 0.0, 1.0, ATTACK)])
+    feats = features_from_packets(table(packets), [LabelRule(A, B, 0.0, 1.0, ATTACK)])
     path = tmp_path / "features.csv"
     write_features_csv(feats, path)
     assert path.read_text().splitlines()[0] == FEATURE_CSV_HEADER
     back = read_features_csv(path)
-    assert len(back) == len(feats)
-    for f, g in zip(feats, back):
-        assert g.label == f.label
-        for name in FEATURE_NAMES:
-            want = getattr(f, name)
-            got = getattr(g, name)
-            if isinstance(want, int):
-                assert got == want, name
-            else:
-                assert got == pytest.approx(want, abs=5e-7), name
-
-
-def test_features_csv_drops_endpoint_metadata(tmp_path):
-    feats = features_from_packets(four_packet_flow())
-    path = tmp_path / "f.csv"
-    write_features_csv(feats, path)
-    back = read_features_csv(path)
-    assert back[0].src_addr == ""
-    with pytest.raises(ValueError):
-        label_flows(back, [LabelRule(A, B, 0.0, 1.0, ATTACK)])
+    assert np.array_equal(back.y, feats.y)
+    assert back.y.tolist() == [ATTACK, NORMAL]
+    assert np.allclose(back.x, feats.x, rtol=0, atol=5e-7)
+    counts = [FEATURE_NAMES.index(n) for n in ("sport", "spkts", "tbytes", "sloss")]
+    assert np.array_equal(back.x[:, counts], feats.x[:, counts])
 
 
 def test_to_arrays_shape_and_dtype():
-    feats = features_from_packets(four_packet_flow())
-    x, y = to_arrays(feats)
+    x, y = to_arrays(features_from_packets(table(four_packet_flow())))
     assert x.shape == (1, 23)
     assert x.dtype == np.float64
     assert y.tolist() == [NORMAL]
-    empty_x, empty_y = to_arrays([])
+    empty_x, empty_y = to_arrays(features_from_packets(table([])))
     assert empty_x.shape == (0, 23)
     assert empty_y.shape == (0,)
 
@@ -374,14 +341,110 @@ def test_extraction_pipeline_label_counts():
         packets.append(pkt(base, src, B, sport=2000 + i))
         packets.append(pkt(base + 0.05, B, src, sport=502, dport=2000 + i))
     rules = [LabelRule("10.0.0.66", B, 0.0, 45.0, ATTACK)]
-    feats = features_from_packets(packets, rules)
+    feats = features_from_packets(table(packets), rules)
     assert len(feats) == 10
-    assert sum(f.label == ATTACK for f in feats) == 3
+    assert feats.y.tolist() == [ATTACK] * 3 + [NORMAL] * 7
 
 
 def test_flow_key_is_direction_independent():
-    flows_ab = assemble_flows([pkt(0.0, A, B)])
-    flows_ba = assemble_flows([pkt(0.0, B, A, sport=502, dport=5000)])
-    key = flows_ab[0].key
-    assert key == flows_ba[0].key
-    assert (key.addr_a, key.port_a) <= (key.addr_b, key.port_b)
+    # 10.0.0.9 sorts after 10.0.0.10 as text and before it as a number;
+    # either way both directions must share one key.
+    lo, hi = "10.0.0.9", "10.0.0.10"
+    for a, b in ((lo, hi), (hi, lo)):
+        flows = assemble_flows(table([
+            pkt(0.0, a, b, sport=502, dport=502),
+            pkt(0.1, b, a, sport=502, dport=502),
+        ]))
+        assert len(flows) == 1
+        assert flows.forward.tolist() == [True, False]
+
+
+# --- the columnar path against the one-object-per-flow reference ----------
+
+TIMEOUT_US = 1_000_000
+# Gaps just below, at and above the idle timeout, plus equal timestamps.
+STEPS_US = (0, 1, 250_000, TIMEOUT_US - 1, TIMEOUT_US, TIMEOUT_US + 1, 3 * TIMEOUT_US)
+HOSTS = ("10.0.0.1", "10.0.0.2", "10.0.0.9", "10.0.0.10", "192.168.7.1")
+
+
+def _grid(us):
+    return (us // 10**6) + (us % 10**6) / 1e6
+
+
+@st.composite
+def conversations(draw):
+    a, b = draw(st.lists(st.sampled_from(HOSTS), min_size=2, max_size=2))
+    proto = draw(st.sampled_from(list(Protocol)))
+    if proto is Protocol.OTHER:
+        return a, b, 0, 0, proto
+    ports = st.sampled_from((502, 1024, 1025))
+    return a, b, draw(ports), draw(ports), proto
+
+
+@st.composite
+def labelled_streams(draw):
+    convs = draw(st.lists(conversations(), min_size=1, max_size=4))
+    us, stream = draw(st.integers(0, 3 * TIMEOUT_US)), []
+    for _ in range(draw(st.integers(0, 40))):
+        us += draw(st.one_of(st.sampled_from(STEPS_US), st.integers(0, 2 * TIMEOUT_US)))
+        a, b, sport, dport, proto = draw(st.sampled_from(convs))
+        if draw(st.booleans()):  # reverse direction
+            a, b, sport, dport = b, a, dport, sport
+        stream.append(PacketRecord(
+            _grid(us), a, b, sport, dport, proto,
+            draw(st.integers(40, 1500)), draw(st.booleans()),
+        ))
+    # Window edges sit on, or one microsecond off, packet times, so they
+    # often touch a flow's first or last packet exactly.
+    times = [round(p.timestamp * 1e6) for p in stream] or [0]
+    edge = st.builds(lambda t, d: _grid(max(t + d, 0)),
+                     st.sampled_from(times), st.sampled_from((-1, 0, 1)))
+    rules = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b, *_ = draw(st.sampled_from(convs))
+        start, end = sorted((draw(edge), draw(edge)))
+        rules.append(LabelRule(a, b, start, end, draw(st.sampled_from((ATTACK, ATTACK, NORMAL)))))
+    return stream, rules
+
+
+def assert_matches_oracle(packets: PacketTable, rules, idle_timeout):
+    got = features_from_packets(packets, rules, idle_timeout)
+    want_x, want_y = flow_oracle.extract(flow_oracle.records(packets), rules, idle_timeout)
+    assert got.x.shape == want_x.shape
+    assert got.x.tobytes() == want_x.tobytes()
+    assert np.array_equal(got.y, want_y)
+
+
+@given(labelled_streams())
+@settings(max_examples=300, deadline=None)
+def test_matches_oracle_on_random_streams(stream_and_rules):
+    stream, rules = stream_and_rules
+    assert_matches_oracle(table(stream), rules, TIMEOUT_US / 1e6)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """A 100k-session simulated pool at the default idle timeout."""
+    cfg = SimConfig(n_normal_flows=99_000, n_attack_flows=1_000, seed=20261018)
+    packets, rules = simulate(cfg)
+    return cfg, packets, rules
+
+
+def test_matches_oracle_on_simulated_pool(pool):
+    _, packets, rules = pool
+    assert_matches_oracle(packets, rules, 5.0)
+
+
+def test_flow_contract_on_simulated_pool(pool):
+    # One session is one flow, exactly the attack sessions are labelled
+    # attack, and each label window overlaps exactly one flow of its pair.
+    cfg, packets, rules = pool
+    flows = assemble_flows(packets)
+    data = features_from_packets(packets, rules)
+    assert len(flows) == len(data) == cfg.n_normal_flows + cfg.n_attack_flows
+    assert data.n_attack == cfg.n_attack_flows == len(rules)
+    for r in rules:
+        a, b = parse_addr(r.src_addr), parse_addr(r.dst_addr)
+        same_pair = ((flows.src == a) & (flows.dst == b)) | ((flows.src == b) & (flows.dst == a))
+        overlap = same_pair & (flows.start <= r.end_time) & (flows.end >= r.start_time)
+        assert np.count_nonzero(overlap) == 1

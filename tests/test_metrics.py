@@ -162,6 +162,14 @@ def test_confusion_accepts_numpy_arrays():
     accuracy(cm)  # counts must be plain ints, not numpy scalars
 
 
+def test_confusion_counts_any_nonzero_as_attack():
+    preds = [2, 0, -1, 0.5, True, 0]
+    truth = [True, 7, 0, 0.0, 0.25, False]
+    cm = confusion(preds, truth)
+    assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 2, 1)
+    assert confusion(np.array(preds, dtype=float), np.array(truth, dtype=float)) == cm
+
+
 def test_confusion_rejects_mismatch_and_empty():
     with pytest.raises(LengthMismatch):
         confusion([1, 0], [1])

@@ -11,10 +11,12 @@ from imbalidx.packets import (
     MIN_WIRE_LEN,
     BadMagic,
     PacketRecord,
+    PacketTable,
     ParseError,
     Protocol,
     Truncated,
     UnsupportedLinkType,
+    BadRow,
     quantize_timestamp,
     read_packet_csv,
     read_pcap,
@@ -57,11 +59,15 @@ def packet_records(draw):
     )
 
 
+def table(records):
+    return PacketTable.from_records(records)
+
+
 def test_empty_pcap_is_just_the_global_header(tmp_path):
     path = tmp_path / "empty.pcap"
-    write_pcap([], path)
+    write_pcap(table([]), path)
     assert path.read_bytes() == GLOBAL_HEADER
-    assert read_pcap(path) == []
+    assert read_pcap(path) == table([])
 
 
 def test_single_tcp_packet_round_trip(tmp_path):
@@ -76,8 +82,8 @@ def test_single_tcp_packet_round_trip(tmp_path):
         is_retransmission=True,
     )
     path = tmp_path / "one.pcap"
-    write_pcap([pkt], path)
-    assert read_pcap(path) == [pkt]
+    write_pcap(table([pkt]), path)
+    assert read_pcap(path) == table([pkt])
 
 
 def test_wrong_magic_rejected(tmp_path):
@@ -111,7 +117,7 @@ def test_truncated_record_rejected(tmp_path):
 def test_byte_swapped_magic_accepted(tmp_path):
     pkt = PacketRecord(0.5, "1.2.3.4", "5.6.7.8", 80, 8080, Protocol.TCP, 64)
     le = tmp_path / "le.pcap"
-    write_pcap([pkt], le)
+    write_pcap(table([pkt]), le)
     body = le.read_bytes()
     # Swap every header field to big-endian by hand; frame bytes stay put.
     g = struct.unpack("<IHHiIII", body[:24])
@@ -119,35 +125,40 @@ def test_byte_swapped_magic_accepted(tmp_path):
     be = struct.pack(">IHHiIII", *g) + struct.pack(">IIII", *rec) + body[40:]
     swapped = tmp_path / "be.pcap"
     swapped.write_bytes(be)
-    assert read_pcap(swapped) == [pkt]
+    assert read_pcap(swapped) == table([pkt])
 
 
 def test_writer_rejects_corrupted_wire_len_before_writing(tmp_path):
-    pkt = PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)
-    pkt.wire_len = 12  # below the TCP minimum, bypassing construction checks
+    packets = table([PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)])
+    packets.wire_len[0] = 12  # below the TCP minimum, bypassing construction checks
     path = tmp_path / "never.pcap"
     with pytest.raises(ValueError):
-        write_pcap([pkt], path)
+        write_pcap(packets, path)
     assert not path.exists()
 
 
 def test_writer_rejects_timestamp_past_the_epoch_range(tmp_path):
     pkt = PacketRecord(2.0**33, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)
     with pytest.raises(ValueError):
-        write_pcap([pkt], tmp_path / "never.pcap")
+        write_pcap(table([pkt]), tmp_path / "never.pcap")
+    assert not (tmp_path / "never.pcap").exists()
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        PacketRecord(-1.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)
-    with pytest.raises(ValueError):
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 70000, 2, Protocol.TCP, 40)
-    with pytest.raises(ValueError):
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 39)
-    with pytest.raises(ValueError):
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.UDP, 27)
-    with pytest.raises(ValueError):
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 5, 0, Protocol.OTHER, 100)
+    good = PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)
+    for bad in [
+        PacketRecord(-1.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40),
+        PacketRecord(float("nan"), "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40),
+        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 70000, 2, Protocol.TCP, 40),
+        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 39),
+        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.UDP, 27),
+        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 5, 0, Protocol.OTHER, 100),
+        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, 99, 100),  # unknown protocol
+        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 2**32),
+    ]:
+        with pytest.raises(BadRow) as err:
+            table([good, good, bad])
+        assert err.value.row == 2, bad
 
 
 def test_quantize_timestamp():
@@ -172,23 +183,23 @@ def test_quantize_is_idempotent(t):
 @settings(max_examples=150, deadline=None)
 def test_pcap_round_trip(tmp_path_factory, pkts):
     path = tmp_path_factory.mktemp("rt") / "seq.pcap"
-    write_pcap(pkts, path)
-    assert read_pcap(path) == pkts
+    write_pcap(table(pkts), path)
+    assert read_pcap(path) == table(pkts)
 
 
 @given(st.lists(packet_records(), max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_csv_round_trip(tmp_path_factory, pkts):
     path = tmp_path_factory.mktemp("rt") / "seq.csv"
-    write_packet_csv(pkts, path)
-    assert read_packet_csv(path) == pkts
+    write_packet_csv(table(pkts), path)
+    assert read_packet_csv(path) == table(pkts)
 
 
 def test_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    write_packet_csv([], path)
+    write_packet_csv(table([]), path)
     assert path.read_text() == CSV_HEADER + "\n"
-    assert read_packet_csv(path) == []
+    assert read_packet_csv(path) == table([])
 
 
 def test_csv_rejects_wrong_header(tmp_path):
@@ -209,14 +220,18 @@ def test_csv_rejects_wrong_header(tmp_path):
         ("x,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp"),
         ("1.0,1.1.1,1,2.2.2.2,2,TCP,60,0", "src_addr"),
         ("-1.0,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp"),
+        ("1.0,1.1.1.1,1,2.2.2.2,2,TCP,39,0", "below minimum"),
+        ("1.0,1.1.1.1,1,2.2.2.2,99999999999999999999,TCP,60,0", "out of range"),
     ],
 )
 def test_csv_bad_rows_carry_line_numbers(tmp_path, row, fragment):
     path = tmp_path / "bad.csv"
-    path.write_text(CSV_HEADER + "\n" + row + "\n")
+    # A good first row and a blank line: the bad row sits on line 4.
+    good = "0.5,1.1.1.1,1,2.2.2.2,2,TCP,60,0"
+    path.write_text(CSV_HEADER + "\n" + good + "\n\n" + row + "\n")
     with pytest.raises(ParseError) as err:
         read_packet_csv(path)
-    assert err.value.line == 2
+    assert err.value.line == 4
     assert fragment in str(err.value)
 
 

@@ -2,12 +2,12 @@
 the pipeline from synthetic packets to labeled flows."""
 
 import json
-import statistics
 
+import numpy as np
 import pytest
 
-from imbalidx.flows import ATTACK, features_from_packets
-from imbalidx.packets import quantize_timestamp
+from imbalidx.flows import ATTACK, FEATURE_NAMES, assemble_flows, features_from_packets
+from imbalidx.packets import PacketTable, Protocol, parse_addr, quantize_timestamp
 from imbalidx.simulate import ConfigInvalid, SimConfig, sim_config_from_json, simulate
 
 SMALL = SimConfig(n_normal_flows=30, n_attack_flows=6, seed=11)
@@ -37,7 +37,7 @@ def test_explicit_rng_matches_config_seed():
 
 def test_timestamps_sorted_and_on_microsecond_grid():
     packets, _ = simulate(SMALL)
-    times = [p.timestamp for p in packets]
+    times = packets.ts.tolist()
     assert times == sorted(times)
     assert all(quantize_timestamp(t) == t for t in times)
 
@@ -46,16 +46,17 @@ def test_stream_shape_normal_only():
     packets, rules = simulate(SimConfig(n_normal_flows=25, n_attack_flows=0, seed=3))
     assert rules == []
     cfg = SimConfig(n_normal_flows=25, n_attack_flows=0, seed=3)
-    hosts = {(p.src_addr, p.dst_addr) for p in packets}
-    assert hosts <= {(cfg.hmi_addr, cfg.plc_addr), (cfg.plc_addr, cfg.hmi_addr)}
-    assert all(p.protocol.name == "TCP" for p in packets)
-    assert all(502 in (p.src_port, p.dst_port) for p in packets)
-    assert all(60 <= p.wire_len <= 65535 for p in packets)
+    hmi, plc = parse_addr(cfg.hmi_addr), parse_addr(cfg.plc_addr)
+    hosts = set(zip(packets.src.tolist(), packets.dst.tolist()))
+    assert hosts <= {(hmi, plc), (plc, hmi)}
+    assert np.all(packets.proto == Protocol.TCP)
+    assert np.all((packets.sport == 502) | (packets.dport == 502))
+    assert np.all((60 <= packets.wire_len) & (packets.wire_len <= 65535))
 
 
 def test_empty_config_yields_empty_stream():
     packets, rules = simulate(SimConfig(n_normal_flows=0, n_attack_flows=0, seed=0))
-    assert packets == [] and rules == []
+    assert packets == PacketTable.from_records([]) and rules == []
 
 
 def test_one_label_window_per_attack_session():
@@ -76,10 +77,10 @@ def test_attack_packets_stay_inside_their_windows():
     packets, rules = simulate(cfg)
     lo = min(r.start_time for r in rules)
     hi = max(r.end_time for r in rules)
-    assert all(lo <= p.timestamp <= hi for p in packets)
+    assert all(lo <= t <= hi for t in packets.ts.tolist())
     assert all(
-        any(r.start_time <= p.timestamp <= r.end_time for r in rules)
-        for p in packets
+        any(r.start_time <= t <= r.end_time for r in rules)
+        for t in packets.ts.tolist()
     )
 
 
@@ -89,9 +90,11 @@ def test_pipeline_labels_exactly_the_attack_sessions(seed):
     packets, rules = simulate(cfg)
     feats = features_from_packets(packets, rules, idle_timeout=60.0)
     assert len(feats) == 100
-    attack = [f for f in feats if f.label == ATTACK]
-    assert len(attack) == 10
-    assert all(cfg.attacker_addr in (f.src_addr, f.dst_addr) for f in attack)
+    assert feats.n_attack == 10
+    flows = assemble_flows(packets, idle_timeout=60.0)
+    attacker = parse_addr(cfg.attacker_addr)
+    on_attacker = (flows.src == attacker) | (flows.dst == attacker)
+    assert np.array_equal(on_attacker, feats.y == ATTACK)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -99,9 +102,8 @@ def test_attack_flows_are_statistically_noisier(seed):
     cfg = SimConfig(n_normal_flows=90, n_attack_flows=10, seed=seed)
     packets, rules = simulate(cfg)
     feats = features_from_packets(packets, rules, idle_timeout=60.0)
-    a = statistics.fmean(f.src_jitter for f in feats if f.label == ATTACK)
-    n = statistics.fmean(f.src_jitter for f in feats if f.label != ATTACK)
-    assert a > 2.0 * n
+    jitter = feats.x[:, FEATURE_NAMES.index("src_jitter")]
+    assert jitter[feats.y == ATTACK].mean() > 2.0 * jitter[feats.y != ATTACK].mean()
 
 
 def test_mimics_share_the_normal_packet_count_range():
@@ -112,9 +114,8 @@ def test_mimics_share_the_normal_packet_count_range():
     )
     packets, rules = simulate(cfg)
     feats = features_from_packets(packets, rules, idle_timeout=60.0)
-    a_counts = {f.spkts + f.dpkts for f in feats if f.label == ATTACK}
-    n_counts = {f.spkts + f.dpkts for f in feats if f.label != ATTACK}
-    assert a_counts <= n_counts
+    tpkts = feats.x[:, FEATURE_NAMES.index("tpkts")]
+    assert set(tpkts[feats.y == ATTACK]) <= set(tpkts[feats.y != ATTACK])
 
 
 @pytest.mark.parametrize(
@@ -144,6 +145,8 @@ def test_mimics_share_the_normal_packet_count_range():
         dict(mimic_jitter_boost=-1.0),
         dict(attack_window_gap=0.0),
         dict(max_gap=0.0),
+        dict(attacker_addr="10.0.0.256"),  # not an IPv4 address
+        dict(hmi_addr="hmi"),
     ],
 )
 def test_config_validation(kwargs):
