@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .smote import (
 )
 from .experiment import (
     ExperimentConfig,
+    derive_seed,
     experiment_config_from_json,
     run_experiment,
     threads_from_env,
@@ -66,14 +68,6 @@ def _seed_arg(value: str) -> int:
     if not 0 <= n < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
     return n
-
-
-def _derived_seed(seed, stage: int):
-    if seed is None:
-        return None
-    return int(
-        np.random.SeedSequence([seed, stage]).generate_state(1, np.uint64)[0]
-    )
 
 
 def cmd_simulate(args) -> int:
@@ -175,7 +169,7 @@ def _train_options(args):
             raise ValueError(f"unknown train config keys: {', '.join(unknown)}")
         cfg = mlp.TrainConfig(**obj)
     if args.seed is not None:
-        cfg = replace(cfg, seed=_derived_seed(args.seed, 1))
+        cfg = replace(cfg, seed=derive_seed(args.seed, 1))
     return layer_sizes, cfg
 
 
@@ -184,7 +178,7 @@ def cmd_train(args) -> int:
     layer_sizes, cfg = _train_options(args)
     stats = ds.normalize_fit(data.x)
     z = ds.normalize_apply(data, stats)
-    model = mlp.init_model(layer_sizes, _derived_seed(args.seed, 0))
+    model = mlp.init_model(layer_sizes, derive_seed(args.seed, 0))
     _, history = mlp.train(model, z, cfg)
     mlp.save_model(model, args.out)
     ds.save_stats(stats, str(args.out) + ".stats.json")
@@ -222,9 +216,11 @@ def cmd_experiment(args) -> int:
     else:
         cfg = ExperimentConfig()
     threads = args.threads if args.threads is not None else threads_from_env(1)
+    start = time.perf_counter()
     result = run_experiment(cfg, threads=threads)
+    elapsed = time.perf_counter() - start
     write_report(result, args.out)
-    print(f"{len(result.cells)} cells -> {args.out}")
+    print(f"{len(result.cells)} cells in {elapsed:.1f}s -> {args.out}")
     print("ratio    smote  accuracy      far       ur      mcc  sensitivity")
     for row in result.summary:
         r = row.report

@@ -10,6 +10,11 @@ with/without rows.
 
 Every stage draws from its own seed derived from (seed, stage, cell), so
 cells are independent and the whole sweep is reproducible byte for byte.
+
+With threads > 1 seeds run concurrently, but only one cell trains at a
+time: small-batch SGD is a long run of small numpy calls that hold the
+interpreter lock, so two trainings at once only contend for it. The data
+stages of other seeds overlap the training.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -40,6 +46,9 @@ from .smote import augment_training_set
 
 # Stage tags for per-stage seed derivation.
 _SIM, _BUILD, _SPLIT, _SMOTE, _INIT, _TRAIN = range(6)
+
+# Held around each train() call, so seed threads train one at a time.
+_TRAIN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -142,12 +151,14 @@ class ExperimentResult:
     summary: Tuple[SummaryRow, ...]
 
 
-def _stage_rng(*path: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(path)))
-
-
-def _stage_seed(*path: int) -> int:
-    return int(np.random.SeedSequence(list(path)).generate_state(1, np.uint64)[0])
+def derive_seed(seed: Optional[int], *path: int) -> Optional[int]:
+    """The integer seed of one stage: the first 64-bit word of
+    SeedSequence([seed, *path]), where path names the stage and cell. None
+    stays None, so an unseeded run stays unseeded. Stages that take a
+    generator are seeded with SeedSequence([seed, *path]) itself."""
+    if seed is None:
+        return None
+    return int(np.random.SeedSequence([seed, *path]).generate_state(1, np.uint64)[0])
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
@@ -159,7 +170,9 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
         n_attack_flows=cfg.n_attack,
         seed=None,
     )
-    packets, rules = simulate(sim_cfg, _stage_rng(seed, _SIM))
+    packets, rules = simulate(
+        sim_cfg, np.random.default_rng(np.random.SeedSequence([seed, _SIM]))
+    )
     feats = features_from_packets(packets, rules)
     del packets
     if cfg.workdir is not None:
@@ -176,10 +189,10 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     for r_idx, ratio in enumerate(cfg.ratios):
         data = build_imbalanced(
             attack_rows, normal_rows, cfg.n_attack, ratio,
-            _stage_rng(seed, _BUILD, r_idx),
+            np.random.SeedSequence([seed, _BUILD, r_idx]),
         )
         train_set, test_set = split_train_test(
-            data, cfg.train_frac, _stage_rng(seed, _SPLIT, r_idx)
+            data, cfg.train_frac, np.random.SeedSequence([seed, _SPLIT, r_idx])
         )
         del data
         stats = normalize_fit(train_set)
@@ -196,17 +209,21 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
                     xtr, ytr,
                     target_ratio=cfg.smote_target_ratio,
                     k=cfg.smote_k,
-                    seed=_stage_rng(seed, _SMOTE, r_idx),
+                    seed=np.random.SeedSequence([seed, _SMOTE, r_idx]),
                 )
             else:
                 xv, yv = xtr, ytr
             model = init_model(
-                cfg.layer_sizes, _stage_rng(seed, _INIT, r_idx, int(use_smote))
+                cfg.layer_sizes,
+                np.random.SeedSequence([seed, _INIT, r_idx, int(use_smote)]),
             )
             cell_train = replace(
-                cfg.train, seed=_stage_seed(seed, _TRAIN, r_idx, int(use_smote))
+                cfg.train, seed=derive_seed(seed, _TRAIN, r_idx, int(use_smote))
             )
-            train(model, LabeledDataset(xv, yv), cell_train)
+            # Only the train() call holds the lock, so the tracer's train
+            # span times training, not waiting.
+            with _TRAIN_LOCK:
+                train(model, LabeledDataset(xv, yv), cell_train)
             preds = predict(model, xte, cfg.train.threshold)
             report = MetricsReport.from_confusion(confusion(preds, yte))
             cells.append(CellResult(ratio, seed, use_smote, report))
@@ -242,8 +259,9 @@ def summarize(cfg: ExperimentConfig, cells: List[CellResult]) -> List[SummaryRow
 def run_experiment(
     cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
 ) -> ExperimentResult:
-    """Run the sweep. threads > 1 runs seeds concurrently; the result is
-    sorted deterministically either way (ratio desc, seed asc, smote asc)."""
+    """Run the sweep. threads > 1 runs seeds concurrently, with one cell
+    training at a time; the result is sorted deterministically either way
+    (ratio desc, seed asc, smote asc)."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads == 1 or len(cfg.seeds) == 1:

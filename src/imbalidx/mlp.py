@@ -6,11 +6,24 @@ Optimization is mini-batch gradient descent with classical momentum.
 Everything is float64 numpy; no training framework behind it.
 
 Weight matrices are stored (fan_out, fan_in), one row per output unit.
+
+Training keeps every parameter in one flat float64 buffer laid out
+W0, b0, W1, b1, ..., with the per-layer matrices and vectors as views into
+it; gradients and velocities are flat buffers of the same layout. The
+momentum step is then four whole-buffer operations whatever the depth:
+v *= momentum; g*lr into a scratch buffer; v -= scratch; theta += v. Every
+element goes through the same roundings as the per-array form
+v = momentum*v - lr*g; theta += v (each product rounded once, then the
+difference, then the sum), so both give the same bits. Training passes
+write their per-layer arrays into buffers allocated once per train()
+call, with the same matmul, sum and elementwise calls as a pass that
+allocates them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -94,31 +107,20 @@ def init_model(layer_sizes: Sequence[int], seed=None) -> MlpModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Clipping keeps the output strictly inside (0, 1) in float64.
+    # Clipping keeps the output strictly inside (0, 1) in float64. With
+    # e = exp(-|z|) this is 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
+    # below, so exp never overflows.
     z = np.clip(z, -36.0, 36.0)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _forward_full(
-    model: MlpModel, x: np.ndarray
-) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
-    """Per-layer activations and pre-activations, plus final logits."""
-    acts = [x]
-    zs = []
+def _logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Output-unit pre-activations, one per row."""
     a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        zs.append(z)
-        if i < last:
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-    return acts, zs, zs[-1][:, 0]
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ w.T + b, 0.0)
+    return (a @ model.weights[-1].T + model.biases[-1])[:, 0]
 
 
 def _as_matrix(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -135,9 +137,7 @@ def _as_matrix(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Attack probabilities, strictly inside (0, 1). A single 23-vector
     gives a length-1 array."""
-    x = _as_matrix(model, x)
-    _, _, logits = _forward_full(model, x)
-    return _sigmoid(logits)
+    return _sigmoid(_logits(model, _as_matrix(model, x)))
 
 
 def predict(model: MlpModel, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -154,27 +154,78 @@ def _bce_from_logits(logits: np.ndarray, y: np.ndarray) -> float:
 
 
 def loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    x = _as_matrix(model, x)
     y = np.asarray(y, dtype=np.float64)
-    _, _, logits = _forward_full(model, x)
-    return _bce_from_logits(logits, y)
+    return _bce_from_logits(_logits(model, _as_matrix(model, x)), y)
 
 
-def _gradients(
-    model: MlpModel, x: np.ndarray, y: np.ndarray
-) -> Tuple[List[np.ndarray], List[np.ndarray], float]:
-    """Backprop for the mean BCE over the batch."""
-    acts, zs, logits = _forward_full(model, x)
-    batch_loss = _bce_from_logits(logits, y)
-    delta = (_sigmoid(logits) - y)[:, None] / x.shape[0]
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = delta.T @ acts[i]
-        grads_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i]) * (zs[i - 1] > 0.0)
-    return grads_w, grads_b, batch_loss
+class _Workspace:
+    """Flat parameter and gradient buffers for one model, plus the batch
+    buffers of a forward and backward pass over up to `rows` rows.
+
+    Buffers are allocated once; each pass writes into them with out=
+    arguments, so no per-layer array is allocated per step."""
+
+    def __init__(self, model: MlpModel, rows: int):
+        sizes = model.layer_sizes
+        layers = list(zip(sizes[:-1], sizes[1:]))
+        self.params = np.empty(sum(o * (i + 1) for i, o in layers))
+        self.grads = np.empty_like(self.params)
+        self.w, self.b = _layer_views(self.params, layers)
+        self.gw, self.gb = _layer_views(self.grads, layers)
+        for dst, src in zip(self.w + self.b, model.weights + model.biases):
+            dst[...] = src
+        self.x = np.empty((rows, sizes[0]))
+        self.y = np.empty(rows)
+        self.z = [np.empty((rows, o)) for o in sizes[1:]]
+        self.act = [np.empty((rows, o)) for o in sizes[1:-1]]
+        self.delta = [np.empty((rows, o)) for o in sizes[1:]]
+
+    def backprop(self, m: int) -> float:
+        """Mean BCE over the first m rows of self.x and self.y; its
+        gradient lands in self.grads."""
+        zs = [z[:m] for z in self.z]
+        acts = [self.x[:m]] + [a[:m] for a in self.act]
+        deltas = [d[:m] for d in self.delta]
+        last = len(zs) - 1
+        for i, z in enumerate(zs):
+            np.matmul(acts[i], self.w[i].T, out=z)
+            z += self.b[i]
+            if i < last:
+                np.maximum(z, 0.0, out=acts[i + 1])
+        logits = zs[last][:, 0]
+        y = self.y[:m]
+        batch_loss = _bce_from_logits(logits, y)
+        delta = deltas[last]
+        np.subtract(_sigmoid(logits), y, out=delta[:, 0])
+        delta /= m
+        for i in range(last, -1, -1):
+            np.matmul(delta.T, acts[i], out=self.gw[i])
+            np.sum(delta, axis=0, out=self.gb[i])
+            if i > 0:
+                np.matmul(delta, self.w[i], out=deltas[i - 1])
+                delta = deltas[i - 1]
+                delta *= zs[i - 1] > 0.0
+        return batch_loss
+
+    def store(self, model: MlpModel) -> None:
+        """Copy the parameters into the model's own arrays."""
+        for dst, src in zip(model.weights + model.biases, self.w + self.b):
+            dst[...] = src
+
+
+def _layer_views(
+    flat: np.ndarray, layers: List[Tuple[int, int]]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per-layer (fan_out, fan_in) weight and (fan_out,) bias views into a
+    flat buffer laid out W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in layers:
+        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 def train(
@@ -186,7 +237,10 @@ def train(
 
     Velocity update per parameter: v = momentum*v - lr*grad; theta += v.
     Epoch shuffling comes from config.seed, so a (seed, data, config)
-    triple fully determines the fitted parameters.
+    triple fully determines the fitted parameters. The arrays in
+    model.weights and model.biases are updated in place, and hold the
+    parameters of the last completed step also when NonFiniteLoss is
+    raised.
     """
     x = _as_matrix(model, train_set.x)
     y = train_set.y.astype(np.float64)
@@ -197,25 +251,34 @@ def train(
             "training set is empty"
         )
     rng = np.random.default_rng(config.seed)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
-    history: List[float] = []
     n = x.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for lo in range(0, n, config.batch_size):
-            sel = order[lo : lo + config.batch_size]
-            gw, gb, batch_loss = _gradients(model, x[sel], y[sel])
-            if not np.isfinite(batch_loss):
-                raise NonFiniteLoss(f"loss became {batch_loss}")
-            total += batch_loss * sel.size
-            for i in range(len(model.weights)):
-                vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * gw[i]
-                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * gb[i]
-                model.weights[i] += vel_w[i]
-                model.biases[i] += vel_b[i]
-        history.append(total / n)
+    batch_size = config.batch_size
+    ws = _Workspace(model, min(batch_size, n))
+    vel = np.zeros_like(ws.params)
+    step = np.empty_like(ws.params)
+    history: List[float] = []
+    try:
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for lo in range(0, n, batch_size):
+                sel = order[lo : lo + batch_size]
+                m = sel.size
+                # mode="clip" skips the bounds pass (sel is a permutation),
+                # which would otherwise make take() gather through a copy.
+                np.take(x, sel, axis=0, out=ws.x[:m], mode="clip")
+                np.take(y, sel, out=ws.y[:m], mode="clip")
+                batch_loss = ws.backprop(m)
+                if not math.isfinite(batch_loss):
+                    raise NonFiniteLoss(f"loss became {batch_loss}")
+                total += batch_loss * m
+                vel *= config.momentum
+                np.multiply(ws.grads, config.learning_rate, out=step)
+                vel -= step
+                ws.params += vel
+            history.append(total / n)
+    finally:
+        ws.store(model)
     return model, history
 
 
@@ -229,8 +292,11 @@ def gradient_check(
     differences (f(p+eps)-f(p-eps))/2eps over every parameter, with the
     relative error floored at 1e-12."""
     x = _as_matrix(model, x)
-    y = np.asarray(y, dtype=np.float64)
-    gw, gb, _ = _gradients(model, x, y)
+    ws = _Workspace(model, x.shape[0])
+    ws.x[...] = x
+    ws.y[...] = y
+    ws.backprop(x.shape[0])
+    gw, gb = ws.gw, ws.gb
     worst = 0.0
     for params, grads in ((model.weights, gw), (model.biases, gb)):
         for p, g in zip(params, grads):

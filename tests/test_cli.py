@@ -1,9 +1,13 @@
 """Command-line interface: pipeline wiring, file outputs, exit codes."""
 
 import json
+import re
+import threading
+import time
 
 import pytest
 
+from imbalidx import experiment
 from imbalidx import flows as fl
 from imbalidx import mlp
 from imbalidx.cli import main
@@ -255,11 +259,33 @@ def test_experiment_summary_and_manifest(sweep):
     assert manifest["config"]["n_attack"] == 40
 
 
-def test_experiment_rerun_and_threads_match(sweep, tmp_path):
+def test_experiment_rerun_and_threads_match(sweep, tmp_path, monkeypatch, capsys):
+    # Seed threads must train one cell at a time: count the train() calls
+    # in flight, holding each open long enough for another seed to arrive.
     cfg, out = sweep
+    real_train = experiment.train
+    guard = threading.Lock()
+    in_flight = [0]
+    peak = [0]
+
+    def counting_train(*args, **kwargs):
+        with guard:
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+        try:
+            time.sleep(0.02)
+            return real_train(*args, **kwargs)
+        finally:
+            with guard:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(experiment, "train", counting_train)
     redo = tmp_path / "report.csv"
     assert main(["experiment", "--config", str(cfg), "--threads", "2",
                  "--out", str(redo)]) == 0
+    assert peak[0] == 1
+    first = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(rf"6 cells in \d+\.\ds -> {re.escape(str(redo))}", first)
     assert redo.read_bytes() == out.read_bytes()
     assert redo.with_name("report.summary.csv").read_bytes() == \
         out.with_name("report.summary.csv").read_bytes()

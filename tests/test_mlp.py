@@ -1,12 +1,16 @@
 """Classifier: init/forward/backprop/train against hand and finite
-difference oracles, plus model persistence."""
+difference oracles and the per-array reference trainer, plus model
+persistence."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mlp_oracle
 from imbalidx.dataset import LabeledDataset
 from imbalidx.mlp import (
     BadArchitecture,
@@ -299,3 +303,84 @@ def test_load_model_rejects_malformed_files(tmp_path):
     truncated.write_text(good.read_text()[:50])
     with pytest.raises(ModelFormatError):
         load_model(truncated)
+
+
+ODD = st.sampled_from([1, 3, 5, 7, 9])
+
+
+@st.composite
+def training_cases(draw):
+    """An architecture [d,1], [d,k,1] or [d,k,j,1] with odd widths, a
+    labelled set holding both classes, a config whose batch size is 1,
+    leaves a partial last batch, or exceeds n, and an optional poison: a
+    NaN parameter or an infinite input row."""
+    sizes = [draw(ODD)] + draw(st.lists(ODD, max_size=2)) + [1]
+    n = draw(st.integers(3, 40))
+    batch = draw(st.sampled_from(["one", "partial", "over"]))
+    batch_size = {"one": 1, "partial": n // 2 + 1,
+                  "over": n + draw(st.integers(1, 10))}[batch]
+    data_seed = draw(st.integers(0, 2**32 - 1))
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3)),
+        batch_size=batch_size,
+        learning_rate=draw(st.sampled_from([0.01, 0.3])),
+        momentum=draw(st.sampled_from([0.0, 0.9])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    poison = draw(st.sampled_from([None, None, "param", "row"]))
+    return sizes, n, data_seed, config, poison
+
+
+def _case_inputs(sizes, n, data_seed, poison):
+    rng = np.random.default_rng(data_seed)
+    x = rng.normal(size=(n, sizes[0]))
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    if poison == "row":
+        x[rng.integers(n), 0] = np.inf
+    return LabeledDataset(x, y)
+
+
+def _case_model(sizes, data_seed, poison):
+    model = init_model(sizes, seed=data_seed)
+    if poison == "param":
+        model.weights[-1][0, 0] = np.nan
+    return model
+
+
+def _params(model):
+    return model.weights + model.biases
+
+
+@given(training_cases())
+@settings(max_examples=150, deadline=None)
+def test_train_matches_the_per_array_oracle(case):
+    sizes, n, data_seed, config, poison = case
+    data = _case_inputs(sizes, n, data_seed, poison)
+    model = _case_model(sizes, data_seed, poison)
+    arrays = _params(model)
+    ref = _case_model(sizes, data_seed, poison)
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            got = train(model, data, config)
+        except NonFiniteLoss:
+            got = None
+        try:
+            want = mlp_oracle.train(ref, data, config)
+        except NonFiniteLoss:
+            want = None
+    # Raising or not, the caller's arrays are the ones updated in place.
+    assert all(p is q for p, q in zip(_params(model), arrays))
+    for p, q in zip(_params(model), _params(ref)):
+        assert np.array_equal(p, q, equal_nan=True)
+        assert p.tobytes() == q.tobytes()
+    assert (got is None) == (want is None)
+    if poison == "param":
+        assert got is None
+    if got is not None:
+        assert got[0] is model
+        assert np.array_equal(got[1], want[1])
+        assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+        x = data.x[np.isfinite(data.x).all(axis=1)]
+        logits = mlp_oracle._forward_full(ref, x)[2]
+        assert forward(model, x).tobytes() == mlp_oracle._sigmoid(logits).tobytes()
