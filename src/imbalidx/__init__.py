@@ -23,7 +23,6 @@ from .experiment import (
     CellResult,
     ExperimentConfig,
     ExperimentResult,
-    experiment_config_from_json,
     run_experiment,
     write_report,
 )
@@ -72,8 +71,9 @@ from .packets import (
     write_packet_csv,
     write_pcap,
 )
-from .simulate import SimConfig, sim_config_from_json, simulate
+from .simulate import SimConfig, simulate
 from .smote import SmoteConfig, SmoteResult, augment_training_set, replay, smote
+from .textio import config_from_json
 
 __version__ = "0.1.0"
 
@@ -104,8 +104,8 @@ __all__ = [
     "assemble_flows",
     "augment_training_set",
     "build_imbalanced",
+    "config_from_json",
     "confusion",
-    "experiment_config_from_json",
     "far",
     "feature_matrix",
     "features_from_packets",
@@ -127,7 +127,6 @@ __all__ = [
     "save_dataset",
     "save_model",
     "sensitivity",
-    "sim_config_from_json",
     "simulate",
     "smote",
     "split_train_test",

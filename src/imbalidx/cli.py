@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 
@@ -33,13 +34,12 @@ from .smote import (
 from .experiment import (
     ExperimentConfig,
     derive_seed,
-    experiment_config_from_json,
     run_experiment,
-    threads_from_env,
     write_report,
 )
 from .metrics import MetricsReport, confusion
-from .simulate import SimConfig, sim_config_from_json, simulate
+from .simulate import SimConfig, simulate
+from .textio import config_from_json, json_value
 
 
 class UsageError(Exception):
@@ -71,7 +71,7 @@ def _seed_arg(value: str) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = sim_config_from_json(_read_text(args.config, "config file"))
+    cfg = config_from_json(SimConfig, _read_text(args.config, "config file"))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     packets, rules = simulate(cfg)
@@ -159,15 +159,9 @@ def _train_options(args):
     cfg = mlp.TrainConfig()
     if args.config:
         obj = json.loads(_read_text(args.config, "config file"))
-        if not isinstance(obj, dict):
-            raise ValueError("train config JSON must be an object")
-        if "layer_sizes" in obj:
-            layer_sizes = tuple(obj.pop("layer_sizes"))
-        known = {f.name for f in fields(mlp.TrainConfig)}
-        unknown = sorted(set(obj) - known)
-        if unknown:
-            raise ValueError(f"unknown train config keys: {', '.join(unknown)}")
-        cfg = mlp.TrainConfig(**obj)
+        if isinstance(obj, dict) and "layer_sizes" in obj:
+            layer_sizes = json_value(Tuple[int, ...], obj.pop("layer_sizes"), "layer_sizes")
+        cfg = config_from_json(mlp.TrainConfig, obj)
     if args.seed is not None:
         cfg = replace(cfg, seed=derive_seed(args.seed, 1))
     return layer_sizes, cfg
@@ -212,12 +206,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.config:
-        cfg = experiment_config_from_json(_read_text(args.config, "config file"))
+        cfg = config_from_json(ExperimentConfig, _read_text(args.config, "config file"))
     else:
         cfg = ExperimentConfig()
-    threads = args.threads if args.threads is not None else threads_from_env(1)
     start = time.perf_counter()
-    result = run_experiment(cfg, threads=threads)
+    result = run_experiment(cfg, threads=args.threads)
     elapsed = time.perf_counter() - start
     write_report(result, args.out)
     print(f"{len(result.cells)} cells in {elapsed:.1f}s -> {args.out}")
@@ -300,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the full ratio sweep")
     p.add_argument("--config", help="ExperimentConfig JSON (default: built-ins)")
-    p.add_argument("--threads", type=int,
-                   help="seed-level parallelism (default: IMBALIDX_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="seeds run at once (default 1)")
     p.add_argument("--out", required=True,
                    help="detail CSV path; summary and manifest land next to it")
     p.set_defaults(func=cmd_experiment)

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -93,38 +92,17 @@ class ExperimentConfig:
             raise ValueError("smote_k must be >= 1")
         if self.pool_margin < 0:
             raise ValueError("pool_margin must be >= 0")
-
-
-def experiment_config_from_json(text: str) -> ExperimentConfig:
-    """Build an ExperimentConfig from JSON; nested train/sim objects map to
-    their config types, unknown keys are errors."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValueError("config JSON must be an object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = dict(obj)
-    for key, typ in (("train", TrainConfig), ("sim", SimConfig)):
-        if key in kwargs:
-            sub = kwargs[key]
-            if not isinstance(sub, dict):
-                raise ValueError(f"{key} must be a JSON object")
-            sub_known = {f.name for f in fields(typ)}
-            sub_unknown = sorted(set(sub) - sub_known)
-            if sub_unknown:
+        # _run_seed sets these per seed, so any other value would be ignored.
+        for name, value, default in (
+            ("sim.seed", self.sim.seed, None),
+            ("sim.n_normal_flows", self.sim.n_normal_flows, SimConfig.n_normal_flows),
+            ("sim.n_attack_flows", self.sim.n_attack_flows, SimConfig.n_attack_flows),
+            ("train.seed", self.train.seed, None),
+        ):
+            if value != default:
                 raise ValueError(
-                    f"unknown {key} keys: {', '.join(sub_unknown)}"
+                    f"{name} is derived by the sweep, so it must keep its default {default!r}"
                 )
-            kwargs[key] = typ(**sub)
-    for key in ("ratios", "smote_ratios", "seeds", "layer_sizes"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return ExperimentConfig(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -340,17 +318,3 @@ def write_report(result: ExperimentResult, report_path) -> Dict[str, str]:
         json.dump(manifest, f, sort_keys=True, indent=2)
         f.write("\n")
     return hashes
-
-
-def threads_from_env(default: int = 1) -> int:
-    """Worker count from IMBALIDX_THREADS, else the given default."""
-    raw = os.environ.get("IMBALIDX_THREADS", "").strip()
-    if not raw:
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"IMBALIDX_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"IMBALIDX_THREADS must be >= 1, got {n}")
-    return n

@@ -15,6 +15,7 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .packets import PacketTable, parse_addr
+from .textio import ParseError, csv_rows
 
 NORMAL = 0
 ATTACK = 1
@@ -195,14 +196,6 @@ def feature_matrix(flows: FlowTable) -> np.ndarray:
     ])
 
 
-class LabelParseError(ValueError):
-    """Malformed label or feature CSV; message carries the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class LabelRule(NamedTuple):
     """One ground-truth window: the address pair is an attack conversation
     during [start_time, end_time]."""
@@ -228,28 +221,23 @@ def write_label_csv(rules: Iterable[LabelRule], path) -> None:
 
 def read_label_csv(path) -> List[LabelRule]:
     rules: List[LabelRule] = []
-    with open(path, "r", newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != LABEL_CSV_HEADER:
-            raise LabelParseError(1, f"expected header {LABEL_CSV_HEADER!r}")
-        for line_no, raw in enumerate(f, start=2):
-            raw = raw.rstrip("\r\n")
-            if not raw:
-                continue
-            fields = raw.split(",")
-            if len(fields) != 5:
-                raise LabelParseError(line_no, f"expected 5 fields, got {len(fields)}")
-            src, dst, start_s, end_s, label_s = fields
+    for line_no, fields in csv_rows(path, LABEL_CSV_HEADER):
+        src, dst, start_s, end_s, label_s = fields
+        for name, text in (("src_addr", src), ("dst_addr", dst)):
             try:
-                start, end = float(start_s), float(end_s)
-                label = int(label_s)
+                parse_addr(text)
             except ValueError:
-                raise LabelParseError(line_no, f"bad numeric field in {raw!r}") from None
-            if end < start:
-                raise LabelParseError(line_no, "window ends before it starts")
-            if label not in (NORMAL, ATTACK):
-                raise LabelParseError(line_no, f"label must be 0 or 1, got {label_s!r}")
-            rules.append(LabelRule(src, dst, start, end, label))
+                raise ParseError(line_no, f"bad {name} {text!r}") from None
+        try:
+            start, end = float(start_s), float(end_s)
+            label = int(label_s)
+        except ValueError:
+            raise ParseError(line_no, f"bad numeric field in {','.join(fields)!r}") from None
+        if end < start:
+            raise ParseError(line_no, "window ends before it starts")
+        if label not in (NORMAL, ATTACK):
+            raise ParseError(line_no, f"label must be 0 or 1, got {label_s!r}")
+        rules.append(LabelRule(src, dst, start, end, label))
     return rules
 
 
@@ -363,31 +351,18 @@ def write_features_csv(data: LabeledDataset, path) -> None:
 
 def read_features_csv(path) -> LabeledDataset:
     """Read a feature CSV back as a float matrix and 0/1 labels."""
-    n_fields = len(FEATURE_NAMES) + 1
     rows: List[List[float]] = []
     labels: List[int] = []
-    with open(path, "r", newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != FEATURE_CSV_HEADER:
-            raise LabelParseError(1, f"expected header {FEATURE_CSV_HEADER!r}")
-        for line_no, raw in enumerate(f, start=2):
-            raw = raw.rstrip("\r\n")
-            if not raw:
-                continue
-            fields = raw.split(",")
-            if len(fields) != n_fields:
-                raise LabelParseError(
-                    line_no, f"expected {n_fields} fields, got {len(fields)}"
-                )
-            try:
-                values = [float(v) for v in fields[:-1]]
-                label = int(fields[-1])
-            except ValueError:
-                raise LabelParseError(line_no, f"bad numeric field in {raw!r}") from None
-            if label not in (NORMAL, ATTACK):
-                raise LabelParseError(line_no, f"label must be 0 or 1, got {fields[-1]!r}")
-            rows.append(values)
-            labels.append(label)
+    for line_no, fields in csv_rows(path, FEATURE_CSV_HEADER):
+        try:
+            values = [float(v) for v in fields[:-1]]
+            label = int(fields[-1])
+        except ValueError:
+            raise ParseError(line_no, f"bad numeric field in {','.join(fields)!r}") from None
+        if label not in (NORMAL, ATTACK):
+            raise ParseError(line_no, f"label must be 0 or 1, got {fields[-1]!r}")
+        rows.append(values)
+        labels.append(label)
     x = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
     return LabeledDataset(x, np.array(labels, dtype=np.int64))
 

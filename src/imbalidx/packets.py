@@ -20,6 +20,8 @@ from typing import BinaryIO, Iterable, List, NamedTuple
 
 import numpy as np
 
+from .textio import ParseError, csv_rows
+
 
 class Protocol(IntEnum):
     """Transport protocol, valued by its IANA protocol number. OTHER uses
@@ -40,14 +42,6 @@ class Truncated(ValueError):
 
 class UnsupportedLinkType(ValueError):
     """Capture uses a link type other than Ethernet."""
-
-
-class ParseError(ValueError):
-    """Malformed packet CSV; message carries the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class BadRow(ValueError):
@@ -454,40 +448,30 @@ def read_packet_csv(path) -> PacketTable:
     cols: List[list] = [[] for _ in PacketTable.COLUMNS]
     ts, src, dst, sport, dport, proto, wire_len, retx = cols
     lines: List[int] = []
-    with open(path, "r", newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != CSV_HEADER:
-            raise ParseError(1, f"expected header {CSV_HEADER!r}")
-        for line_no, raw in enumerate(f, start=2):
-            raw = raw.rstrip("\r\n")
-            if not raw:
-                continue
-            fields = raw.split(",")
-            if len(fields) != 8:
-                raise ParseError(line_no, f"expected 8 fields, got {len(fields)}")
-            ts_s, src_s, sport_s, dst_s, dport_s, proto_s, wlen_s, retx_s = fields
-            ts.append(_parse_timestamp(ts_s, line_no))
-            if proto_s not in protocols:
-                raise ParseError(line_no, f"unknown protocol {proto_s!r}")
-            proto.append(protocols[proto_s])
-            try:
-                sport.append(int(sport_s))
-                dport.append(int(dport_s))
-                wire_len.append(int(wlen_s))
-            except ValueError:
-                raise ParseError(line_no, "ports and wire_len must be integers") from None
-            if retx_s not in ("0", "1"):
-                raise ParseError(line_no, f"is_retransmission must be 0 or 1, got {retx_s!r}")
-            retx.append(retx_s == "1")
-            for name, text, col in (("src_addr", src_s, src), ("dst_addr", dst_s, dst)):
-                value = addrs.get(text)
-                if value is None:
-                    try:
-                        value = addrs[text] = parse_addr(text)
-                    except ValueError:
-                        raise ParseError(line_no, f"bad {name} {text!r}") from None
-                col.append(value)
-            lines.append(line_no)
+    for line_no, fields in csv_rows(path, CSV_HEADER):
+        ts_s, src_s, sport_s, dst_s, dport_s, proto_s, wlen_s, retx_s = fields
+        ts.append(_parse_timestamp(ts_s, line_no))
+        if proto_s not in protocols:
+            raise ParseError(line_no, f"unknown protocol {proto_s!r}")
+        proto.append(protocols[proto_s])
+        try:
+            sport.append(int(sport_s))
+            dport.append(int(dport_s))
+            wire_len.append(int(wlen_s))
+        except ValueError:
+            raise ParseError(line_no, "ports and wire_len must be integers") from None
+        if retx_s not in ("0", "1"):
+            raise ParseError(line_no, f"is_retransmission must be 0 or 1, got {retx_s!r}")
+        retx.append(retx_s == "1")
+        for name, text, col in (("src_addr", src_s, src), ("dst_addr", dst_s, dst)):
+            value = addrs.get(text)
+            if value is None:
+                try:
+                    value = addrs[text] = parse_addr(text)
+                except ValueError:
+                    raise ParseError(line_no, f"bad {name} {text!r}") from None
+            col.append(value)
+        lines.append(line_no)
     try:
         return PacketTable(*cols)
     except BadRow as exc:

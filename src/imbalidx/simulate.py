@@ -24,21 +24,17 @@ alone must never give them away.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .flows import ATTACK, LabelRule
 from .packets import PacketTable, Protocol, parse_addr
+from .textio import ConfigInvalid
 
 _EPHEMERAL_BASE = 1024
 _EPHEMERAL_SPAN = 65536 - 1024
-
-
-class ConfigInvalid(ValueError):
-    """Simulation config describes impossible traffic."""
 
 
 @dataclass(frozen=True)
@@ -140,24 +136,6 @@ class SimConfig:
         with low variance (each cycle is one request plus one response)."""
         center = max(1, round(self.normal_pkts_per_flow / 2))
         return max(1, center - 1), center + 1
-
-
-def sim_config_from_json(text: str) -> SimConfig:
-    """Build a SimConfig from a JSON object; unknown keys are errors."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"config is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("config JSON must be an object")
-    known = {f.name for f in fields(SimConfig)}
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ConfigInvalid(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        return SimConfig(**obj)
-    except TypeError as exc:
-        raise ConfigInvalid(f"bad config value types: {exc}") from None
 
 
 # Per-packet endpoint codes used while columns are still numpy arrays.

@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .flows import ATTACK
+from .textio import ParseError, csv_rows
 
 
 class TooFewMinority(ValueError):
@@ -191,14 +192,9 @@ def write_provenance_csv(result: SmoteResult, path) -> None:
 
 def read_provenance_csv(path) -> List[Tuple[int, int, float]]:
     out: List[Tuple[int, int, float]] = []
-    with open(path, "r", newline="") as f:
-        header = f.readline().rstrip("\r\n")
-        if header != PROVENANCE_CSV_HEADER:
-            raise ValueError(f"expected header {PROVENANCE_CSV_HEADER!r}")
-        for raw in f:
-            raw = raw.rstrip("\r\n")
-            if not raw:
-                continue
-            b, n, g = raw.split(",")
-            out.append((int(b), int(n), float(g)))
+    for line_no, fields in csv_rows(path, PROVENANCE_CSV_HEADER):
+        try:
+            out.append((int(fields[0]), int(fields[1]), float(fields[2])))
+        except ValueError:
+            raise ParseError(line_no, f"bad numeric field in {','.join(fields)!r}") from None
     return out

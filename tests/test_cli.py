@@ -1,12 +1,17 @@
 """Command-line interface: pipeline wiring, file outputs, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import imbalidx
 from imbalidx import experiment
 from imbalidx import flows as fl
 from imbalidx import mlp
@@ -210,6 +215,32 @@ def test_unknown_train_key_exits_two(pipeline, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command,config,key",
+    [
+        ("experiment", '{"n_attack": "5"}', "n_attack"),
+        ("experiment", '{"ratios": 5}', "ratios"),
+        ("experiment", '{"train": {"epochs": 2.5}}', "train.epochs"),
+        ("experiment", '{"sim": {"seed": 1}}', "sim.seed"),  # the sweep derives it
+        ("train", '{"epochs": "3"}', "epochs"),
+        ("train", '{"layer_sizes": 5}', "layer_sizes"),
+    ],
+)
+def test_wrongly_typed_config_exits_two(pipeline, tmp_path, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    if command == "train":
+        argv += ["--data", str(pipeline["dataset"])]
+    env = dict(os.environ, PYTHONPATH=str(Path(imbalidx.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "imbalidx.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 EXPERIMENT_JSON = json.dumps({
     "ratios": [0.5, 0.25],
     "smote_ratios": [0.25],
@@ -219,7 +250,6 @@ EXPERIMENT_JSON = json.dumps({
     "layer_sizes": [23, 8, 1],
     "train": {"epochs": 10, "batch_size": 32},
     "smote_target_ratio": 0.4,
-    "sim": {"n_attack_flows": 0},
 })
 
 

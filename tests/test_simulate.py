@@ -8,7 +8,10 @@ import pytest
 
 from imbalidx.flows import ATTACK, FEATURE_NAMES, assemble_flows, features_from_packets
 from imbalidx.packets import PacketTable, Protocol, parse_addr, quantize_timestamp
-from imbalidx.simulate import ConfigInvalid, SimConfig, sim_config_from_json, simulate
+from imbalidx.experiment import ExperimentConfig
+from imbalidx.mlp import TrainConfig
+from imbalidx.simulate import ConfigInvalid, SimConfig, simulate
+from imbalidx.textio import config_from_json
 
 SMALL = SimConfig(n_normal_flows=30, n_attack_flows=6, seed=11)
 
@@ -155,8 +158,8 @@ def test_config_validation(kwargs):
 
 
 def test_config_from_json_round_trip():
-    cfg = sim_config_from_json(
-        json.dumps({"n_normal_flows": 5, "n_attack_flows": 1, "seed": 8})
+    cfg = config_from_json(
+        SimConfig, json.dumps({"n_normal_flows": 5, "n_attack_flows": 1, "seed": 8})
     )
     assert cfg.n_normal_flows == 5
     assert cfg.n_attack_flows == 1
@@ -164,16 +167,36 @@ def test_config_from_json_round_trip():
     assert cfg.poll_period == SimConfig().poll_period
 
 
+BAD_CONFIGS = [
+    (cls, text)
+    for cls in (SimConfig, TrainConfig, ExperimentConfig)
+    for text in ("{not json", "[1, 2]", '{"n_normal_flow": 5}')  # misspelled key
+] + [
+    (SimConfig, '{"n_normal_flows": "lots"}'),
+    (SimConfig, '{"modbus_port": -1}'),
+    (SimConfig, '{"n_normal_flows": 5.5}'),  # float for an int
+    (SimConfig, '{"seed": "1"}'),  # string for an Optional int
+    (SimConfig, '{"poll_period": NaN}'),  # not finite
+    (TrainConfig, '{"epochs": "3"}'),  # string for an int
+    (TrainConfig, '{"batch_size": 5.5}'),
+    (TrainConfig, '{"learning_rate": "0.1"}'),  # string for a float
+    (ExperimentConfig, '{"n_attack": "5"}'),
+    (ExperimentConfig, '{"n_attack": 50.5}'),
+    (ExperimentConfig, '{"ratios": 5}'),  # scalar for a tuple
+    (ExperimentConfig, '{"seeds": [0, 1.5]}'),  # float inside a tuple
+    (ExperimentConfig, '{"train": null}'),
+    (ExperimentConfig, '{"sim": null}'),
+    (ExperimentConfig, '{"train": {"epohcs": 3}}'),  # unknown nested key
+    (ExperimentConfig, '{"sim": {"n_normal_flow": 5}}'),
+    (ExperimentConfig, '{"train": {"epochs": "3"}}'),
+]
+
+
+# SimConfig cases keep the bare JSON text as their id.
 @pytest.mark.parametrize(
-    "text",
-    [
-        "{not json",
-        "[1, 2]",
-        '{"n_normal_flow": 5}',  # misspelled key
-        '{"n_normal_flows": "lots"}',
-        '{"modbus_port": -1}',
-    ],
+    "cls,text", BAD_CONFIGS,
+    ids=[t if c is SimConfig else f"{c.__name__}-{t}" for c, t in BAD_CONFIGS],
 )
-def test_config_from_json_rejects_bad_input(text):
+def test_config_from_json_rejects_bad_input(cls, text):
     with pytest.raises(ConfigInvalid):
-        sim_config_from_json(text)
+        config_from_json(cls, text)

@@ -17,6 +17,7 @@ from imbalidx.smote import (
     synthetic_count,
     write_provenance_csv,
 )
+from imbalidx.textio import ParseError
 
 
 def brute_force_knn(m, k):
@@ -219,3 +220,18 @@ def test_provenance_csv_round_trip(tmp_path):
     ):
         assert (b, n) == (int(bb), int(nn))
         assert g == gg  # repr round trip is exact
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "3,4",      # short row
+        "3,4,x",    # non-numeric gap
+    ],
+)
+def test_provenance_csv_rejects_bad_rows(tmp_path, row):
+    path = tmp_path / "prov.csv"
+    path.write_text(PROVENANCE_CSV_HEADER + "\n" + row + "\n")
+    with pytest.raises(ParseError) as err:
+        read_provenance_csv(path)
+    assert err.value.line == 2
