@@ -39,7 +39,7 @@ from .experiment import (
 )
 from .metrics import MetricsReport, confusion
 from .simulate import SimConfig, simulate
-from .textio import config_from_json, json_value
+from .textio import ConfigInvalid, config_from_json, json_value
 
 
 class UsageError(Exception):
@@ -159,6 +159,9 @@ def _train_options(args):
     cfg = mlp.TrainConfig()
     if args.config:
         obj = json.loads(_read_text(args.config, "config file"))
+        if isinstance(obj, dict) and "threshold" in obj:
+            raise ConfigInvalid("threshold is not used in training; "
+                                "pass it to evaluate --threshold")
         if isinstance(obj, dict) and "layer_sizes" in obj:
             layer_sizes = json_value(Tuple[int, ...], obj.pop("layer_sizes"), "layer_sizes")
         cfg = config_from_json(mlp.TrainConfig, obj)

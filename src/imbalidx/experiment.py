@@ -42,6 +42,7 @@ from .metrics import MetricsReport, confusion
 from .mlp import TrainConfig, init_model, predict, train
 from .simulate import SimConfig, simulate
 from .smote import augment_training_set
+from .textio import ConfigInvalid
 
 # Stage tags for per-stage seed derivation.
 _SIM, _BUILD, _SPLIT, _SMOTE, _INIT, _TRAIN = range(6)
@@ -69,29 +70,29 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.ratios:
-            raise ValueError("ratios must be non-empty")
+            raise ConfigInvalid("ratios must be non-empty")
         for r in self.ratios:
             if not 0.0 < r <= 1.0:
-                raise ValueError(f"ratio {r} outside (0, 1]")
+                raise ConfigInvalid(f"ratio {r} outside (0, 1]")
         missing = [r for r in self.smote_ratios if r not in self.ratios]
         if missing:
-            raise ValueError(f"smote_ratios {missing} are not in ratios")
+            raise ConfigInvalid(f"smote_ratios {missing} are not in ratios")
         if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+            raise ConfigInvalid("seeds must be non-empty")
         if any(s < 0 for s in self.seeds):
-            raise ValueError("seeds must be non-negative")
+            raise ConfigInvalid("seeds must be non-negative")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be unique")
+            raise ConfigInvalid("seeds must be unique")
         if self.n_attack < 2:
-            raise ValueError(f"n_attack must be >= 2, got {self.n_attack}")
+            raise ConfigInvalid(f"n_attack must be >= 2, got {self.n_attack}")
         if not 0.0 < self.train_frac < 1.0:
-            raise ValueError(f"train_frac must be in (0, 1), got {self.train_frac}")
+            raise ConfigInvalid(f"train_frac must be in (0, 1), got {self.train_frac}")
         if not 0.0 < self.smote_target_ratio < 1.0:
-            raise ValueError("smote_target_ratio must be in (0, 1)")
+            raise ConfigInvalid("smote_target_ratio must be in (0, 1)")
         if self.smote_k < 1:
-            raise ValueError("smote_k must be >= 1")
+            raise ConfigInvalid("smote_k must be >= 1")
         if self.pool_margin < 0:
-            raise ValueError("pool_margin must be >= 0")
+            raise ConfigInvalid("pool_margin must be >= 0")
         # _run_seed sets these per seed, so any other value would be ignored.
         for name, value, default in (
             ("sim.seed", self.sim.seed, None),
@@ -100,7 +101,7 @@ class ExperimentConfig:
             ("train.seed", self.train.seed, None),
         ):
             if value != default:
-                raise ValueError(
+                raise ConfigInvalid(
                     f"{name} is derived by the sweep, so it must keep its default {default!r}"
                 )
 

@@ -9,12 +9,13 @@ feature matrix row per flow, in flow creation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .packets import PacketTable, parse_addr
+from .packets import PacketTable, parse_addr, parse_timestamp
 from .textio import ParseError, csv_rows
 
 NORMAL = 0
@@ -229,7 +230,7 @@ def read_label_csv(path) -> List[LabelRule]:
             except ValueError:
                 raise ParseError(line_no, f"bad {name} {text!r}") from None
         try:
-            start, end = float(start_s), float(end_s)
+            start, end = parse_timestamp(start_s), parse_timestamp(end_s)
             label = int(label_s)
         except ValueError:
             raise ParseError(line_no, f"bad numeric field in {','.join(fields)!r}") from None
@@ -359,6 +360,8 @@ def read_features_csv(path) -> LabeledDataset:
             label = int(fields[-1])
         except ValueError:
             raise ParseError(line_no, f"bad numeric field in {','.join(fields)!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(line_no, f"non-finite feature in {','.join(fields)!r}")
         if label not in (NORMAL, ATTACK):
             raise ParseError(line_no, f"label must be 0 or 1, got {fields[-1]!r}")
         rows.append(values)

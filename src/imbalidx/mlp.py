@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import LabeledDataset
+from .textio import ConfigInvalid
 
 FORMAT_VERSION = 1
 
@@ -72,15 +73,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigInvalid(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigInvalid(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+            raise ConfigInvalid(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigInvalid(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
+            raise ConfigInvalid(f"threshold must be in (0, 1), got {self.threshold}")
 
 
 def _check_architecture(layer_sizes: Sequence[int]) -> List[int]:

@@ -191,14 +191,46 @@ class PacketTable:
         return f"PacketTable({len(self)} packets)"
 
 
+def grid_seconds(sec, usec):
+    """Float seconds of whole seconds plus microseconds (numbers or
+    arrays). Every reader and the simulator rebuild timestamps with this
+    one rule, so a grid time survives any write and read exactly."""
+    return sec + usec / 1e6
+
+
+def quantize_us(t):
+    """Whole microseconds nearest to t seconds (ties to even), as int64.
+    Raises FloatingPointError for NaN, infinity or |t| beyond about 9.2e12."""
+    with np.errstate(invalid="raise"):
+        return np.rint(t * 1e6).astype(np.int64)
+
+
 def quantize_timestamp(t: float) -> float:
     """Snap a timestamp to the microsecond grid pcap and CSV can represent."""
-    us = round(t * 1e6)
-    return (us // 1_000_000) + (us % 1_000_000) / 1e6
+    return float(grid_seconds(*divmod(quantize_us(t), 1_000_000)))
+
+
+def parse_timestamp(text: str) -> float:
+    """Grid seconds from text: ASCII digits, optionally followed by '.' and
+    1-6 digits; no sign, exponent, underscore or space. Raises ValueError
+    for anything else."""
+    whole, dot, frac = text.partition(".")
+    if not (text.isascii() and whole.isdigit() and len(frac) <= 6
+            and (frac.isdigit() or not dot)):
+        raise ValueError(f"bad timestamp {text!r}")
+    try:
+        return grid_seconds(int(whole), int(frac.ljust(6, "0")) if dot else 0)
+    except (OverflowError, ValueError):  # beyond a float, or int()'s digit limit
+        raise ValueError(f"timestamp {text!r} out of range") from None
 
 
 def _split_timestamps(ts: np.ndarray):
-    """Whole seconds and rounded microseconds, carried at 1e6."""
+    """Whole seconds and rounded microseconds, carried at 1e6. This is the
+    pcap writer's own rule, kept apart from quantize_us on purpose: the two
+    agree on grid times but not on every time off the grid (4 of the 8.03M
+    unquantized times of the default sweep's seed-0 pool round differently).
+    One rule for both would move simulated packets, or change the bytes
+    written for tables off the grid."""
     sec = np.floor(ts)
     usec = np.rint((ts - sec) * 1e6)
     carry = usec >= 1_000_000
@@ -374,7 +406,7 @@ def _read_records(f: BinaryIO, fmt: str) -> PacketTable:
     wire_len = hdr["orig_len"].astype(np.int64)
     src, dst, sport, dport, proto, retx = _decode_frames(
         rows[:, 16:], hdr["incl_len"].astype(np.int64), wire_len)
-    ts = hdr["sec"] + hdr["usec"] / 1e6
+    ts = grid_seconds(hdr["sec"], hdr["usec"])
     return PacketTable(ts, src, dst, sport, dport, proto, wire_len, retx)
 
 
@@ -428,20 +460,6 @@ def write_packet_csv(packets: PacketTable, path) -> None:
             f.write(f"{ts:.6f},{src},{sport},{dst},{dport},{proto},{wire_len},{retx}\n")
 
 
-def _parse_timestamp(text: str, line: int) -> float:
-    # Reassembled as sec + usec/1e6, the same expression the pcap reader
-    # uses, so a printed timestamp parses back to the identical float.
-    sec_part, _, frac = text.partition(".")
-    try:
-        sec = int(sec_part)
-        usec = int(frac.ljust(6, "0")) if frac else 0
-    except ValueError:
-        raise ParseError(line, f"bad timestamp {text!r}") from None
-    if sec < 0 or len(frac) > 6:
-        raise ParseError(line, f"bad timestamp {text!r}")
-    return sec + usec / 1e6
-
-
 def read_packet_csv(path) -> PacketTable:
     protocols = {p.name: p.value for p in Protocol}
     addrs: dict = {}
@@ -450,7 +468,10 @@ def read_packet_csv(path) -> PacketTable:
     lines: List[int] = []
     for line_no, fields in csv_rows(path, CSV_HEADER):
         ts_s, src_s, sport_s, dst_s, dport_s, proto_s, wlen_s, retx_s = fields
-        ts.append(_parse_timestamp(ts_s, line_no))
+        try:
+            ts.append(parse_timestamp(ts_s))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
         if proto_s not in protocols:
             raise ParseError(line_no, f"unknown protocol {proto_s!r}")
         proto.append(protocols[proto_s])

@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .flows import ATTACK, LabelRule
-from .packets import PacketTable, Protocol, parse_addr
+from .packets import PacketTable, Protocol, grid_seconds, parse_addr, quantize_us
 from .textio import ConfigInvalid
 
 _EPHEMERAL_BASE = 1024
@@ -246,16 +246,6 @@ def _burst_columns(cfg: SimConfig, rng: np.random.Generator, n: int):
     return times, code, flow_of, length, retx, counts
 
 
-def _quantize_us(times: np.ndarray) -> np.ndarray:
-    return np.rint(times * 1e6).astype(np.int64)
-
-
-def _grid_seconds(us: np.ndarray) -> np.ndarray:
-    """Float seconds rebuilt exactly the way the capture readers rebuild
-    them (sec + usec/1e6)."""
-    return (us // 1_000_000).astype(np.float64) + (us % 1_000_000) / 1e6
-
-
 def simulate(
     config: SimConfig, rng: np.random.Generator = None
 ) -> Tuple[PacketTable, List[LabelRule]]:
@@ -265,102 +255,68 @@ def simulate(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     cfg = config
-
-    col_times = []
-    col_code = []
-    col_eph = []
-    col_len = []
-    col_retx = []
-
-    if cfg.n_normal_flows > 0:
-        t, c, e, ln, rx = _normal_columns(cfg, rng)
-        col_times.append(t)
-        col_code.append(c)
-        col_eph.append(e)
-        col_len.append(ln)
-        col_retx.append(rx)
-
+    # One block per source, each (times, endpoint code, ephemeral port,
+    # length, retx); normal traffic first.
+    blocks = [_normal_columns(cfg, rng)] if cfg.n_normal_flows > 0 else []
     rules: List[LabelRule] = []
     n_a = cfg.n_attack_flows
     if n_a > 0:
         is_burst = rng.random(n_a) < cfg.burst_fraction
-        m_ids = np.flatnonzero(~is_burst)
-        b_ids = np.flatnonzero(is_burst)
-
-        parts = []
-        if m_ids.size:
-            parts.append((m_ids, _mimic_columns(cfg, rng, int(m_ids.size))))
-        if b_ids.size:
-            parts.append((b_ids, _burst_columns(cfg, rng, int(b_ids.size))))
-
-        # Stitch group-local columns into one attack block with global ids.
-        rel = np.concatenate([cols[0] for _, cols in parts])
-        a_code = np.concatenate([cols[1] for _, cols in parts])
-        a_flow = np.concatenate([gids[cols[2]] for gids, cols in parts])
-        a_len = np.concatenate([cols[3] for _, cols in parts])
-        a_retx = np.concatenate([cols[4] for _, cols in parts])
-        counts = np.zeros(n_a, dtype=np.int64)
-        for gids, cols in parts:
-            counts[gids] = cols[5]
-
-        # Packets arrive grouped mimics-then-bursts; regroup per global id.
-        order = np.argsort(a_flow, kind="stable")
-        rel, a_code = rel[order], a_code[order]
-        a_len, a_retx = a_len[order], a_retx[order]
-
-        first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        rel_min = np.minimum.reduceat(rel, first)
-        rel_max = np.maximum.reduceat(rel, first)
-        span = rel_max - rel_min
+        kinds = [(ids, make(cfg, rng, int(ids.size)))
+                 for ids, make in ((np.flatnonzero(~is_burst), _mimic_columns),
+                                   (np.flatnonzero(is_burst), _burst_columns))
+                 if ids.size]
+        # Each session's extent within its own block, by global session id.
+        rel_min, span = np.empty(n_a), np.empty(n_a)
+        for ids, (rel, *_, counts) in kinds:
+            first = np.cumsum(counts) - counts
+            rel_min[ids] = np.minimum.reduceat(rel, first)
+            span[ids] = np.maximum.reduceat(rel, first) - rel_min[ids]
         between = cfg.attack_window_gap + rng.uniform(0.0, 2.0, n_a)
-        offsets = np.concatenate([[0.0], np.cumsum(span[:-1] + between[:-1])])
-        start = cfg.attack_start + offsets
-        flow_of = np.repeat(np.arange(n_a), counts)
-        abs_t = start[flow_of] + (rel - rel_min[flow_of])
-
+        start = cfg.attack_start + np.concatenate(
+            [[0.0], np.cumsum(span[:-1] + between[:-1])])
         eph_ports = _EPHEMERAL_BASE + np.arange(n_a) % _EPHEMERAL_SPAN
-        col_times.append(abs_t)
-        col_code.append(a_code)
-        col_eph.append(eph_ports[flow_of])
-        col_len.append(a_len)
-        col_retx.append(a_retx)
-
+        for ids, (rel, code, local, length, retx, _) in kinds:
+            flow_of = ids[local]
+            abs_t = start[flow_of] + (rel - rel_min[flow_of])
+            blocks.append((abs_t, code, eph_ports[flow_of], length, retx))
         # Label windows are the realized microsecond-grid extremes, so each
-        # attack session overlaps exactly its own window.
-        us = _quantize_us(abs_t)
-        lo = _grid_seconds(np.minimum.reduceat(us, first))
-        hi = _grid_seconds(np.maximum.reduceat(us, first))
-        for i in range(n_a):
-            rules.append(
-                LabelRule(cfg.attacker_addr, cfg.plc_addr,
-                          float(lo[i]), float(hi[i]), ATTACK)
-            )
+        # attack session overlaps exactly its own window. Float addition and
+        # rounding are monotone, so those extremes are the grid times of
+        # start and start + span, the session's first and last packet.
+        lo, hi = (grid_seconds(*np.divmod(quantize_us(t), 1_000_000)).tolist()
+                  for t in (start, start + span))
+        rules = [LabelRule(cfg.attacker_addr, cfg.plc_addr, a, b, ATTACK)
+                 for a, b in zip(lo, hi)]
 
-    if not col_times:
+    if not blocks:
         return PacketTable.from_records([]), []
 
-    # Merge one column at a time, dropping each source as it goes.
-    us = _quantize_us(np.concatenate(col_times))
-    del col_times
+    # One stable time sort merges the blocks; normal packets win ties.
+    # Attack sessions are placed in id order, attack_window_gap + U(0, 2)
+    # apart, so packets of two sessions can only tie when the sessions are
+    # less than 1 us apart (only then would mimics-before-bursts block order
+    # show); other ties are within one session, which keeps its order.
+    us = quantize_us(np.concatenate([b[0] for b in blocks]))
     order = np.argsort(us, kind="stable")
-    ts = _grid_seconds(us[order])
+    ts = grid_seconds(*np.divmod(us[order], 1_000_000))
     del us
-    code = np.concatenate(col_code)[order]
-    eph = np.concatenate(col_eph)[order].astype(np.uint16)
-    del col_code, col_eph
+    code, eph, length, retx = (np.concatenate([b[i] for b in blocks])[order]
+                               for i in range(1, 5))
+    del blocks
+    eph = eph.astype(np.uint16)
     hmi, plc, atk = (parse_addr(a) for a in (cfg.hmi_addr, cfg.plc_addr, cfg.attacker_addr))
     # Indexed by endpoint code: _HMI_TO_PLC, _PLC_TO_HMI, _ATK_TO_PLC, _PLC_TO_ATK.
     src_of = np.array([hmi, plc, atk, plc], dtype=np.uint32)
     dst_of = np.array([plc, hmi, plc, atk], dtype=np.uint32)
     to_plc = (code == _HMI_TO_PLC) | (code == _ATK_TO_PLC)
-    packets = PacketTable(
+    return PacketTable(
         ts=ts,
         src=src_of[code],
         dst=dst_of[code],
         sport=np.where(to_plc, eph, cfg.modbus_port),
         dport=np.where(to_plc, cfg.modbus_port, eph),
         proto=np.full(order.size, Protocol.TCP, dtype=np.uint8),
-        wire_len=np.concatenate(col_len)[order].astype(np.uint32),
-        retx=np.concatenate(col_retx)[order],
-    )
-    return packets, rules
+        wire_len=length.astype(np.uint32),
+        retx=retx,
+    ), rules

@@ -224,6 +224,7 @@ def test_unknown_train_key_exits_two(pipeline, tmp_path, capsys):
         ("experiment", '{"sim": {"seed": 1}}', "sim.seed"),  # the sweep derives it
         ("train", '{"epochs": "3"}', "epochs"),
         ("train", '{"layer_sizes": 5}', "layer_sizes"),
+        ("train", '{"threshold": 0.7}', "evaluate --threshold"),  # not a training knob
     ],
 )
 def test_wrongly_typed_config_exits_two(pipeline, tmp_path, command, config, key):

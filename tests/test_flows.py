@@ -292,6 +292,8 @@ def test_label_csv_round_trip(tmp_path):
     rules = [
         LabelRule("10.0.0.66", "10.0.0.20", 50.0, 61.25, ATTACK),
         LabelRule("10.0.0.66", "10.0.0.20", 70.5, 80.0, ATTACK),
+        # A grid time whose float is not the nearest to its 6-decimal text.
+        LabelRule("10.0.0.66", "10.0.0.20", 1657 + 892201 / 1e6, 1700.0, ATTACK),
     ]
     path = tmp_path / "labels.csv"
     write_label_csv(rules, path)
@@ -306,6 +308,9 @@ def test_label_csv_round_trip(tmp_path):
         "1.1.1.1,2.2.2.2,x,1.0,1",       # non-numeric
         "1.1.1.1,2.2.2.2,0.0,1.0",       # missing field
         "1.1.1.x,2.2.2.2,0.0,1.0,1",     # not an IPv4 address
+        "1.1.1.1,2.2.2.2,nan,1.0,1",     # not a grid time
+        "1.1.1.1,2.2.2.2,0.0,inf,1",
+        "1.1.1.1,2.2.2.2,-0.5,1.0,1",
     ],
 )
 def test_label_csv_rejects_bad_rows(tmp_path, row):
@@ -330,6 +335,16 @@ def test_features_csv_round_trip(tmp_path):
     assert np.allclose(back.x, feats.x, rtol=0, atol=5e-7)
     counts = [FEATURE_NAMES.index(n) for n in ("sport", "spkts", "tbytes", "sloss")]
     assert np.array_equal(back.x[:, counts], feats.x[:, counts])
+
+
+@pytest.mark.parametrize("cell,label", [("nan", "0"), ("inf", "1"), ("1.0", "2")])
+def test_features_csv_rejects_bad_rows(tmp_path, cell, label):
+    path = tmp_path / "bad.csv"
+    path.write_text(FEATURE_CSV_HEADER + "\n"
+                    + ",".join(["0"] * 22 + [cell, label]) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_features_csv(path)
+    assert err.value.line == 2
 
 
 def test_to_arrays_shape_and_dtype():

@@ -222,6 +222,13 @@ def test_csv_rejects_wrong_header(tmp_path):
         ("-1.0,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp"),
         ("1.0,1.1.1.1,1,2.2.2.2,2,TCP,39,0", "below minimum"),
         ("1.0,1.1.1.1,1,2.2.2.2,99999999999999999999,TCP,60,0", "out of range"),
+        # Only digits, then '.' and 1-6 digits: no sign, underscore or exponent.
+        ("-0.5,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp"),
+        ("1.-5,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp"),
+        ("1.+5,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp"),
+        ("1_0.5,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp"),
+        pytest.param("9" * 400 + ",1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp",
+                     id="float-overflow-timestamp"),
     ],
 )
 def test_csv_bad_rows_carry_line_numbers(tmp_path, row, fragment):

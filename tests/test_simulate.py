@@ -62,17 +62,31 @@ def test_empty_config_yields_empty_stream():
     assert packets == PacketTable.from_records([]) and rules == []
 
 
-def test_one_label_window_per_attack_session():
-    cfg = SimConfig(n_normal_flows=20, n_attack_flows=7, seed=9)
+@pytest.mark.parametrize(
+    "n_normal,burst_fraction",
+    [(20, 0.0), (20, 0.3), (20, 1.0), (0, 0.3)],
+    ids=["mimics", "mixed", "bursts", "no-normals"],
+)
+def test_one_label_window_per_attack_session(n_normal, burst_fraction):
+    cfg = SimConfig(n_normal_flows=n_normal, n_attack_flows=7,
+                    burst_fraction=burst_fraction, seed=9)
     packets, rules = simulate(cfg)
     assert len(rules) == 7
     for r in rules:
         assert r.label == ATTACK
         assert {r.src_addr, r.dst_addr} == {cfg.attacker_addr, cfg.plc_addr}
         assert r.start_time <= r.end_time
-    # Sessions are spaced out, so windows never touch each other.
-    spans = sorted((r.start_time, r.end_time) for r in rules)
-    assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+    # Sessions are placed in id order and spaced out, so the windows
+    # increase in session order and never touch: one time sort merges them.
+    assert all(a.end_time < b.start_time for a, b in zip(rules, rules[1:]))
+    atk = parse_addr(cfg.attacker_addr)
+    ts = packets.ts[(packets.src == atk) | (packets.dst == atk)]
+    inside = ((ts[:, None] >= [r.start_time for r in rules])
+              & (ts[:, None] <= [r.end_time for r in rules]))
+    assert (inside.sum(axis=1) == 1).all()
+    # Each window is the grid span of its session's packets, no wider.
+    for j, r in enumerate(rules):
+        assert (ts[inside[:, j]].min(), ts[inside[:, j]].max()) == (r.start_time, r.end_time)
 
 
 def test_attack_packets_stay_inside_their_windows():
@@ -189,6 +203,8 @@ BAD_CONFIGS = [
     (ExperimentConfig, '{"train": {"epohcs": 3}}'),  # unknown nested key
     (ExperimentConfig, '{"sim": {"n_normal_flow": 5}}'),
     (ExperimentConfig, '{"train": {"epochs": "3"}}'),
+    (TrainConfig, '{"epochs": 0}'),  # out of range
+    (ExperimentConfig, '{"n_attack": 1}'),
 ]
 
 
