@@ -171,8 +171,8 @@ def _train_options(args):
 
 
 def cmd_train(args) -> int:
-    data = fl.read_features_csv(args.data)
     layer_sizes, cfg = _train_options(args)
+    data = fl.read_features_csv(args.data)
     stats = ds.normalize_fit(data.x)
     z = ds.normalize_apply(data, stats)
     model = mlp.init_model(layer_sizes, derive_seed(args.seed, 0))

@@ -14,10 +14,26 @@ momentum step is then four whole-buffer operations whatever the depth:
 v *= momentum; g*lr into a scratch buffer; v -= scratch; theta += v. Every
 element goes through the same roundings as the per-array form
 v = momentum*v - lr*g; theta += v (each product rounded once, then the
-difference, then the sum), so both give the same bits. Training passes
-write their per-layer arrays into buffers allocated once per train()
-call, with the same matmul, sum and elementwise calls as a pass that
-allocates them.
+difference, then the sum), so both give the same bits.
+
+A training step writes every array into buffers allocated once per
+train() call; the views of a full batch and of the short last one are
+made there too. Each step runs the same floating-point operations in
+the same order as a pass that allocates its arrays, so both give the
+same bits:
+- the BCE goes through two scratch buffers (logaddexp, y*z, their
+  difference) and is summed with the pairwise add.reduce and divided
+  once, as np.mean does;
+- the sigmoid clips -|z| at -36 with maximum, which propagates NaN as
+  clip does, and writes exp(-|z|), 1 + e and the quotient into scratch
+  and the output-layer delta; a bool buffer picks 1 or e as numerator;
+- bias gradients are add.reduce along the batch axis, the order sum()
+  uses;
+- the ReLU mask is written into a bool buffer and multiplied into the
+  delta in place, so a masked negative delta becomes -0.0 as before.
+The BCE and the sigmoid each compute their own exp: logaddexp calls
+the scalar libm exp while np.exp on an array may take a SIMD loop, and
+sharing one result would move the loss by ulps.
 """
 
 from __future__ import annotations
@@ -107,13 +123,31 @@ def init_model(layer_sizes: Sequence[int], seed=None) -> MlpModel:
     return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)
 
 
+def _sigmoid_into(
+    z: np.ndarray, out: np.ndarray, t: np.ndarray, e: np.ndarray, pos: np.ndarray
+) -> None:
+    """Write the sigmoid of z into out, using t, e and the bool pos (all
+    shaped like z) as scratch.
+
+    With e = exp(-|z|) this is 1/(1+exp(-z)) for z >= 0 and
+    exp(z)/(1+exp(z)) below, so exp never overflows. Clipping keeps the
+    output strictly inside (0, 1) in float64: -|z| is clipped at -36,
+    which gives the same bits as clipping z to [-36, 36] for every z,
+    NaN and -0.0 included."""
+    np.abs(z, out=e)
+    np.negative(e, out=e)
+    np.maximum(e, -36.0, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(z, 0.0, out=pos)
+    np.add(e, 1.0, out=t)
+    np.copyto(e, 1.0, where=pos)
+    np.divide(e, t, out=out)
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Clipping keeps the output strictly inside (0, 1) in float64. With
-    # e = exp(-|z|) this is 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z))
-    # below, so exp never overflows.
-    z = np.clip(z, -36.0, 36.0)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    out = np.empty_like(z)
+    _sigmoid_into(z, out, np.empty_like(z), np.empty_like(z), np.empty(z.shape, bool))
+    return out
 
 
 def _logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -148,15 +182,20 @@ def predict(model: MlpModel, x: np.ndarray, threshold: float = 0.5) -> np.ndarra
     return (forward(model, x) >= threshold).astype(np.int64)
 
 
-def _bce_from_logits(logits: np.ndarray, y: np.ndarray) -> float:
-    # mean(softplus(z) - y*z); softplus via logaddexp so huge logits cannot
-    # produce log(0).
-    return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
+def _bce_into(logits: np.ndarray, y: np.ndarray, sp: np.ndarray, yz: np.ndarray) -> float:
+    """mean(softplus(z) - y*z), with sp and yz (shaped like logits) as
+    scratch. softplus via logaddexp so huge logits cannot produce log(0);
+    the pairwise add.reduce and one division are what np.mean does."""
+    np.logaddexp(0.0, logits, out=sp)
+    np.multiply(y, logits, out=yz)
+    sp -= yz
+    return float(np.add.reduce(sp) / logits.size)
 
 
 def loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
-    return _bce_from_logits(_logits(model, _as_matrix(model, x)), y)
+    logits = _logits(model, _as_matrix(model, x))
+    return _bce_into(logits, y, np.empty_like(logits), np.empty_like(logits))
 
 
 class _Workspace:
@@ -164,7 +203,7 @@ class _Workspace:
     buffers of a forward and backward pass over up to `rows` rows.
 
     Buffers are allocated once; each pass writes into them with out=
-    arguments, so no per-layer array is allocated per step."""
+    arguments, so no array is allocated per step."""
 
     def __init__(self, model: MlpModel, rows: int):
         sizes = model.layer_sizes
@@ -173,45 +212,67 @@ class _Workspace:
         self.grads = np.empty_like(self.params)
         self.w, self.b = _layer_views(self.params, layers)
         self.gw, self.gb = _layer_views(self.grads, layers)
+        self.wt = [w.T for w in self.w]
         for dst, src in zip(self.w + self.b, model.weights + model.biases):
             dst[...] = src
+        self.rows = rows
         self.x = np.empty((rows, sizes[0]))
         self.y = np.empty(rows)
         self.z = [np.empty((rows, o)) for o in sizes[1:]]
         self.act = [np.empty((rows, o)) for o in sizes[1:-1]]
         self.delta = [np.empty((rows, o)) for o in sizes[1:]]
+        self.mask = [np.empty((rows, o), dtype=bool) for o in sizes[1:-1]]
+        self.scratch = np.empty((2, rows))
+        self.pos = np.empty(rows, dtype=bool)
 
-    def backprop(self, m: int) -> float:
-        """Mean BCE over the first m rows of self.x and self.y; its
-        gradient lands in self.grads."""
-        zs = [z[:m] for z in self.z]
-        acts = [self.x[:m]] + [a[:m] for a in self.act]
-        deltas = [d[:m] for d in self.delta]
-        last = len(zs) - 1
-        for i, z in enumerate(zs):
-            np.matmul(acts[i], self.w[i].T, out=z)
-            z += self.b[i]
-            if i < last:
-                np.maximum(z, 0.0, out=acts[i + 1])
-        logits = zs[last][:, 0]
-        y = self.y[:m]
-        batch_loss = _bce_from_logits(logits, y)
-        delta = deltas[last]
-        np.subtract(_sigmoid(logits), y, out=delta[:, 0])
-        delta /= m
-        for i in range(last, -1, -1):
-            np.matmul(delta.T, acts[i], out=self.gw[i])
-            np.sum(delta, axis=0, out=self.gb[i])
+    def backprop(self, bt: "_Batch") -> float:
+        """Mean BCE over the rows of bt.x and bt.y; its gradient lands in
+        self.grads."""
+        for i, (a, wt, b, z) in enumerate(zip(bt.acts, self.wt, self.b, bt.zs)):
+            np.matmul(a, wt, out=z)
+            z += b
+            if i < bt.last:
+                np.maximum(z, 0.0, out=bt.acts[i + 1])
+        t, e = bt.scratch
+        batch_loss = _bce_into(bt.logits, bt.y, t, e)
+        _sigmoid_into(bt.logits, bt.dlogits, t, e, bt.pos)
+        np.subtract(bt.dlogits, bt.y, out=bt.dlogits)
+        np.divide(bt.dlogits, bt.m, out=bt.dlogits)
+        for i in range(bt.last, -1, -1):
+            delta = bt.deltas[i]
+            np.matmul(bt.deltas_t[i], bt.acts[i], out=self.gw[i])
+            np.add.reduce(delta, axis=0, out=self.gb[i])
             if i > 0:
-                np.matmul(delta, self.w[i], out=deltas[i - 1])
-                delta = deltas[i - 1]
-                delta *= zs[i - 1] > 0.0
+                below = bt.deltas[i - 1]
+                np.matmul(delta, self.w[i], out=below)
+                np.greater(bt.zs[i - 1], 0.0, out=bt.masks[i - 1])
+                np.multiply(below, bt.masks[i - 1], out=below)
         return batch_loss
 
     def store(self, model: MlpModel) -> None:
         """Copy the parameters into the model's own arrays."""
         for dst, src in zip(model.weights + model.biases, self.w + self.b):
             dst[...] = src
+
+
+class _Batch:
+    """Views of the first m rows of every batch buffer of a workspace,
+    built once per batch size so a step makes no slices."""
+
+    def __init__(self, ws: _Workspace, m: int):
+        self.m = m
+        self.x = ws.x[:m]
+        self.y = ws.y[:m]
+        self.zs = [z[:m] for z in ws.z]
+        self.acts = [self.x] + [a[:m] for a in ws.act]
+        self.deltas = [d[:m] for d in ws.delta]
+        self.deltas_t = [d.T for d in self.deltas]
+        self.masks = [k[:m] for k in ws.mask]
+        self.last = len(self.zs) - 1
+        self.logits = self.zs[-1][:, 0]
+        self.dlogits = self.deltas[-1][:, 0]
+        self.scratch = ws.scratch[:, :m]
+        self.pos = ws.pos[:m]
 
 
 def _layer_views(
@@ -255,6 +316,8 @@ def train(
     n = x.shape[0]
     batch_size = config.batch_size
     ws = _Workspace(model, min(batch_size, n))
+    full = _Batch(ws, ws.rows)
+    tail = _Batch(ws, n % ws.rows) if n % ws.rows else full
     vel = np.zeros_like(ws.params)
     step = np.empty_like(ws.params)
     history: List[float] = []
@@ -264,15 +327,15 @@ def train(
             total = 0.0
             for lo in range(0, n, batch_size):
                 sel = order[lo : lo + batch_size]
-                m = sel.size
+                bt = full if sel.size == ws.rows else tail
                 # mode="clip" skips the bounds pass (sel is a permutation),
                 # which would otherwise make take() gather through a copy.
-                np.take(x, sel, axis=0, out=ws.x[:m], mode="clip")
-                np.take(y, sel, out=ws.y[:m], mode="clip")
-                batch_loss = ws.backprop(m)
+                np.take(x, sel, axis=0, out=bt.x, mode="clip")
+                np.take(y, sel, out=bt.y, mode="clip")
+                batch_loss = ws.backprop(bt)
                 if not math.isfinite(batch_loss):
                     raise NonFiniteLoss(f"loss became {batch_loss}")
-                total += batch_loss * m
+                total += batch_loss * bt.m
                 vel *= config.momentum
                 np.multiply(ws.grads, config.learning_rate, out=step)
                 vel -= step
@@ -296,7 +359,7 @@ def gradient_check(
     ws = _Workspace(model, x.shape[0])
     ws.x[...] = x
     ws.y[...] = y
-    ws.backprop(x.shape[0])
+    ws.backprop(_Batch(ws, ws.rows))
     gw, gb = ws.gw, ws.gb
     worst = 0.0
     for params, grads in ((model.weights, gw), (model.biases, gb)):

@@ -78,20 +78,28 @@ def synthetic_count(n_minority: int, n_total: int, target_ratio: float) -> int:
     return max(0, round(raw))
 
 
+# Elements of one block's squared-difference array: 1 MB of float64.
+_BLOCK_ELEMS = 131_072
+
+
 def _nearest_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
     """(n, k) neighbour table by Euclidean distance, self excluded,
-    distance ties broken toward the lower row index."""
-    n = minority.shape[0]
-    sq = np.einsum("ij,ij->i", minority, minority)
+    distance ties broken toward the lower row index.
+
+    Distances are sums of squared differences, a few rows at a time. The
+    Gram form |a|^2 + |b|^2 - 2a.b would be faster, but its rounding
+    reorders near ties and breaks exact ties between duplicate rows."""
+    n, dim = minority.shape
     table = np.empty((n, k), dtype=np.int64)
-    block = max(1, min(n, 8_388_608 // max(1, n)))
+    block = max(1, _BLOCK_ELEMS // max(1, n * dim))
     for lo in range(0, n, block):
         hi = min(n, lo + block)
-        d = sq[lo:hi, None] + sq[None, :] - 2.0 * (minority[lo:hi] @ minority.T)
-        np.maximum(d, 0.0, out=d)
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        order = np.argsort(d, axis=1, kind="stable")
-        table[lo:hi] = order[:, :k]
+        diff = minority[lo:hi, None, :] - minority[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        d = np.add.reduce(diff, axis=2)
+        # Every distance is >= 0, so each row's own entry sorts first.
+        d[np.arange(hi - lo), np.arange(lo, hi)] = -1.0
+        table[lo:hi] = np.argsort(d, axis=1, kind="stable")[:, 1 : k + 1]
     return table
 
 

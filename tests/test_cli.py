@@ -215,6 +215,24 @@ def test_unknown_train_key_exits_two(pipeline, tmp_path, capsys):
     assert code == 2
 
 
+def test_train_checks_its_config_before_the_data(pipeline, tmp_path, capsys):
+    header, first, *rest = pipeline["dataset"].read_text().splitlines()
+    bad_data = tmp_path / "bad.csv"
+    bad_data.write_text("\n".join([header, "nan" + first[first.index(","):], *rest]) + "\n")
+    good_cfg = tmp_path / "good.json"
+    good_cfg.write_text('{"epochs": 1}')
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_text('{"epochs": "3"}')
+    out = str(tmp_path / "m.json")
+    assert main(["train", "--data", str(bad_data), "--config", str(good_cfg),
+                 "--out", out]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert main(["train", "--data", str(bad_data), "--config", str(bad_cfg),
+                 "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epochs" in err
+
+
 @pytest.mark.parametrize(
     "command,config,key",
     [

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlp_oracle
@@ -312,8 +312,12 @@ ODD = st.sampled_from([1, 3, 5, 7, 9])
 def training_cases(draw):
     """An architecture [d,1], [d,k,1] or [d,k,j,1] with odd widths, a
     labelled set holding both classes, a config whose batch size is 1,
-    leaves a partial last batch, or exceeds n, and an optional poison: a
-    NaN parameter or an infinite input row."""
+    leaves a partial last batch, or exceeds n, an optional poison: a
+    NaN parameter or an infinite input row, and an optional edge: inputs
+    scaled by 1e3, so logits pass the sigmoid clip at +-36 and both
+    large-|z| branches of logaddexp, or an all-zero model, whose logits
+    and ReLU pre-activations are exactly 0 and whose hidden deltas are
+    signed zeros."""
     sizes = [draw(ODD)] + draw(st.lists(ODD, max_size=2)) + [1]
     n = draw(st.integers(3, 40))
     batch = draw(st.sampled_from(["one", "partial", "over"]))
@@ -328,12 +332,15 @@ def training_cases(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     poison = draw(st.sampled_from([None, None, "param", "row"]))
-    return sizes, n, data_seed, config, poison
+    edge = draw(st.sampled_from([None, None, "scaled", "zero"]))
+    return sizes, n, data_seed, config, poison, edge
 
 
-def _case_inputs(sizes, n, data_seed, poison):
+def _case_inputs(sizes, n, data_seed, poison, edge):
     rng = np.random.default_rng(data_seed)
     x = rng.normal(size=(n, sizes[0]))
+    if edge == "scaled":
+        x *= 1e3
     y = rng.integers(0, 2, size=n)
     y[:2] = (0, 1)
     if poison == "row":
@@ -341,8 +348,10 @@ def _case_inputs(sizes, n, data_seed, poison):
     return LabeledDataset(x, y)
 
 
-def _case_model(sizes, data_seed, poison):
+def _case_model(sizes, data_seed, poison, edge):
     model = init_model(sizes, seed=data_seed)
+    if edge == "zero":
+        model = zero_model(sizes)
     if poison == "param":
         model.weights[-1][0, 0] = np.nan
     return model
@@ -353,13 +362,20 @@ def _params(model):
 
 
 @given(training_cases())
+# Beyond the clip, the scaled example's loss history moves if the BCE and
+# the sigmoid share one exp(-|z|) array, where np.exp takes a SIMD loop
+# that differs from the scalar exp inside logaddexp.
+@example(([23, 16, 8, 1], 200, 4, TrainConfig(epochs=2, batch_size=64, seed=4),
+          None, "scaled"))
+@example(([23, 16, 8, 1], 40, 1, TrainConfig(epochs=2, batch_size=16, seed=1),
+          None, "zero"))
 @settings(max_examples=150, deadline=None)
 def test_train_matches_the_per_array_oracle(case):
-    sizes, n, data_seed, config, poison = case
-    data = _case_inputs(sizes, n, data_seed, poison)
-    model = _case_model(sizes, data_seed, poison)
+    sizes, n, data_seed, config, poison, edge = case
+    data = _case_inputs(sizes, n, data_seed, poison, edge)
+    model = _case_model(sizes, data_seed, poison, edge)
     arrays = _params(model)
-    ref = _case_model(sizes, data_seed, poison)
+    ref = _case_model(sizes, data_seed, poison, edge)
     with np.errstate(invalid="ignore", over="ignore"):
         try:
             got = train(model, data, config)

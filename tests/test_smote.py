@@ -3,6 +3,8 @@ geometry, provenance replay, and count bookkeeping."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbalidx.smote import (
     PROVENANCE_CSV_HEADER,
@@ -42,6 +44,35 @@ def test_neighbor_table_matches_brute_force():
         want = brute_force_knn(m, k)
         for i in range(n):
             assert set(table[i].tolist()) == set(want[i]), f"trial {trial} row {i}"
+
+
+@st.composite
+def knn_cases(draw):
+    """A minority matrix of Gaussian rows, integer grid points (exact
+    distances, so many true ties) or rows far from the origin (where
+    |a|^2 + |b|^2 - 2a.b cancels), with some rows copied over others.
+    Above about 72 rows of 25 columns the table is built in several
+    blocks."""
+    n = draw(st.integers(2, 120))
+    dim = draw(st.integers(1, 25))
+    kind = draw(st.sampled_from(["gaussian", "grid", "large-norm"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        m = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    else:
+        m = rng.normal(size=(n, dim))
+        if kind == "large-norm":
+            m += 10.0 ** draw(st.integers(3, 12))
+    dups = draw(st.integers(0, n - 1))
+    m[rng.integers(n, size=dups)] = m[rng.integers(n, size=dups)]
+    return m, draw(st.integers(1, n - 1))
+
+
+@given(knn_cases())
+@settings(max_examples=200, deadline=None)
+def test_neighbor_table_is_the_ordered_brute_force_table(case):
+    m, k = case
+    assert _nearest_neighbors(m, k).tolist() == brute_force_knn(m, k)
 
 
 def test_neighbor_ties_break_toward_lower_index():
