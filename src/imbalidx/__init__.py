@@ -72,7 +72,7 @@ from .packets import (
     write_pcap,
 )
 from .simulate import SimConfig, simulate
-from .smote import SmoteConfig, SmoteResult, augment_training_set, replay, smote
+from .smote import SmoteResult, augment_training_set, replay, smote
 from .textio import config_from_json
 
 __version__ = "0.1.0"
@@ -97,7 +97,6 @@ __all__ = [
     "PacketTable",
     "Protocol",
     "SimConfig",
-    "SmoteConfig",
     "SmoteResult",
     "TrainConfig",
     "accuracy",

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Tuple
 
@@ -24,7 +24,6 @@ from . import flows as fl
 from . import mlp
 from . import packets as pk
 from .smote import (
-    SmoteConfig,
     minority_class,
     replay,
     smote,
@@ -138,7 +137,7 @@ def cmd_smote(args) -> int:
     # rebuilt in raw feature space from the provenance log.
     stats = ds.normalize_fit(data.x)
     z = ds.normalize_apply(data.x, stats)
-    result = smote(z[rows], SmoteConfig(target, k=args.k, seed=args.seed))
+    result = smote(z[rows], target, k=args.k, seed=args.seed)
     raw_synth = replay(data.x[rows], result)
     x_out = np.concatenate([data.x, raw_synth])
     y_out = np.concatenate(
@@ -217,13 +216,12 @@ def cmd_experiment(args) -> int:
     elapsed = time.perf_counter() - start
     write_report(result, args.out)
     print(f"{len(result.cells)} cells in {elapsed:.1f}s -> {args.out}")
-    print("ratio    smote  accuracy      far       ur      mcc  sensitivity")
+    widths = {f.name: max(8, len(f.name) + 1) for f in fields(MetricsReport)}
+    print("ratio    smote " + " ".join(f"{n:>{w}}" for n, w in widths.items()))
     for row in result.summary:
-        r = row.report
-        print(
-            f"{row.ratio:<8g} {int(row.smote):<5d} {r.accuracy:9.4f} "
-            f"{r.far:8.4f} {r.ur:8.4f} {r.mcc:8.4f} {r.sensitivity:12.4f}"
-        )
+        values = astuple(row.report)
+        print(f"{row.ratio:<8g} {int(row.smote):<5d} "
+              + " ".join(f"{v:{w}.4f}" for v, w in zip(values, widths.values())))
     return 0
 
 

@@ -11,6 +11,9 @@ with/without rows.
 Every stage draws from its own seed derived from (seed, stage, cell), so
 cells are independent and the whole sweep is reproducible byte for byte.
 
+The report columns after the cell keys are the fields of MetricsReport,
+in their order; this module names no metric itself.
+
 With threads > 1 seeds run concurrently, but only one cell trains at a
 time: small-batch SGD is a long run of small numpy calls that hold the
 interpreter lock, so two trainings at once only contend for it. The data
@@ -23,7 +26,7 @@ import hashlib
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -74,6 +77,10 @@ class ExperimentConfig:
         for r in self.ratios:
             if not 0.0 < r <= 1.0:
                 raise ConfigInvalid(f"ratio {r} outside (0, 1]")
+        for name in ("ratios", "smote_ratios"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigInvalid(f"{name} must be unique")
         missing = [r for r in self.smote_ratios if r not in self.ratios]
         if missing:
             raise ConfigInvalid(f"smote_ratios {missing} are not in ratios")
@@ -104,6 +111,17 @@ class ExperimentConfig:
                 raise ConfigInvalid(
                     f"{name} is derived by the sweep, so it must keep its default {default!r}"
                 )
+        self.pool_sim()  # the per-seed pool must be a valid SimConfig too
+
+    def pool_sim(self) -> SimConfig:
+        """The simulator config of every seed's pool: enough normal
+        sessions for the smallest ratio plus pool_margin, and n_attack
+        attack sessions. The seed comes from the caller's generator."""
+        return replace(
+            self.sim,
+            n_normal_flows=required_normals(self.n_attack, min(self.ratios)) + self.pool_margin,
+            n_attack_flows=self.n_attack,
+        )
 
 
 @dataclass(frozen=True)
@@ -142,15 +160,8 @@ def derive_seed(seed: Optional[int], *path: int) -> Optional[int]:
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     """Simulate one pool, then run every (ratio, smote) cell for this seed."""
-    pool_normals = required_normals(cfg.n_attack, min(cfg.ratios)) + cfg.pool_margin
-    sim_cfg = replace(
-        cfg.sim,
-        n_normal_flows=pool_normals,
-        n_attack_flows=cfg.n_attack,
-        seed=None,
-    )
     packets, rules = simulate(
-        sim_cfg, np.random.default_rng(np.random.SeedSequence([seed, _SIM]))
+        cfg.pool_sim(), np.random.default_rng(np.random.SeedSequence([seed, _SIM]))
     )
     feats = features_from_packets(packets, rules)
     del packets
@@ -214,25 +225,16 @@ def _sorted_cells(cfg: ExperimentConfig, cells: List[CellResult]) -> List[CellRe
     return sorted(cells, key=lambda c: (-c.ratio, seed_pos[c.seed], c.smote))
 
 
-def summarize(cfg: ExperimentConfig, cells: List[CellResult]) -> List[SummaryRow]:
-    """Median over seeds for each (ratio, smote) pair, in report order."""
-    rows: List[SummaryRow] = []
-    for ratio in cfg.ratios:
-        for use_smote in (False, True):
-            group = [c.report for c in cells
-                     if c.ratio == ratio and c.smote == use_smote]
-            if not group:
-                continue
-            med = MetricsReport(
-                accuracy=float(np.median([g.accuracy for g in group])),
-                far=float(np.median([g.far for g in group])),
-                ur=float(np.median([g.ur for g in group])),
-                mcc=float(np.median([g.mcc for g in group])),
-                sensitivity=float(np.median([g.sensitivity for g in group])),
-            )
-            rows.append(SummaryRow(ratio, use_smote, med))
-    rows.sort(key=lambda r: (-r.ratio, r.smote))
-    return rows
+def summarize(cells: List[CellResult]) -> List[SummaryRow]:
+    """Median over seeds of every metric, one row per (ratio, smote) pair,
+    in report order (ratio descending, plain before SMOTE)."""
+    groups: Dict[Tuple[float, bool], List[tuple]] = {}
+    for c in cells:
+        groups.setdefault((c.ratio, c.smote), []).append(astuple(c.report))
+    return [
+        SummaryRow(r, s, MetricsReport(*np.median(groups[r, s], axis=0).tolist()))
+        for r, s in sorted(groups, key=lambda k: (-k[0], k[1]))
+    ]
 
 
 def run_experiment(
@@ -252,41 +254,11 @@ def run_experiment(
             chunks = pool.map(lambda s: _run_seed(cfg, s), cfg.seeds)
             cells = [c for chunk in chunks for c in chunk]
     cells = _sorted_cells(cfg, cells)
-    return ExperimentResult(cfg, tuple(cells), tuple(summarize(cfg, cells)))
-
-
-DETAIL_CSV_HEADER = "ratio,seed,smote,accuracy,far,ur,mcc,sensitivity"
-SUMMARY_CSV_HEADER = "ratio,smote,accuracy,far,ur,mcc,sensitivity"
+    return ExperimentResult(cfg, tuple(cells), tuple(summarize(cells)))
 
 
 def _metric_fields(r: MetricsReport) -> str:
-    return (
-        f"{r.accuracy:.6f},{r.far:.6f},{r.ur:.6f},{r.mcc:.6f},{r.sensitivity:.6f}"
-    )
-
-
-def write_detail_csv(cells, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(DETAIL_CSV_HEADER + "\n")
-        for c in cells:
-            f.write(
-                f"{c.ratio:g},{c.seed},{int(c.smote)},{_metric_fields(c.report)}\n"
-            )
-
-
-def write_summary_csv(rows, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(SUMMARY_CSV_HEADER + "\n")
-        for r in rows:
-            f.write(f"{r.ratio:g},{int(r.smote)},{_metric_fields(r.report)}\n")
-
-
-def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return ",".join(f"{v:.6f}" for v in astuple(r))
 
 
 def config_checksum(cfg: ExperimentConfig) -> str:
@@ -303,12 +275,20 @@ def write_report(result: ExperimentResult, report_path) -> Dict[str, str]:
     report_path.parent.mkdir(parents=True, exist_ok=True)
     summary_path = report_path.with_name(report_path.stem + ".summary.csv")
     manifest_path = report_path.with_name(report_path.stem + ".manifest.json")
-    write_detail_csv(result.cells, report_path)
-    write_summary_csv(result.summary, summary_path)
-    hashes = {
-        report_path.name: _sha256_file(report_path),
-        summary_path.name: _sha256_file(summary_path),
+    names = ",".join(f.name for f in fields(MetricsReport))
+    texts = {
+        report_path: f"ratio,seed,smote,{names}\n" + "".join(
+            f"{c.ratio:g},{c.seed},{int(c.smote)},{_metric_fields(c.report)}\n"
+            for c in result.cells),
+        summary_path: f"ratio,smote,{names}\n" + "".join(
+            f"{r.ratio:g},{int(r.smote)},{_metric_fields(r.report)}\n"
+            for r in result.summary),
     }
+    hashes = {}
+    for path, text in texts.items():
+        data = text.encode()
+        path.write_bytes(data)
+        hashes[path.name] = hashlib.sha256(data).hexdigest()
     manifest = {
         "config": asdict(result.config),
         "config_sha256": config_checksum(result.config),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -98,7 +98,8 @@ def mcc(cm: ConfusionMatrix) -> float:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """The five evaluation metrics for one trained model, in percent."""
+    """The five evaluation metrics for one trained model, in percent. Its
+    fields are the one list of metric names and their order."""
 
     accuracy: float
     far: float
@@ -117,13 +118,7 @@ class MetricsReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "far": self.far,
-            "ur": self.ur,
-            "mcc": self.mcc,
-            "sensitivity": self.sensitivity,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .flows import ATTACK, LabelRule
+from .flows import ATTACK, DEFAULT_IDLE_TIMEOUT, LabelRule
 from .packets import PacketTable, Protocol, grid_seconds, parse_addr, quantize_us
 from .textio import ConfigInvalid
 
@@ -39,7 +39,18 @@ _EPHEMERAL_SPAN = 65536 - 1024
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Traffic mix and shape knobs. Defaults give a small desk-size run."""
+    """Traffic mix and shape knobs. Defaults give a small desk-size run.
+
+    Configs are rejected unless every simulated session stays one flow
+    under flows.DEFAULT_IDLE_TIMEOUT. With Gaussian draws taken as bounded
+    at six standard deviations, the longest gap inside a polling session
+    is at most the longest period (normal or mimic), plus 12 times the
+    largest per-cycle jitter, plus the largest response delay; burst gaps
+    are clipped at max_gap. Both must stay below the timeout. Normal
+    sessions reuse an ephemeral port every 64,512 sessions, so with more
+    sessions than that, 64,512 * flow_stagger must exceed the longest
+    normal session plus the timeout, or two sessions merge.
+    """
 
     n_normal_flows: int = 200
     n_attack_flows: int = 20
@@ -129,6 +140,25 @@ class SimConfig:
             raise ConfigInvalid("mimic_len_shift must be non-negative")
         if self.attack_window_gap <= 0 or self.max_gap <= 0:
             raise ConfigInvalid("gaps must be positive")
+        period = self.poll_period + 6 * self.period_stddev
+        gap = (max(period, self.poll_period + self.mimic_period_shift)
+               + 12 * self.cycle_jitter * (1 + self.mimic_jitter_boost)
+               + self.response_delay_hi * (1 + self.mimic_delay_boost))
+        if max(gap, self.max_gap) >= DEFAULT_IDLE_TIMEOUT:
+            raise ConfigInvalid(
+                f"polling timing (poll_period, period_stddev, cycle_jitter, "
+                f"response_delay_hi, mimic_*) or max_gap allows a "
+                f"{max(gap, self.max_gap):g} s gap inside a session, which reaches "
+                f"the {DEFAULT_IDLE_TIMEOUT:g} s flow idle timeout and would split it")
+        longest = ((self.poll_cycles_bounds[1] - 1) * period
+                   + 12 * self.cycle_jitter + self.response_delay_hi)
+        if (self.n_normal_flows > _EPHEMERAL_SPAN
+                and _EPHEMERAL_SPAN * self.flow_stagger <= longest + DEFAULT_IDLE_TIMEOUT):
+            raise ConfigInvalid(
+                f"flow_stagger {self.flow_stagger:g} brings a normal session's port "
+                f"round after {_EPHEMERAL_SPAN * self.flow_stagger:g} s, not more than "
+                f"a session plus the flow idle timeout ({longest + DEFAULT_IDLE_TIMEOUT:g} s), "
+                f"so two sessions would merge")
 
     @property
     def poll_cycles_bounds(self) -> Tuple[int, int]:

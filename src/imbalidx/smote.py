@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -24,22 +24,6 @@ from .textio import ParseError, csv_rows
 
 class TooFewMinority(ValueError):
     """Interpolation needs at least two minority rows."""
-
-
-@dataclass(frozen=True)
-class SmoteConfig:
-    """target_count is the minority size after synthesis; k bounds the
-    neighbour pool per base row; seed pins the draws."""
-
-    target_count: int
-    k: int = 5
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.target_count < 0:
-            raise ValueError(f"target_count must be >= 0, got {self.target_count}")
 
 
 @dataclass
@@ -103,41 +87,37 @@ def _nearest_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def smote(minority: np.ndarray, config: SmoteConfig, rng=None) -> SmoteResult:
-    """Grow a minority matrix of M rows to config.target_count rows,
-    returning only the target_count - M synthetic ones.
+def smote(minority: np.ndarray, target_count: int, k: int = 5, seed=None) -> SmoteResult:
+    """Grow a minority matrix of M rows to target_count rows, returning
+    only the target_count - M synthetic ones. k bounds the neighbour pool
+    per base row; seed is anything np.random.default_rng takes.
 
     Base rows are assigned round-robin over the minority set, with the
     remainder drawn uniformly without replacement. Each synthetic row
     interpolates from its base toward one of the base's k nearest
     neighbours at a uniform random fraction of the gap.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     minority = np.asarray(minority, dtype=np.float64)
     if minority.ndim != 2:
         raise ValueError(f"minority must be 2-d, got shape {minority.shape}")
     m = minority.shape[0]
-    n_synth = config.target_count - m
+    n_synth = target_count - m
     if n_synth < 0:
         raise ValueError(
-            f"target_count {config.target_count} is below the current "
-            f"minority size {m}"
+            f"target_count {target_count} is below the current minority size {m}"
         )
     empty = np.empty(0, dtype=np.int64)
     if n_synth == 0:
-        return SmoteResult(
-            np.empty((0, minority.shape[1])), empty, empty, np.empty(0), config.k
-        )
+        return SmoteResult(np.empty((0, minority.shape[1])), empty, empty, np.empty(0), k)
     if m < 2:
         raise TooFewMinority(f"minority class has {m} row(s); need at least 2")
-    k = config.k
     if k > m - 1:
+        warnings.warn(f"k={k} exceeds available neighbours; clamped to {m - 1}",
+                      stacklevel=2)
         k = m - 1
-        warnings.warn(
-            f"k={config.k} exceeds available neighbours; clamped to {k}",
-            stacklevel=2,
-        )
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     q, r = divmod(n_synth, m)
     bases = np.tile(np.arange(m), q)
@@ -147,9 +127,9 @@ def smote(minority: np.ndarray, config: SmoteConfig, rng=None) -> SmoteResult:
     table = _nearest_neighbors(minority, k)
     pick = rng.integers(0, k, size=n_synth)
     gaps = rng.random(n_synth)
-    neighbors = table[bases, pick]
-    synth = minority[bases] + gaps[:, None] * (minority[neighbors] - minority[bases])
-    return SmoteResult(synth, bases.astype(np.int64), neighbors, gaps, k)
+    result = SmoteResult(None, bases.astype(np.int64), table[bases, pick], gaps, k)
+    result.synthetic = replay(minority, result)
+    return result
 
 
 def replay(minority: np.ndarray, result: SmoteResult) -> np.ndarray:
@@ -179,8 +159,7 @@ def augment_training_set(
     mino = minority_class(y)
     rows = np.flatnonzero(y == mino)
     need = synthetic_count(int(rows.size), int(y.size), target_ratio)
-    rng = np.random.default_rng(seed)
-    result = smote(x[rows], SmoteConfig(target_count=int(rows.size) + need, k=k), rng)
+    result = smote(x[rows], int(rows.size) + need, k=k, seed=seed)
     if result.n_synthetic == 0:
         return x, y, result
     x_out = np.concatenate([x, result.synthetic])

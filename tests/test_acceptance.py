@@ -4,8 +4,9 @@ Fast exact checks first: metric formulas against a high-precision oracle,
 dataset construction demands, backprop against finite differences,
 oversampling geometry against a brute-force neighbor search, and capture
 round trips plus reader fuzzing. Then the expensive part: the default
-ratio sweep runs twice, once for the direction-of-effect checks and once
-to prove byte-level reproducibility, which dominates the suite's runtime.
+ratio sweep runs twice, once on one thread for the direction-of-effect
+checks and once on two threads to prove byte-level reproducibility across
+reruns and thread counts, which dominates the suite's runtime.
 """
 
 import decimal
@@ -38,7 +39,7 @@ from imbalidx.packets import (
     write_packet_csv,
     write_pcap,
 )
-from imbalidx.smote import SmoteConfig, smote
+from imbalidx.smote import smote
 
 
 # --- 1. metric formulas agree with a 50-digit decimal oracle ---------------
@@ -145,7 +146,7 @@ def test_oversampling_geometry_and_neighbors():
         dim = int(rng.integers(2, 24))
         minority = rng.normal(size=(m, dim))
         target = m + int(rng.integers(1, 2 * m))
-        result = smote(minority, SmoteConfig(target, k=5, seed=trial))
+        result = smote(minority, target, k=5, seed=trial)
         assert result.k_used == 5
         assert result.synthetic.shape == (target - m, dim)
         base, nbr, gap = result.base_idx, result.neighbor_idx, result.gap
@@ -254,8 +255,10 @@ def test_oversampling_benefit(sweep):
 
 
 def test_rerun_is_byte_identical(sweep, tmp_path):
+    # The rerun also runs the seeds on two threads: the outputs must not
+    # depend on the thread count.
     _, _, first = sweep
-    result = run_experiment(ExperimentConfig(), threads=1)
+    result = run_experiment(ExperimentConfig(), threads=2)
     again = tmp_path / "report.csv"
     write_report(result, again)
     for name in ("report.csv", "report.summary.csv", "report.manifest.json"):

@@ -7,8 +7,10 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import imbalidx
@@ -16,6 +18,7 @@ from imbalidx import experiment
 from imbalidx import flows as fl
 from imbalidx import mlp
 from imbalidx.cli import main
+from imbalidx.metrics import MetricsReport
 
 SIM_JSON = json.dumps({"n_normal_flows": 60, "n_attack_flows": 12, "seed": 5})
 
@@ -340,3 +343,22 @@ def test_experiment_rerun_and_threads_match(sweep, tmp_path, monkeypatch, capsys
         out.with_name("report.summary.csv").read_bytes()
     assert redo.with_name("report.manifest.json").read_bytes() == \
         out.with_name("report.manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("n_seeds", [2, 3])
+def test_summarize_takes_per_metric_medians_in_report_order(n_seeds):
+    rng = np.random.default_rng(n_seeds)
+    ratios = (0.01, 0.5, 0.1)  # not in report order
+    cells = [
+        experiment.CellResult(ratio, seed, smote, MetricsReport(*rng.uniform(-100, 100, 5)))
+        for seed in range(n_seeds) for ratio in ratios for smote in (True, False)
+    ]
+    rows = experiment.summarize(cells)
+    keys = sorted({(c.ratio, c.smote) for c in cells}, key=lambda k: (-k[0], k[1]))
+    assert [(r.ratio, r.smote) for r in rows] == keys
+    for row, (ratio, smote) in zip(rows, keys):
+        group = [c.report for c in cells if (c.ratio, c.smote) == (ratio, smote)]
+        assert len(group) == n_seeds
+        for f in fields(MetricsReport):
+            expected = float(np.median([getattr(g, f.name) for g in group]))
+            assert getattr(row.report, f.name) == expected

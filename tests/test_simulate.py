@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from imbalidx.flows import ATTACK, FEATURE_NAMES, assemble_flows, features_from_packets
 from imbalidx.packets import PacketTable, Protocol, parse_addr, quantize_timestamp
@@ -162,6 +164,10 @@ def test_mimics_share_the_normal_packet_count_range():
         dict(mimic_jitter_boost=-1.0),
         dict(attack_window_gap=0.0),
         dict(max_gap=0.0),
+        dict(max_gap=5.0),  # a burst gap reaching the flow idle timeout
+        dict(poll_period=6.0),  # longer than the idle timeout
+        dict(cycle_jitter=0.05),  # mimic jitter alone spans 6 s
+        dict(mimic_delay_boost=300.0),  # mimic responses up to 3 s late
         dict(attacker_addr="10.0.0.256"),  # not an IPv4 address
         dict(hmi_addr="hmi"),
     ],
@@ -169,6 +175,57 @@ def test_mimics_share_the_normal_packet_count_range():
 def test_config_validation(kwargs):
     with pytest.raises(ConfigInvalid):
         SimConfig(**kwargs)
+
+
+def test_port_reuse_needs_a_wide_enough_stagger():
+    # Normal sessions 64,512 apart share an ephemeral port; at this stagger
+    # they start 6.45 s apart, which is within a session plus the timeout.
+    with pytest.raises(ConfigInvalid, match="flow_stagger"):
+        SimConfig(n_normal_flows=70_000, flow_stagger=0.0001)
+    SimConfig(n_normal_flows=64_512, flow_stagger=0.0001)  # no port reused
+    SimConfig(n_normal_flows=70_000)  # 645 s apart at the default stagger
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_normal=st.integers(0, 30),
+    n_attack=st.integers(0, 8),
+    burst_fraction=st.floats(0.0, 1.0),
+    poll_period=st.floats(0.2, 6.0),
+    period_stddev=st.floats(0.0, 0.2),
+    cycle_jitter=st.floats(0.0, 0.1),
+    shift_frac=st.floats(0.0, 0.9),
+    jitter_boost=st.floats(0.0, 10.0),
+    delay_boost=st.floats(0.0, 50.0),
+    max_gap=st.floats(0.01, 8.0),
+    pkts=st.integers(2, 16),
+    seed=st.integers(0, 2**16),
+)
+def test_accepted_configs_keep_one_flow_per_session(
+    n_normal, n_attack, burst_fraction, poll_period, period_stddev, cycle_jitter,
+    shift_frac, jitter_boost, delay_boost, max_gap, pkts, seed,
+):
+    try:
+        cfg = SimConfig(
+            n_normal_flows=n_normal, n_attack_flows=n_attack,
+            burst_fraction=burst_fraction, poll_period=poll_period,
+            period_stddev=period_stddev, cycle_jitter=cycle_jitter,
+            mimic_period_shift=shift_frac * poll_period,
+            mimic_jitter_boost=jitter_boost, mimic_delay_boost=delay_boost,
+            max_gap=max_gap, normal_pkts_per_flow=pkts, seed=seed,
+        )
+    except ConfigInvalid:
+        assume(False)
+    packets, rules = simulate(cfg)
+    flows = assemble_flows(packets)
+    assert len(flows) == n_normal + n_attack
+    pair = {parse_addr(cfg.attacker_addr), parse_addr(cfg.plc_addr)}
+    on_pair = np.array([{a, b} == pair for a, b in zip(flows.src.tolist(), flows.dst.tolist())],
+                       dtype=bool)
+    assert len(rules) == n_attack
+    for r in rules:
+        overlaps = on_pair & (flows.start <= r.end_time) & (flows.end >= r.start_time)
+        assert np.count_nonzero(overlaps) == 1
 
 
 def test_config_from_json_round_trip():
@@ -205,6 +262,8 @@ BAD_CONFIGS = [
     (ExperimentConfig, '{"train": {"epochs": "3"}}'),
     (TrainConfig, '{"epochs": 0}'),  # out of range
     (ExperimentConfig, '{"n_attack": 1}'),
+    (ExperimentConfig, '{"ratios": [0.5, 0.25, 0.5]}'),  # repeated ratio
+    (ExperimentConfig, '{"ratios": [0.5, 0.25], "smote_ratios": [0.25, 0.25]}'),
 ]
 
 

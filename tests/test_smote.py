@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from imbalidx.smote import (
     PROVENANCE_CSV_HEADER,
-    SmoteConfig,
     TooFewMinority,
     _nearest_neighbors,
     augment_training_set,
@@ -86,7 +85,7 @@ def test_neighbor_ties_break_toward_lower_index():
 def test_synthetic_rows_stay_on_their_segments():
     rng = np.random.default_rng(5)
     minority = rng.normal(size=(40, 6))
-    result = smote(minority, SmoteConfig(target_count=140, k=5, seed=9))
+    result = smote(minority, 140, k=5, seed=9)
     assert result.n_synthetic == 100
     base = minority[result.base_idx]
     neigh = minority[result.neighbor_idx]
@@ -100,7 +99,7 @@ def test_synthetic_rows_stay_on_their_segments():
 def test_replay_reproduces_synthetics_exactly():
     rng = np.random.default_rng(6)
     minority = rng.normal(size=(25, 23))
-    result = smote(minority, SmoteConfig(target_count=90, k=5, seed=1))
+    result = smote(minority, 90, k=5, seed=1)
     again = replay(minority, result)
     assert np.array_equal(again, result.synthetic)
 
@@ -112,18 +111,18 @@ def test_replay_is_affine_equivariant():
     raw = rng.normal(50, 20, size=(30, 4))
     mean, std = raw.mean(axis=0), raw.std(axis=0)
     z = (raw - mean) / std
-    result = smote(z, SmoteConfig(target_count=75, k=3, seed=4))
+    result = smote(z, 75, k=3, seed=4)
     raw_synth = replay(raw, result)
     assert np.allclose((raw_synth - mean) / std, result.synthetic, atol=1e-10)
 
 
 def test_round_robin_base_assignment():
     minority = np.random.default_rng(2).normal(size=(10, 3))
-    result = smote(minority, SmoteConfig(target_count=40, k=3, seed=0))
+    result = smote(minority, 40, k=3, seed=0)
     counts = np.bincount(result.base_idx, minlength=10)
     assert counts.tolist() == [3] * 10
     # With a remainder, counts differ by at most one and sum correctly.
-    result = smote(minority, SmoteConfig(target_count=47, k=3, seed=0))
+    result = smote(minority, 47, k=3, seed=0)
     counts = np.bincount(result.base_idx, minlength=10)
     assert sorted(set(counts.tolist())) in ([3, 4], [3], [4])
     assert counts.sum() == 37
@@ -133,7 +132,7 @@ def test_round_robin_base_assignment():
 def test_identical_rows_yield_identical_synthetics():
     row = np.array([2.5, -1.0, 7.0])
     minority = np.tile(row, (4, 1))
-    result = smote(minority, SmoteConfig(target_count=9, k=3, seed=11))
+    result = smote(minority, 9, k=3, seed=11)
     assert result.n_synthetic == 5
     assert np.all(result.synthetic == row)
 
@@ -141,7 +140,7 @@ def test_identical_rows_yield_identical_synthetics():
 def test_two_point_minority_interpolates_the_segment():
     a = np.array([0.0, 0.0])
     b = np.array([1.0, 2.0])
-    result = smote(np.stack([a, b]), SmoteConfig(target_count=12, k=1, seed=3))
+    result = smote(np.stack([a, b]), 12, k=1, seed=3)
     for s, bi, g in zip(result.synthetic, result.base_idx, result.gap):
         start, end = (a, b) if bi == 0 else (b, a)
         assert np.array_equal(s, start + g * (end - start))
@@ -149,9 +148,9 @@ def test_two_point_minority_interpolates_the_segment():
 
 def test_determinism_and_seed_sensitivity():
     minority = np.random.default_rng(1).normal(size=(15, 5))
-    r1 = smote(minority, SmoteConfig(target_count=50, k=5, seed=21))
-    r2 = smote(minority, SmoteConfig(target_count=50, k=5, seed=21))
-    r3 = smote(minority, SmoteConfig(target_count=50, k=5, seed=22))
+    r1 = smote(minority, 50, k=5, seed=21)
+    r2 = smote(minority, 50, k=5, seed=21)
+    r3 = smote(minority, 50, k=5, seed=22)
     assert np.array_equal(r1.synthetic, r2.synthetic)
     assert np.array_equal(r1.base_idx, r2.base_idx)
     assert np.array_equal(r1.gap, r2.gap)
@@ -161,7 +160,7 @@ def test_determinism_and_seed_sensitivity():
 def test_k_clamped_with_warning_when_minority_is_small():
     minority = np.random.default_rng(0).normal(size=(3, 4))
     with pytest.warns(UserWarning, match="clamped"):
-        result = smote(minority, SmoteConfig(target_count=8, k=5, seed=0))
+        result = smote(minority, 8, k=5, seed=0)
     assert result.k_used == 2
     assert result.n_synthetic == 5
 
@@ -169,23 +168,24 @@ def test_k_clamped_with_warning_when_minority_is_small():
 def test_too_few_minority_rows():
     one = np.ones((1, 4))
     with pytest.raises(TooFewMinority):
-        smote(one, SmoteConfig(target_count=5, k=5, seed=0))
+        smote(one, 5, k=5, seed=0)
     # No growth requested: fine even below two rows.
-    result = smote(one, SmoteConfig(target_count=1, k=5, seed=0))
+    result = smote(one, 1, k=5, seed=0)
     assert result.n_synthetic == 0
 
 
 def test_target_below_current_size_rejected():
     minority = np.ones((6, 2))
     with pytest.raises(ValueError):
-        smote(minority, SmoteConfig(target_count=3, k=2, seed=0))
+        smote(minority, 3, k=2, seed=0)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SmoteConfig(target_count=10, k=0)
-    with pytest.raises(ValueError):
-        SmoteConfig(target_count=-1, k=5)
+    minority = np.ones((6, 2))
+    with pytest.raises(ValueError, match="k must be"):
+        smote(minority, 10, k=0)
+    with pytest.raises(ValueError, match="target_count"):
+        smote(minority, -1, k=5)
 
 
 def test_minority_class_prefers_attack_on_ties():
@@ -240,7 +240,7 @@ def test_augment_passes_through_when_already_balanced():
 
 def test_provenance_csv_round_trip(tmp_path):
     minority = np.random.default_rng(9).normal(size=(12, 3))
-    result = smote(minority, SmoteConfig(target_count=30, k=4, seed=7))
+    result = smote(minority, 30, k=4, seed=7)
     path = tmp_path / "prov.csv"
     write_provenance_csv(result, path)
     assert path.read_text().splitlines()[0] == PROVENANCE_CSV_HEADER
