@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Tuple
 
@@ -38,7 +38,7 @@ from .experiment import (
 )
 from .metrics import MetricsReport, confusion
 from .simulate import SimConfig, simulate
-from .textio import ConfigInvalid, config_from_json, json_value
+from .textio import config_from_json, json_value
 
 
 class UsageError(Exception):
@@ -71,9 +71,7 @@ def _seed_arg(value: str) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = config_from_json(SimConfig, _read_text(args.config, "config file"))
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    packets, rules = simulate(cfg)
+    packets, rules = simulate(cfg, args.seed)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     pcap_path = prefix.with_name(prefix.name + ".pcap")
@@ -158,14 +156,9 @@ def _train_options(args):
     cfg = mlp.TrainConfig()
     if args.config:
         obj = json.loads(_read_text(args.config, "config file"))
-        if isinstance(obj, dict) and "threshold" in obj:
-            raise ConfigInvalid("threshold is not used in training; "
-                                "pass it to evaluate --threshold")
         if isinstance(obj, dict) and "layer_sizes" in obj:
             layer_sizes = json_value(Tuple[int, ...], obj.pop("layer_sizes"), "layer_sizes")
         cfg = config_from_json(mlp.TrainConfig, obj)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=derive_seed(args.seed, 1))
     return layer_sizes, cfg
 
 
@@ -175,7 +168,7 @@ def cmd_train(args) -> int:
     stats = ds.normalize_fit(data.x)
     z = ds.normalize_apply(data, stats)
     model = mlp.init_model(layer_sizes, derive_seed(args.seed, 0))
-    _, history = mlp.train(model, z, cfg)
+    _, history = mlp.train(model, z, cfg, derive_seed(args.seed, 1))
     mlp.save_model(model, args.out)
     ds.save_stats(stats, str(args.out) + ".stats.json")
     print(
@@ -237,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate traffic and label windows")
     p.add_argument("--config", required=True, help="SimConfig JSON path")
-    p.add_argument("--seed", type=_seed_arg, help="override the config seed")
+    p.add_argument("--seed", type=_seed_arg,
+                   help="pins the capture; unseeded runs differ")
     p.add_argument("--out", required=True, metavar="PREFIX",
                    help="output prefix; writes PREFIX.pcap and PREFIX.labels.csv")
     p.add_argument("--packets-csv", action="store_true",

@@ -14,6 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .flows import ATTACK, NORMAL, LabeledDataset, write_features_csv
+from .textio import json_value
 
 
 class InsufficientPool(ValueError):
@@ -126,11 +127,18 @@ class NormalizationStats:
 
     @classmethod
     def from_json(cls, text: str) -> "NormalizationStats":
+        """Stats from the text to_json writes. The text comes from outside,
+        so anything but an object whose mean and std are arrays of finite
+        numbers of one length, every std positive, raises ValueError."""
         obj = json.loads(text)
-        mean = np.asarray(obj["mean"], dtype=np.float64)
-        std = np.asarray(obj["std"], dtype=np.float64)
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise ValueError("mean and std must be 1-d arrays of equal length")
+        if not isinstance(obj, dict) or not {"mean", "std"} <= obj.keys():
+            raise ValueError("normalization stats must be a JSON object with mean and std")
+        mean, std = (np.array(json_value(Tuple[float, ...], obj[k], "stats " + k), np.float64)
+                     for k in ("mean", "std"))
+        if mean.shape != std.shape:
+            raise ValueError("stats mean and std must have equal length")
+        if not (std > 0).all():
+            raise ValueError("stats std must be positive")
         return cls(mean=mean, std=std)
 
 

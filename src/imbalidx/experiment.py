@@ -40,9 +40,9 @@ from .dataset import (
     required_normals,
 )
 from .dataset import split_train_test
-from .flows import ATTACK, features_from_packets, to_arrays, write_features_csv
+from .flows import ATTACK, FEATURE_NAMES, features_from_packets, to_arrays, write_features_csv
 from .metrics import MetricsReport, confusion
-from .mlp import TrainConfig, init_model, predict, train
+from .mlp import BadArchitecture, TrainConfig, check_architecture, init_model, predict, train
 from .simulate import SimConfig, simulate
 from .smote import augment_training_set
 from .textio import ConfigInvalid
@@ -100,23 +100,25 @@ class ExperimentConfig:
             raise ConfigInvalid("smote_k must be >= 1")
         if self.pool_margin < 0:
             raise ConfigInvalid("pool_margin must be >= 0")
-        # _run_seed sets these per seed, so any other value would be ignored.
-        for name, value, default in (
-            ("sim.seed", self.sim.seed, None),
-            ("sim.n_normal_flows", self.sim.n_normal_flows, SimConfig.n_normal_flows),
-            ("sim.n_attack_flows", self.sim.n_attack_flows, SimConfig.n_attack_flows),
-            ("train.seed", self.train.seed, None),
-        ):
-            if value != default:
+        try:
+            n_in = check_architecture(self.layer_sizes)[0]
+            if n_in != len(FEATURE_NAMES):
+                raise BadArchitecture(f"input layer of {n_in}, not {len(FEATURE_NAMES)} features")
+        except BadArchitecture as exc:
+            raise ConfigInvalid(f"layer_sizes: {exc}") from None
+        # pool_sim sets these per seed, so any other value would be ignored.
+        for name in ("n_normal_flows", "n_attack_flows"):
+            default = getattr(SimConfig, name)
+            if getattr(self.sim, name) != default:
                 raise ConfigInvalid(
-                    f"{name} is derived by the sweep, so it must keep its default {default!r}"
+                    f"sim.{name} is derived by the sweep, so it must keep its default {default!r}"
                 )
         self.pool_sim()  # the per-seed pool must be a valid SimConfig too
 
     def pool_sim(self) -> SimConfig:
         """The simulator config of every seed's pool: enough normal
         sessions for the smallest ratio plus pool_margin, and n_attack
-        attack sessions. The seed comes from the caller's generator."""
+        attack sessions. Its seed is an argument of simulate."""
         return replace(
             self.sim,
             n_normal_flows=required_normals(self.n_attack, min(self.ratios)) + self.pool_margin,
@@ -151,8 +153,9 @@ class ExperimentResult:
 def derive_seed(seed: Optional[int], *path: int) -> Optional[int]:
     """The integer seed of one stage: the first 64-bit word of
     SeedSequence([seed, *path]), where path names the stage and cell. None
-    stays None, so an unseeded run stays unseeded. Stages that take a
-    generator are seeded with SeedSequence([seed, *path]) itself."""
+    stays None, so an unseeded run stays unseeded. The sweep seeds train
+    with this int and every other stage with SeedSequence([seed, *path])
+    itself."""
     if seed is None:
         return None
     return int(np.random.SeedSequence([seed, *path]).generate_state(1, np.uint64)[0])
@@ -160,9 +163,7 @@ def derive_seed(seed: Optional[int], *path: int) -> Optional[int]:
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     """Simulate one pool, then run every (ratio, smote) cell for this seed."""
-    packets, rules = simulate(
-        cfg.pool_sim(), np.random.default_rng(np.random.SeedSequence([seed, _SIM]))
-    )
+    packets, rules = simulate(cfg.pool_sim(), np.random.SeedSequence([seed, _SIM]))
     feats = features_from_packets(packets, rules)
     del packets
     if cfg.workdir is not None:
@@ -207,14 +208,12 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
                 cfg.layer_sizes,
                 np.random.SeedSequence([seed, _INIT, r_idx, int(use_smote)]),
             )
-            cell_train = replace(
-                cfg.train, seed=derive_seed(seed, _TRAIN, r_idx, int(use_smote))
-            )
             # Only the train() call holds the lock, so the tracer's train
             # span times training, not waiting.
             with _TRAIN_LOCK:
-                train(model, LabeledDataset(xv, yv), cell_train)
-            preds = predict(model, xte, cfg.train.threshold)
+                train(model, LabeledDataset(xv, yv), cfg.train,
+                      derive_seed(seed, _TRAIN, r_idx, int(use_smote)))
+            preds = predict(model, xte)
             report = MetricsReport.from_confusion(confusion(preds, yte))
             cells.append(CellResult(ratio, seed, use_smote, report))
     return cells

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -84,8 +84,6 @@ class TrainConfig:
     batch_size: int = 256
     learning_rate: float = 0.01
     momentum: float = 0.9
-    seed: Optional[int] = None
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -96,11 +94,10 @@ class TrainConfig:
             raise ConfigInvalid(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigInvalid(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigInvalid(f"threshold must be in (0, 1), got {self.threshold}")
 
 
-def _check_architecture(layer_sizes: Sequence[int]) -> List[int]:
+def check_architecture(layer_sizes: Sequence[int]) -> List[int]:
+    """The sizes as ints; BadArchitecture unless they describe a binary classifier."""
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2:
         raise BadArchitecture(f"need input and output layers, got {sizes}")
@@ -113,7 +110,7 @@ def _check_architecture(layer_sizes: Sequence[int]) -> List[int]:
 
 def init_model(layer_sizes: Sequence[int], seed=None) -> MlpModel:
     """Uniform weights in ±sqrt(6/(fan_in+fan_out)), zero biases."""
-    sizes = _check_architecture(layer_sizes)
+    sizes = check_architecture(layer_sizes)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -294,15 +291,16 @@ def train(
     model: MlpModel,
     train_set: LabeledDataset,
     config: TrainConfig = TrainConfig(),
+    seed=None,
 ) -> Tuple[MlpModel, List[float]]:
     """Fit in place and return (model, per-epoch mean losses).
 
     Velocity update per parameter: v = momentum*v - lr*grad; theta += v.
-    Epoch shuffling comes from config.seed, so a (seed, data, config)
-    triple fully determines the fitted parameters. The arrays in
-    model.weights and model.biases are updated in place, and hold the
-    parameters of the last completed step also when NonFiniteLoss is
-    raised.
+    Epoch shuffling comes from seed (anything np.random.default_rng
+    takes), so a (seed, data, config) triple fully determines the fitted
+    parameters. The arrays in model.weights and model.biases are updated
+    in place, and hold the parameters of the last completed step also
+    when NonFiniteLoss is raised.
     """
     x = _as_matrix(model, train_set.x)
     y = train_set.y.astype(np.float64)
@@ -312,7 +310,7 @@ def train(
             f"training labels are all {classes[0]:g}" if classes.size else
             "training set is empty"
         )
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n = x.shape[0]
     batch_size = config.batch_size
     ws = _Workspace(model, min(batch_size, n))
@@ -405,7 +403,7 @@ def load_model(path) -> MlpModel:
     if obj.get("hidden_activation") != "relu" or obj.get("output_activation") != "sigmoid":
         raise ModelFormatError("unknown activation names")
     try:
-        sizes = _check_architecture(obj["layer_sizes"])
+        sizes = check_architecture(obj["layer_sizes"])
         weights = [np.asarray(w, dtype=np.float64) for w in obj["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in obj["biases"]]
     except (KeyError, TypeError, ValueError) as exc:

@@ -25,7 +25,7 @@ alone must never give them away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class SimConfig:
     plc_addr: str = "10.0.0.20"
     attacker_addr: str = "10.0.0.66"
     modbus_port: int = 502
-    seed: Optional[int] = None
     base_time: float = 10.0
     flow_stagger: float = 0.01
     # Normal polling shape.
@@ -276,14 +275,12 @@ def _burst_columns(cfg: SimConfig, rng: np.random.Generator, n: int):
     return times, code, flow_of, length, retx, counts
 
 
-def simulate(
-    config: SimConfig, rng: np.random.Generator = None
-) -> Tuple[PacketTable, List[LabelRule]]:
+def simulate(config: SimConfig, seed=None) -> Tuple[PacketTable, List[LabelRule]]:
     """Generate the merged packet stream and one label window per attack
-    session. Packets come back sorted by timestamp. Randomness comes from
-    rng when given, else from config.seed."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    session. Packets come back sorted by timestamp. seed is anything
+    np.random.default_rng takes; an int, its SeedSequence and a fresh
+    Generator from either give the same stream."""
+    rng = np.random.default_rng(seed)
     cfg = config
     # One block per source, each (times, endpoint code, ephemeral port,
     # length, retx); normal traffic first.

@@ -76,12 +76,13 @@ def train(
     model: MlpModel,
     train_set: LabeledDataset,
     config: TrainConfig = TrainConfig(),
+    seed=None,
 ) -> Tuple[MlpModel, List[float]]:
     """Fit in place and return (model, per-epoch mean losses).
 
     Velocity update per parameter: v = momentum*v - lr*grad; theta += v.
-    Epoch shuffling comes from config.seed, so a (seed, data, config)
-    triple fully determines the fitted parameters.
+    Epoch shuffling comes from seed, so a (seed, data, config) triple
+    fully determines the fitted parameters.
     """
     x = _as_matrix(model, train_set.x)
     y = train_set.y.astype(np.float64)
@@ -91,7 +92,7 @@ def train(
             f"training labels are all {classes[0]:g}" if classes.size else
             "training set is empty"
         )
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     history: List[float] = []

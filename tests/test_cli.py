@@ -19,8 +19,9 @@ from imbalidx import flows as fl
 from imbalidx import mlp
 from imbalidx.cli import main
 from imbalidx.metrics import MetricsReport
+from imbalidx.textio import config_from_json
 
-SIM_JSON = json.dumps({"n_normal_flows": 60, "n_attack_flows": 12, "seed": 5})
+SIM_JSON = json.dumps({"n_normal_flows": 60, "n_attack_flows": 12})
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,8 @@ def pipeline(tmp_path_factory):
         json.dumps({"epochs": 25, "batch_size": 16, "layer_sizes": [23, 8, 1]})
     )
     steps = [
-        ["simulate", "--config", str(paths["config"]), "--out", str(root / "run")],
+        ["simulate", "--config", str(paths["config"]), "--seed", "5",
+         "--out", str(root / "run")],
         ["extract", "--in", str(paths["pcap"]), "--labels", str(paths["labels"]),
          "--idle-timeout", "60", "--out", str(paths["features"])],
         ["build", "--features", str(paths["features"]), "--ratio", "0.2",
@@ -115,17 +117,17 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(SIM_JSON)
     for name in ("a", "b"):
-        assert main(["simulate", "--config", str(cfg),
+        assert main(["simulate", "--config", str(cfg), "--seed", "5",
                      "--out", str(tmp_path / name)]) == 0
     assert (tmp_path / "a.pcap").read_bytes() == (tmp_path / "b.pcap").read_bytes()
     assert (tmp_path / "a.labels.csv").read_bytes() == \
         (tmp_path / "b.labels.csv").read_bytes()
 
 
-def test_simulate_seed_flag_overrides_config(tmp_path):
+def test_simulate_seed_flag_picks_the_capture(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(SIM_JSON)
-    assert main(["simulate", "--config", str(cfg),
+    assert main(["simulate", "--config", str(cfg), "--seed", "5",
                  "--out", str(tmp_path / "a")]) == 0
     assert main(["simulate", "--config", str(cfg), "--seed", "99",
                  "--out", str(tmp_path / "b")]) == 0
@@ -134,8 +136,8 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
 
 def test_packets_csv_flag(tmp_path):
     cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({"n_normal_flows": 4, "n_attack_flows": 0, "seed": 1}))
-    assert main(["simulate", "--config", str(cfg), "--packets-csv",
+    cfg.write_text(json.dumps({"n_normal_flows": 4, "n_attack_flows": 0}))
+    assert main(["simulate", "--config", str(cfg), "--seed", "1", "--packets-csv",
                  "--out", str(tmp_path / "run")]) == 0
     csv_path = tmp_path / "run.packets.csv"
     assert csv_path.is_file()
@@ -191,6 +193,40 @@ def test_missing_model_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def _run_cli(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(imbalidx.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "imbalidx.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "stats",
+    ['{"std": [1.0]}', "[1, 2]",
+     json.dumps({"mean": [0.0] * 23, "std": [0.0] * 23})],
+    ids=["no-mean", "array", "zero-std"],
+)
+def test_bad_stats_sidecar_exits_two(pipeline, tmp_path, stats):
+    import shutil
+
+    model = tmp_path / "model.json"
+    shutil.copy(pipeline["model"], model)
+    (tmp_path / "model.json.stats.json").write_text(stats)
+    proc = _run_cli(["evaluate", "--model", str(model), "--data", str(pipeline["dataset"])])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "stats" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_train_seed_flag_pins_the_model(pipeline, tmp_path):
+    cfg = tmp_path / "train.json"
+    cfg.write_text('{"epochs": 3, "batch_size": 16}')
+    models = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in models:
+        assert main(["train", "--data", str(pipeline["augmented"]), "--config", str(cfg),
+                     "--seed", "3", "--out", str(out)]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
 def test_missing_stats_sidecar_exits_two(pipeline, tmp_path, capsys):
     import shutil
 
@@ -242,10 +278,13 @@ def test_train_checks_its_config_before_the_data(pipeline, tmp_path, capsys):
         ("experiment", '{"n_attack": "5"}', "n_attack"),
         ("experiment", '{"ratios": 5}', "ratios"),
         ("experiment", '{"train": {"epochs": 2.5}}', "train.epochs"),
-        ("experiment", '{"sim": {"seed": 1}}', "sim.seed"),  # the sweep derives it
+        ("experiment", '{"sim": {"seed": 1}}', "sim.seed"),  # seeds are call arguments
+        ("experiment", '{"layer_sizes": [23, 8, 2]}', "layer_sizes"),
         ("train", '{"epochs": "3"}', "epochs"),
         ("train", '{"layer_sizes": 5}', "layer_sizes"),
-        ("train", '{"threshold": 0.7}', "evaluate --threshold"),  # not a training knob
+        ("train", '{"threshold": 0.7}', "threshold"),  # evaluate --threshold sets it
+        ("train", '{"seed": 5}', "seed"),
+        ("simulate", '{"seed": 5}', "seed"),
     ],
 )
 def test_wrongly_typed_config_exits_two(pipeline, tmp_path, command, config, key):
@@ -254,9 +293,7 @@ def test_wrongly_typed_config_exits_two(pipeline, tmp_path, command, config, key
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
     if command == "train":
         argv += ["--data", str(pipeline["dataset"])]
-    env = dict(os.environ, PYTHONPATH=str(Path(imbalidx.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "imbalidx.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _run_cli(argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert key in proc.stderr
@@ -343,6 +380,23 @@ def test_experiment_rerun_and_threads_match(sweep, tmp_path, monkeypatch, capsys
         out.with_name("report.summary.csv").read_bytes()
     assert redo.with_name("report.manifest.json").read_bytes() == \
         out.with_name("report.manifest.json").read_bytes()
+
+
+def test_experiment_workdir_keeps_each_seeds_features(sweep, tmp_path):
+    _, out = sweep
+    work = tmp_path / "work"
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({**json.loads(EXPERIMENT_JSON), "workdir": str(work)}))
+    redo = tmp_path / "report.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(redo)]) == 0
+    exp = config_from_json(experiment.ExperimentConfig, cfg.read_text())
+    for seed in exp.seeds:
+        feats = fl.read_features_csv(work / f"features_seed{seed}.csv")
+        assert len(feats) == exp.pool_sim().n_normal_flows + exp.n_attack
+        assert feats.n_attack == exp.n_attack
+    assert redo.read_bytes() == out.read_bytes()
+    assert redo.with_name("report.summary.csv").read_bytes() == \
+        out.with_name("report.summary.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n_seeds", [2, 3])

@@ -212,6 +212,26 @@ def test_stats_from_json_validates_shapes():
         NormalizationStats.from_json(json.dumps({"mean": [0.0, 1.0], "std": [1.0]}))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",  # not an object
+        '{"std": [1.0]}',  # no mean
+        '{"mean": [0.0]}',  # no std
+        '{"mean": 0.0, "std": [1.0]}',  # a number, not an array
+        '{"mean": ["0"], "std": [1.0]}',  # a string inside
+        '{"mean": [true], "std": [1.0]}',
+        '{"mean": [NaN], "std": [1.0]}',  # not finite
+        '{"mean": [0.0], "std": [Infinity]}',
+        '{"mean": [0.0, 0.0], "std": [1.0, 0.0]}',  # would divide by zero
+        '{"mean": [0.0], "std": [-1.0]}',
+    ],
+)
+def test_stats_from_json_rejects_bad_sidecars(text):
+    with pytest.raises(ValueError):
+        NormalizationStats.from_json(text)
+
+
 def test_dataset_csv_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     x = np.abs(rng.normal(100, 40, size=(30, 23)))

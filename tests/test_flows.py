@@ -449,8 +449,8 @@ def test_matches_oracle_on_random_streams(stream_and_rules):
 @pytest.fixture(scope="module")
 def pool():
     """A 100k-session simulated pool at the default idle timeout."""
-    cfg = SimConfig(n_normal_flows=99_000, n_attack_flows=1_000, seed=20261018)
-    packets, rules = simulate(cfg)
+    cfg = SimConfig(n_normal_flows=99_000, n_attack_flows=1_000)
+    packets, rules = simulate(cfg, 20261018)
     return cfg, packets, rules
 
 

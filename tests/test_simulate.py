@@ -15,42 +15,40 @@ from imbalidx.mlp import TrainConfig
 from imbalidx.simulate import ConfigInvalid, SimConfig, simulate
 from imbalidx.textio import config_from_json
 
-SMALL = SimConfig(n_normal_flows=30, n_attack_flows=6, seed=11)
+SMALL = SimConfig(n_normal_flows=30, n_attack_flows=6)
 
 
 def test_same_seed_same_stream():
-    p1, r1 = simulate(SMALL)
-    p2, r2 = simulate(SMALL)
+    p1, r1 = simulate(SMALL, 11)
+    p2, r2 = simulate(SMALL, 11)
     assert p1 == p2
     assert r1 == r2
 
 
 def test_different_seed_different_stream():
-    p1, _ = simulate(SMALL)
-    p2, _ = simulate(SimConfig(n_normal_flows=30, n_attack_flows=6, seed=12))
+    p1, _ = simulate(SMALL, 11)
+    p2, _ = simulate(SMALL, 12)
     assert p1 != p2
 
 
-def test_explicit_rng_matches_config_seed():
-    import numpy as np
-
-    cfg = SimConfig(n_normal_flows=10, n_attack_flows=2, seed=None)
-    p1, r1 = simulate(cfg, rng=np.random.default_rng(42))
-    p2, r2 = simulate(SimConfig(n_normal_flows=10, n_attack_flows=2, seed=42))
-    assert p1 == p2 and r1 == r2
+def test_int_seed_sequence_and_generator_seeds_agree():
+    cfg = SimConfig(n_normal_flows=10, n_attack_flows=2)
+    want = simulate(cfg, 42)
+    assert simulate(cfg, np.random.SeedSequence(42)) == want
+    assert simulate(cfg, np.random.default_rng(42)) == want
 
 
 def test_timestamps_sorted_and_on_microsecond_grid():
-    packets, _ = simulate(SMALL)
+    packets, _ = simulate(SMALL, 11)
     times = packets.ts.tolist()
     assert times == sorted(times)
     assert all(quantize_timestamp(t) == t for t in times)
 
 
 def test_stream_shape_normal_only():
-    packets, rules = simulate(SimConfig(n_normal_flows=25, n_attack_flows=0, seed=3))
+    cfg = SimConfig(n_normal_flows=25, n_attack_flows=0)
+    packets, rules = simulate(cfg, 3)
     assert rules == []
-    cfg = SimConfig(n_normal_flows=25, n_attack_flows=0, seed=3)
     hmi, plc = parse_addr(cfg.hmi_addr), parse_addr(cfg.plc_addr)
     hosts = set(zip(packets.src.tolist(), packets.dst.tolist()))
     assert hosts <= {(hmi, plc), (plc, hmi)}
@@ -60,7 +58,7 @@ def test_stream_shape_normal_only():
 
 
 def test_empty_config_yields_empty_stream():
-    packets, rules = simulate(SimConfig(n_normal_flows=0, n_attack_flows=0, seed=0))
+    packets, rules = simulate(SimConfig(n_normal_flows=0, n_attack_flows=0), 0)
     assert packets == PacketTable.from_records([]) and rules == []
 
 
@@ -71,8 +69,8 @@ def test_empty_config_yields_empty_stream():
 )
 def test_one_label_window_per_attack_session(n_normal, burst_fraction):
     cfg = SimConfig(n_normal_flows=n_normal, n_attack_flows=7,
-                    burst_fraction=burst_fraction, seed=9)
-    packets, rules = simulate(cfg)
+                    burst_fraction=burst_fraction)
+    packets, rules = simulate(cfg, 9)
     assert len(rules) == 7
     for r in rules:
         assert r.label == ATTACK
@@ -92,8 +90,8 @@ def test_one_label_window_per_attack_session(n_normal, burst_fraction):
 
 
 def test_attack_packets_stay_inside_their_windows():
-    cfg = SimConfig(n_normal_flows=0, n_attack_flows=5, seed=21)
-    packets, rules = simulate(cfg)
+    cfg = SimConfig(n_normal_flows=0, n_attack_flows=5)
+    packets, rules = simulate(cfg, 21)
     lo = min(r.start_time for r in rules)
     hi = max(r.end_time for r in rules)
     assert all(lo <= t <= hi for t in packets.ts.tolist())
@@ -105,8 +103,8 @@ def test_attack_packets_stay_inside_their_windows():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pipeline_labels_exactly_the_attack_sessions(seed):
-    cfg = SimConfig(n_normal_flows=90, n_attack_flows=10, seed=seed)
-    packets, rules = simulate(cfg)
+    cfg = SimConfig(n_normal_flows=90, n_attack_flows=10)
+    packets, rules = simulate(cfg, seed)
     feats = features_from_packets(packets, rules, idle_timeout=60.0)
     assert len(feats) == 100
     assert feats.n_attack == 10
@@ -118,8 +116,8 @@ def test_pipeline_labels_exactly_the_attack_sessions(seed):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_attack_flows_are_statistically_noisier(seed):
-    cfg = SimConfig(n_normal_flows=90, n_attack_flows=10, seed=seed)
-    packets, rules = simulate(cfg)
+    cfg = SimConfig(n_normal_flows=90, n_attack_flows=10)
+    packets, rules = simulate(cfg, seed)
     feats = features_from_packets(packets, rules, idle_timeout=60.0)
     jitter = feats.x[:, FEATURE_NAMES.index("src_jitter")]
     assert jitter[feats.y == ATTACK].mean() > 2.0 * jitter[feats.y != ATTACK].mean()
@@ -129,9 +127,9 @@ def test_mimics_share_the_normal_packet_count_range():
     # With bursts disabled every attack session polls, so packet counts
     # cannot separate the classes.
     cfg = SimConfig(
-        n_normal_flows=40, n_attack_flows=40, burst_fraction=0.0, seed=14
+        n_normal_flows=40, n_attack_flows=40, burst_fraction=0.0
     )
-    packets, rules = simulate(cfg)
+    packets, rules = simulate(cfg, 14)
     feats = features_from_packets(packets, rules, idle_timeout=60.0)
     tpkts = feats.x[:, FEATURE_NAMES.index("tpkts")]
     assert set(tpkts[feats.y == ATTACK]) <= set(tpkts[feats.y != ATTACK])
@@ -212,11 +210,11 @@ def test_accepted_configs_keep_one_flow_per_session(
             period_stddev=period_stddev, cycle_jitter=cycle_jitter,
             mimic_period_shift=shift_frac * poll_period,
             mimic_jitter_boost=jitter_boost, mimic_delay_boost=delay_boost,
-            max_gap=max_gap, normal_pkts_per_flow=pkts, seed=seed,
+            max_gap=max_gap, normal_pkts_per_flow=pkts,
         )
     except ConfigInvalid:
         assume(False)
-    packets, rules = simulate(cfg)
+    packets, rules = simulate(cfg, seed)
     flows = assemble_flows(packets)
     assert len(flows) == n_normal + n_attack
     pair = {parse_addr(cfg.attacker_addr), parse_addr(cfg.plc_addr)}
@@ -230,11 +228,10 @@ def test_accepted_configs_keep_one_flow_per_session(
 
 def test_config_from_json_round_trip():
     cfg = config_from_json(
-        SimConfig, json.dumps({"n_normal_flows": 5, "n_attack_flows": 1, "seed": 8})
+        SimConfig, json.dumps({"n_normal_flows": 5, "n_attack_flows": 1})
     )
     assert cfg.n_normal_flows == 5
     assert cfg.n_attack_flows == 1
-    assert cfg.seed == 8
     assert cfg.poll_period == SimConfig().poll_period
 
 
@@ -246,7 +243,7 @@ BAD_CONFIGS = [
     (SimConfig, '{"n_normal_flows": "lots"}'),
     (SimConfig, '{"modbus_port": -1}'),
     (SimConfig, '{"n_normal_flows": 5.5}'),  # float for an int
-    (SimConfig, '{"seed": "1"}'),  # string for an Optional int
+    (SimConfig, '{"seed": "1"}'),  # the seed is an argument of simulate
     (SimConfig, '{"poll_period": NaN}'),  # not finite
     (TrainConfig, '{"epochs": "3"}'),  # string for an int
     (TrainConfig, '{"batch_size": 5.5}'),
@@ -264,6 +261,9 @@ BAD_CONFIGS = [
     (ExperimentConfig, '{"n_attack": 1}'),
     (ExperimentConfig, '{"ratios": [0.5, 0.25, 0.5]}'),  # repeated ratio
     (ExperimentConfig, '{"ratios": [0.5, 0.25], "smote_ratios": [0.25, 0.25]}'),
+    (ExperimentConfig, '{"workdir": 5}'),  # number for an Optional string
+    (ExperimentConfig, '{"layer_sizes": [23, 8, 2]}'),  # two output units
+    (ExperimentConfig, '{"layer_sizes": [10, 1]}'),  # not the 23 flow features
 ]
 
 
