@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage problems, 2 data or processing errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import astuple, fields
@@ -32,13 +31,14 @@ from .smote import (
 )
 from .experiment import (
     ExperimentConfig,
+    check_layer_sizes,
     derive_seed,
     run_experiment,
     write_report,
 )
 from .metrics import MetricsReport, confusion
 from .simulate import SimConfig, simulate
-from .textio import config_from_json, json_value
+from .textio import config_from_json, json_value, load_json
 
 
 class UsageError(Exception):
@@ -99,6 +99,8 @@ def _read_capture(path) -> pk.PacketTable:
 
 
 def cmd_extract(args) -> int:
+    if not args.idle_timeout > 0:  # before reading the capture; NaN fails too
+        raise ValueError(f"--idle-timeout must be > 0, got {args.idle_timeout}")
     packets = _read_capture(args.input)
     rules = fl.read_label_csv(args.labels) if args.labels else []
     feats = fl.features_from_packets(packets, rules, idle_timeout=args.idle_timeout)
@@ -155,9 +157,10 @@ def _train_options(args):
     layer_sizes = (23, 16, 8, 1)
     cfg = mlp.TrainConfig()
     if args.config:
-        obj = json.loads(_read_text(args.config, "config file"))
+        obj = load_json(_read_text(args.config, "config file"))
         if isinstance(obj, dict) and "layer_sizes" in obj:
             layer_sizes = json_value(Tuple[int, ...], obj.pop("layer_sizes"), "layer_sizes")
+            check_layer_sizes(layer_sizes)
         cfg = config_from_json(mlp.TrainConfig, obj)
     return layer_sizes, cfg
 
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pcap or packet CSV (sniffed by magic bytes)")
     p.add_argument("--labels", help="label window CSV; omit to label all Normal")
     p.add_argument("--idle-timeout", type=float, default=fl.DEFAULT_IDLE_TIMEOUT,
-                   help="flow cut after this many idle seconds (default 5)")
+                   help="flow cut after this many idle seconds, > 0 (default 5)")
     p.add_argument("--out", required=True, help="feature CSV path")
     p.set_defaults(func=cmd_extract)
 

@@ -100,12 +100,7 @@ class ExperimentConfig:
             raise ConfigInvalid("smote_k must be >= 1")
         if self.pool_margin < 0:
             raise ConfigInvalid("pool_margin must be >= 0")
-        try:
-            n_in = check_architecture(self.layer_sizes)[0]
-            if n_in != len(FEATURE_NAMES):
-                raise BadArchitecture(f"input layer of {n_in}, not {len(FEATURE_NAMES)} features")
-        except BadArchitecture as exc:
-            raise ConfigInvalid(f"layer_sizes: {exc}") from None
+        check_layer_sizes(self.layer_sizes)
         # pool_sim sets these per seed, so any other value would be ignored.
         for name in ("n_normal_flows", "n_attack_flows"):
             default = getattr(SimConfig, name)
@@ -148,6 +143,17 @@ class ExperimentResult:
     config: ExperimentConfig
     cells: Tuple[CellResult, ...]
     summary: Tuple[SummaryRow, ...]
+
+
+def check_layer_sizes(layer_sizes) -> None:
+    """ConfigInvalid naming layer_sizes unless they describe a binary
+    classifier whose input layer takes the FEATURE_NAMES features."""
+    try:
+        n_in = check_architecture(layer_sizes)[0]
+        if n_in != len(FEATURE_NAMES):
+            raise BadArchitecture(f"input layer of {n_in}, not {len(FEATURE_NAMES)} features")
+    except BadArchitecture as exc:
+        raise ConfigInvalid(f"layer_sizes: {exc}") from None
 
 
 def derive_seed(seed: Optional[int], *path: int) -> Optional[int]:

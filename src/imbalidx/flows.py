@@ -64,7 +64,10 @@ def assemble_flows(
     share a key. A gap longer than idle_timeout between consecutive packets
     of one key closes the flow; the next packet opens a fresh one. Flows
     are numbered in creation order, the order of their first packets.
+    ValueError unless idle_timeout > 0 (NaN included).
     """
+    if not idle_timeout > 0:
+        raise ValueError(f"idle_timeout must be > 0, got {idle_timeout!r}")
     ts = packets.ts
     behind = ts[1:] < ts[:-1]
     if behind.any():
@@ -336,18 +339,37 @@ def features_from_packets(
     return LabeledDataset(feature_matrix(flows), label_flows(flows, rules))
 
 
+# Rows formatted per % call, which bounds the writer's buffers.
+_WRITE_CHUNK = 4096
+
+
 def write_features_csv(data: LabeledDataset, path) -> None:
     """Feature CSV, for flow pools and built datasets alike: 6-decimal
     floats, count columns as bare integers when they hold whole numbers,
     label 0/1 last."""
-    int_cols = [name in _INT_FEATURES for name in FEATURE_NAMES]
+    count_cols = [j for j, name in enumerate(FEATURE_NAMES) if name in _INT_FEATURES]
+    bits = 1 << np.arange(len(count_cols))
+    # A row's format depends on which of its count cells are whole: `%d`
+    # prints a whole float as str(int(v)) does, and `%.6f` as f"{v:.6f}".
+    formats = {}
+
+    def row_format(pattern: int) -> str:
+        cells = ["%.6f"] * len(FEATURE_NAMES)
+        for bit, j in enumerate(count_cols):
+            if pattern >> bit & 1:
+                cells[j] = "%d"
+        return ",".join(cells) + ",%d\n"
+
     with open(path, "w", newline="") as f:
         f.write(FEATURE_CSV_HEADER + "\n")
-        for row, label in zip(data.x, data.y.tolist()):
-            cells = [str(int(v)) if whole and v.is_integer() else f"{v:.6f}"
-                     for v, whole in zip(row.tolist(), int_cols)]
-            cells.append(str(label))
-            f.write(",".join(cells) + "\n")
+        for lo in range(0, len(data), _WRITE_CHUNK):
+            x = data.x[lo:lo + _WRITE_CHUNK]
+            c = x[:, count_cols]
+            patterns = (np.isfinite(c) & (np.floor(c) == c)) @ bits
+            fmt = "".join([formats.get(p) or formats.setdefault(p, row_format(p))
+                           for p in patterns.tolist()])
+            cells = np.column_stack([x, data.y[lo:lo + _WRITE_CHUNK]]).ravel()
+            f.write(fmt % tuple(cells.tolist()))
 
 
 def read_features_csv(path) -> LabeledDataset:

@@ -20,7 +20,7 @@ from typing import BinaryIO, Iterable, List, NamedTuple
 
 import numpy as np
 
-from .textio import ParseError, csv_rows
+from .textio import ParseError, csv_fields
 
 
 class Protocol(IntEnum):
@@ -460,40 +460,182 @@ def write_packet_csv(packets: PacketTable, path) -> None:
             f.write(f"{ts:.6f},{src},{sport},{dst},{dport},{proto},{wire_len},{retx}\n")
 
 
-def read_packet_csv(path) -> PacketTable:
-    protocols = {p.name: p.value for p in Protocol}
-    addrs: dict = {}
-    cols: List[list] = [[] for _ in PacketTable.COLUMNS]
-    ts, src, dst, sport, dport, proto, wire_len, retx = cols
-    lines: List[int] = []
-    for line_no, fields in csv_rows(path, CSV_HEADER):
-        ts_s, src_s, sport_s, dst_s, dport_s, proto_s, wlen_s, retx_s = fields
+# Digit strings up to this long always fit an int64; longer ones are
+# parsed one by one.
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+# Keeps the first k bytes of a little-endian 8-byte word, for k = 0..8.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _text(data: bytes, start, end) -> str:
+    return data[start:end].decode(errors="backslashreplace")
+
+
+def _digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Each field's value as an ASCII digit string, and a mask of the fields
+    that are one of 1 to _MAX_DIGITS digits. Digits are read right-aligned:
+    the byte k places before a field's end carries 10**k."""
+    length = ends - starts
+    ok = (length >= 1) & (length <= _MAX_DIGITS)
+    value = np.zeros(length.shape, dtype=np.int64)
+    for k in range(min(int(length.max(initial=0)), _MAX_DIGITS)):
+        # Every row follows the header, so the index stays in the buffer;
+        # bytes before the field are masked off.
+        digit = buf[ends - 1 - k] - np.uint8(ord("0"))  # wraps below '0'
+        digit[k >= length] = 0
+        ok &= digit <= 9
+        value += digit * _POW10[k]
+    return value, ok
+
+
+def _timestamps(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """parse_timestamp of each field, and a mask of the fields it accepts."""
+    length = ends - starts
+    # The fraction follows a '.' among a field's final 7 bytes; with two,
+    # either choice leaves a '.' that fails the digit checks.
+    frac_len = np.full(length.shape, -1)
+    for k in range(7):
+        frac_len[(k < length) & (buf[ends - 1 - k] == ord("."))] = k
+    has_frac = frac_len >= 0
+    whole_end = np.where(has_frac, ends - 1 - frac_len, ends)
+    sec, ok = _digits(buf, starts, whole_end)
+    frac, frac_ok = _digits(buf, whole_end + 1, ends)
+    ok &= frac_ok | ~has_frac
+    ts = grid_seconds(sec, np.where(has_frac, frac * 10 ** (6 - frac_len), 0))
+    for i in np.flatnonzero(whole_end - starts > _MAX_DIGITS).tolist():
         try:
-            ts.append(parse_timestamp(ts_s))
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-        if proto_s not in protocols:
-            raise ParseError(line_no, f"unknown protocol {proto_s!r}")
-        proto.append(protocols[proto_s])
-        try:
-            sport.append(int(sport_s))
-            dport.append(int(dport_s))
-            wire_len.append(int(wlen_s))
+            ts[i], ok[i] = parse_timestamp(_text(data, starts[i], ends[i])), True
         except ValueError:
-            raise ParseError(line_no, "ports and wire_len must be integers") from None
-        if retx_s not in ("0", "1"):
-            raise ParseError(line_no, f"is_retransmission must be 0 or 1, got {retx_s!r}")
-        retx.append(retx_s == "1")
-        for name, text, col in (("src_addr", src_s, src), ("dst_addr", dst_s, dst)):
-            value = addrs.get(text)
-            if value is None:
-                try:
-                    value = addrs[text] = parse_addr(text)
-                except ValueError:
-                    raise ParseError(line_no, f"bad {name} {text!r}") from None
-            col.append(value)
-        lines.append(line_no)
+            pass
+    return ts, ok
+
+
+def _uints(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Each field's value as an ASCII digit string, and a mask of the fields
+    that are one. The values are an int64 array, or a list of Python ints
+    when a field has more than _MAX_DIGITS digits, so that PacketTable
+    reports a value beyond int64 as out of range."""
+    value, ok = _digits(buf, starts, ends)
+    long = np.flatnonzero(ends - starts > _MAX_DIGITS)
+    if long.size == 0:
+        return value, ok
+    value = value.tolist()
+    for i in long.tolist():
+        raw = data[starts[i]:ends[i]]
+        try:
+            value[i], ok[i] = int(raw), raw.isdigit()
+        except ValueError:  # not an integer, or beyond int()'s digit limit
+            pass
+    return value, ok
+
+
+def _matches(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, word: bytes):
+    """Mask of the fields that are exactly `word`."""
+    hit = ends - starts == len(word)
+    for k, byte in enumerate(word):
+        hit &= buf[starts + k] == byte
+    return hit
+
+
+def _rank(values: np.ndarray) -> np.ndarray:
+    """Index of each value among the distinct values, in sorted order."""
+    return np.searchsorted(np.unique(values), values)
+
+
+def _addresses(data: bytes, starts: np.ndarray, ends: np.ndarray, parsed: dict):
+    """parse_addr of each field, -1 where it raises ValueError. It runs once
+    per distinct text, with `parsed` (text to value) kept across calls.
+    `data` must hold 16 bytes past the last field."""
+    length = ends - starts
+    # A text of up to 15 bytes is keyed by the two 8-byte words at its
+    # start, with the bytes past its end masked off and its length in the
+    # top byte. Longer texts share length 16 and are parsed one by one.
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    n = np.minimum(length, 15)
+    n_lo = np.minimum(n, 8)
+    lo = words[starts] & _BYTE_MASKS[n_lo]
+    hi = (words[starts + 8] & _BYTE_MASKS[n - n_lo]
+          | np.minimum(length, 16).astype(np.uint64) << np.uint64(56))
+    lo, hi = _rank(lo), _rank(hi)
+    key = _rank(lo * (hi.max(initial=0) + 1) + hi)
+    row_of = np.zeros(key.max(initial=-1) + 1, dtype=np.int64)
+    row_of[key] = np.arange(key.size)  # some row holding each distinct text
+
+    def parse(i):
+        raw = data[starts[i]:ends[i]]
+        if raw not in parsed:
+            try:
+                parsed[raw] = parse_addr(raw.decode(errors="backslashreplace"))
+            except ValueError:
+                parsed[raw] = -1
+        return parsed[raw]
+
+    value = np.array([parse(i) for i in row_of.tolist()], dtype=np.int64)[key]
+    for i in np.flatnonzero(length > 15).tolist():
+        value[i] = parse(i)
+    return value
+
+
+def read_packet_csv(path) -> PacketTable:
+    """Read a packet CSV (header CSV_HEADER) into a packet table, in file
+    order, parsing each column whole.
+
+    A timestamp is ASCII digits, optionally followed by '.' and 1-6
+    digits; ports and wire_len are ASCII digits; the protocol is a
+    Protocol name; is_retransmission is 0 or 1; addresses are read by
+    parse_addr. The first bad line raises ParseError with the message of
+    its first bad field, checked in that order with src_addr before
+    dst_addr. A row whose fields parse but that breaks a PacketTable rule
+    raises ParseError at its line once the whole file has parsed.
+    """
+    rows = csv_fields(path, CSV_HEADER)
+    # 16 spare bytes let the gathers below read past any field's end; the
+    # unpadded bytes are let go.
+    rows = rows._replace(data=rows.data + bytes(16))
+    data = rows.data
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Columns in CSV order: timestamp, src_addr, src_port, dst_addr,
+    # dst_port, protocol, wire_len, is_retransmission.
+    ts, ts_ok = _timestamps(data, buf, *rows.field(0))
+    parsed: dict = {}
+    src = _addresses(data, *rows.field(1), parsed)
+    sport, sport_ok = _uints(data, buf, *rows.field(2))
+    dst = _addresses(data, *rows.field(3), parsed)
+    dport, dport_ok = _uints(data, buf, *rows.field(4))
+    proto = np.zeros(len(rows.lines), dtype=np.uint8)
+    for p in Protocol:
+        proto[_matches(buf, *rows.field(5), p.name.encode())] = p
+    wire_len, wlen_ok = _uints(data, buf, *rows.field(6))
+    retx = _matches(buf, *rows.field(7), b"1")
+    retx_ok = retx | _matches(buf, *rows.field(7), b"0")
+
+    def text(j, i):
+        starts, ends = rows.field(j)
+        return _text(data, starts[i], ends[i])
+
+    def timestamp_error(i):
+        try:
+            parse_timestamp(text(0, i))
+        except ValueError as exc:
+            return str(exc)
+
+    checks = (
+        (ts_ok, timestamp_error),
+        (proto != 0, lambda i: f"unknown protocol {text(5, i)!r}"),
+        (sport_ok & dport_ok & wlen_ok, lambda i: "ports and wire_len must be integers"),
+        (retx_ok, lambda i: f"is_retransmission must be 0 or 1, got {text(7, i)!r}"),
+        (src >= 0, lambda i: f"bad src_addr {text(1, i)!r}"),
+        (dst >= 0, lambda i: f"bad dst_addr {text(3, i)!r}"),
+    )
+    bad = ~np.logical_and.reduce([ok for ok, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(msg for ok, msg in checks if not ok[i])
+        raise ParseError(int(rows.lines[i]), message(i))
+    if rows.error is not None:
+        raise rows.error
     try:
-        return PacketTable(*cols)
+        return PacketTable(ts, src, dst, sport, dport, proto, wire_len, retx)
     except BadRow as exc:
-        raise ParseError(lines[exc.row], str(exc)) from None
+        raise ParseError(int(rows.lines[exc.row]), str(exc)) from None

@@ -28,6 +28,7 @@ from imbalidx.metrics import (
 )
 from imbalidx.mlp import gradient_check, init_model
 from imbalidx.packets import (
+    CSV_HEADER,
     BadMagic,
     PacketRecord,
     PacketTable,
@@ -40,6 +41,7 @@ from imbalidx.packets import (
     write_pcap,
 )
 from imbalidx.smote import smote
+from imbalidx.textio import ParseError
 
 
 # --- 1. metric formulas agree with a 50-digit decimal oracle ---------------
@@ -159,7 +161,7 @@ def test_oversampling_geometry_and_neighbors():
     assert time.monotonic() - start < 10.0
 
 
-# --- 5. captures survive write/read and the reader survives garbage --------
+# --- 5. captures survive write/read and the readers survive garbage -------
 
 def _random_packets(rng, n):
     protos = [Protocol.TCP, Protocol.UDP, Protocol.OTHER]
@@ -212,6 +214,28 @@ def test_fuzzed_reader_never_crashes(tmp_path):
             read_pcap(path)
         except (BadMagic, Truncated, UnsupportedLinkType):
             pass
+    assert time.monotonic() - start < 30.0
+
+
+def test_fuzzed_packet_csv_raises_only_parse_errors(tmp_path):
+    start = time.monotonic()
+    rng = np.random.default_rng(77)
+    pieces = [b"0.5,1.1.1.1,1,2.2.2.2,2,TCP,60,0", b",", b".", b"\n", b"\r", b"\xff",
+              b"TCP", b"99999999999999999999"]
+    path = tmp_path / "fuzz.csv"
+    for trial in range(400):
+        if trial % 2:
+            blob = rng.bytes(int(rng.integers(0, 401)))
+        else:  # random bytes among pieces of valid rows
+            blob = b"".join(
+                rng.bytes(int(rng.integers(0, 13))) if rng.integers(2)
+                else pieces[rng.integers(len(pieces))]
+                for _ in range(int(rng.integers(0, 31))))
+        path.write_bytes(CSV_HEADER.encode() + b"\n" + blob)
+        try:
+            read_packet_csv(path)
+        except ParseError as exc:
+            assert exc.line >= 2
     assert time.monotonic() - start < 30.0
 
 

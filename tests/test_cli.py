@@ -273,6 +273,32 @@ def test_train_checks_its_config_before_the_data(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "config,fragment",
+    [
+        ('{"layer_sizes": [23, 8, 2]}', "layer_sizes"),
+        ('{"layer_sizes": [10, 1]}', "layer_sizes"),
+        ('{"epochs": 3', "config is not valid JSON"),
+    ],
+)
+def test_train_checks_layer_sizes_before_the_data(tmp_path, capsys, config, fragment):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(config)
+    assert main(["train", "--data", str(tmp_path / "missing.csv"), "--config", str(cfg),
+                 "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+
+
+@pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+def test_extract_rejects_meaningless_idle_timeouts(pipeline, tmp_path, capsys, timeout):
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--in", str(pipeline["pcap"]), "--idle-timeout", timeout,
+                 "--out", str(out)]) == 2
+    assert "--idle-timeout" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command,config,key",
     [
         ("experiment", '{"n_attack": "5"}', "n_attack"),

@@ -16,6 +16,7 @@ from imbalidx.flows import (
     FEATURE_CSV_HEADER,
     FEATURE_NAMES,
     NORMAL,
+    LabeledDataset,
     LabelRule,
     UnorderedInput,
     assemble_flows,
@@ -27,6 +28,7 @@ from imbalidx.flows import (
     to_arrays,
     write_features_csv,
     write_label_csv,
+    _INT_FEATURES,
 )
 from imbalidx.packets import PacketRecord, PacketTable, Protocol, parse_addr
 from imbalidx.simulate import SimConfig, simulate
@@ -118,6 +120,12 @@ def test_idle_timeout_splits_flows():
     # The boundary gap does not split: strict inequality.
     edge = [pkt(0.0, A, B), pkt(5.0, A, B)]
     assert len(assemble_flows(table(edge), idle_timeout=5.0)) == 1
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+def test_idle_timeout_must_be_positive(timeout):
+    with pytest.raises(ValueError, match="idle_timeout"):
+        assemble_flows(table(four_packet_flow()), idle_timeout=timeout)
 
 
 def test_reverse_direction_joins_the_same_flow():
@@ -311,11 +319,13 @@ def test_label_csv_round_trip(tmp_path):
         "1.1.1.1,2.2.2.2,nan,1.0,1",     # not a grid time
         "1.1.1.1,2.2.2.2,0.0,inf,1",
         "1.1.1.1,2.2.2.2,-0.5,1.0,1",
+        "1.1.1.1,2.2.2.\udcff,0.0,1.0,1",  # a 0xff byte: not UTF-8 text
     ],
 )
 def test_label_csv_rejects_bad_rows(tmp_path, row):
     path = tmp_path / "bad.csv"
-    path.write_text("src_addr,dst_addr,start_time,end_time,label\n" + row + "\n")
+    path.write_bytes(("src_addr,dst_addr,start_time,end_time,label\n" + row + "\n")
+                     .encode(errors="surrogateescape"))
     with pytest.raises(ParseError) as err:
         read_label_csv(path)
     assert err.value.line == 2
@@ -335,6 +345,26 @@ def test_features_csv_round_trip(tmp_path):
     assert np.allclose(back.x, feats.x, rtol=0, atol=5e-7)
     counts = [FEATURE_NAMES.index(n) for n in ("sport", "spkts", "tbytes", "sloss")]
     assert np.array_equal(back.x[:, counts], feats.x[:, counts])
+
+
+def test_features_csv_prints_each_cell_as_formatted_alone(tmp_path):
+    # Enough rows to cross a write chunk; whole, fractional and special
+    # values in every column.
+    rng = np.random.default_rng(5)
+    shape = (5000, len(FEATURE_NAMES))
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 22, size=shape)
+    pick = rng.random(shape)
+    x[pick < 0.3] = rng.integers(-10**6, 10**6, size=shape)[pick < 0.3]
+    specials = np.array([-0.0, 0.0, 1e20, -1e20, 1e300, np.nan, np.inf, -np.inf, 0.5])
+    x[pick > 0.8] = rng.choice(specials, size=shape)[pick > 0.8]
+    y = rng.integers(0, 2, size=shape[0])
+    path = tmp_path / "features.csv"
+    write_features_csv(LabeledDataset(x, y), path)
+    want = [FEATURE_CSV_HEADER] + [
+        ",".join([str(int(v)) if name in _INT_FEATURES and v.is_integer() else f"{v:.6f}"
+                  for v, name in zip(row, FEATURE_NAMES)] + [str(label)])
+        for row, label in zip(x.tolist(), y.tolist())]
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 @pytest.mark.parametrize("cell,label", [("nan", "0"), ("inf", "1"), ("1.0", "2")])

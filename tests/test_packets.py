@@ -1,11 +1,14 @@
-"""Capture I/O: byte-level pcap checks, round trips, and reader fuzzing."""
+"""Capture I/O: byte-level pcap checks, round trips, and reader fuzzing.
+The packet CSV reader is checked against the per-line reader in
+packet_csv_oracle.py."""
 
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import packet_csv_oracle
 from imbalidx.packets import (
     CSV_HEADER,
     MIN_WIRE_LEN,
@@ -41,7 +44,7 @@ timestamps = st.one_of(
 
 
 @st.composite
-def packet_records(draw):
+def packet_records(draw, addrs=addresses):
     proto = draw(st.sampled_from(list(Protocol)))
     if proto is Protocol.OTHER:
         sport = dport = 0
@@ -49,8 +52,8 @@ def packet_records(draw):
         sport, dport = draw(ports), draw(ports)
     return PacketRecord(
         timestamp=draw(timestamps),
-        src_addr=draw(addresses),
-        dst_addr=draw(addresses),
+        src_addr=draw(addrs),
+        dst_addr=draw(addrs),
         src_port=sport,
         dst_port=dport,
         protocol=proto,
@@ -229,6 +232,11 @@ def test_csv_rejects_wrong_header(tmp_path):
         ("1_0.5,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp"),
         pytest.param("9" * 400 + ",1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp",
                      id="float-overflow-timestamp"),
+        # Integers are ASCII digits only, though int() takes more.
+        ("1.0,1.1.1.1, +7,2.2.2.2,2,TCP,60,0", "must be integers"),
+        ("1.0,1.1.1.1,1,2.2.2.2,5_0,TCP,60,0", "must be integers"),
+        ("1.0,1.1.1.1,1,2.2.2.2,2,TCP,\u0666\u0660,0", "must be integers"),
+        ("1.0,1.1.1.1,-1,2.2.2.2,2,TCP,60,0", "must be integers"),
     ],
 )
 def test_csv_bad_rows_carry_line_numbers(tmp_path, row, fragment):
@@ -240,6 +248,140 @@ def test_csv_bad_rows_carry_line_numbers(tmp_path, row, fragment):
         read_packet_csv(path)
     assert err.value.line == 4
     assert fragment in str(err.value)
+
+
+def test_csv_rejects_non_utf8_bytes_at_their_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    good = b"0.5,1.1.1.1,1,2.2.2.2,2,TCP,60,0"
+    for row, fragment in [(b"1.0,1.1.1.\xff,1,2.2.2.2,2,TCP,60,0", "src_addr"),
+                          (b"\xff1.0,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "timestamp")]:
+        path.write_bytes(CSV_HEADER.encode() + b"\n" + good + b"\n\n" + row + b"\n")
+        with pytest.raises(ParseError) as err:
+            read_packet_csv(path)
+        assert err.value.line == 4
+        assert fragment in str(err.value)
+
+
+INT_FIELDS = (2, 4, 6)  # src_port, dst_port, wire_len
+
+
+def narrowed(row: str) -> str:
+    """The row with every integer field that int() accepts but that is not
+    ASCII digits replaced by 'x', which both readers reject alike."""
+    fields = row.split(",")
+    if len(fields) != len(PacketTable.COLUMNS):
+        return row
+    for j in INT_FIELDS:
+        text = fields[j]
+        if not (text.isascii() and text.isdigit()):
+            try:
+                int(text)
+            except ValueError:
+                continue
+            fields[j] = "x"
+    return ",".join(fields)
+
+
+@st.composite
+def mutated_field(draw, text):
+    kind = draw(st.sampled_from(
+        ["sign", "space or NUL", "underscore", "non-ascii digit", "empty", "long"]))
+    pos = draw(st.integers(0, len(text)))
+    if kind == "sign":
+        return draw(st.sampled_from("+-")) + text
+    if kind == "space or NUL":
+        return draw(st.sampled_from([" " + text, text + " ", " " + text + " ", text + "\0"]))
+    if kind == "underscore":
+        return text[:pos] + "_" + text[pos:]
+    if kind == "non-ascii digit":
+        # Arabic-Indic and fullwidth digits pass int(); superscript two
+        # passes isdigit() but not int().
+        return text[:pos] + draw(st.sampled_from("\u0663\uff15\u00b2")) + text[pos + 1:]
+    if kind == "empty":
+        return ""
+    return draw(st.sampled_from(["0" * 19 + text, "9" * 19, "9" * 25, "1" * 400]))
+
+
+@st.composite
+def mutated_csv(draw):
+    """Rows in write_packet_csv's format, then mutated: fields changed,
+    commas added or dropped, blank lines added, and each line ended by LF,
+    CRLF or a lone CR."""
+    # Addresses repeat, as in a real capture, so distinct texts share rows.
+    pool = draw(st.lists(addresses, min_size=1, max_size=3))
+    addrs = st.one_of(st.sampled_from(pool), addresses)
+    pkts = draw(st.lists(packet_records(addrs), min_size=1, max_size=6))
+    rows = [f"{r.timestamp:.6f},{r.src_addr},{r.src_port},{r.dst_addr},{r.dst_port},"
+            f"{r.protocol.name},{r.wire_len},{int(r.is_retransmission)}" for r in pkts]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["field", "field", "add comma", "drop comma", "blank"]))
+        if kind == "field":
+            fields = rows[i].split(",")
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = draw(mutated_field(fields[j]))
+            rows[i] = ",".join(fields)
+        elif kind == "add comma":
+            pos = draw(st.integers(0, len(rows[i])))
+            rows[i] = rows[i][:pos] + "," + rows[i][pos:]
+        elif kind == "drop comma" and "," in rows[i]:
+            pos = draw(st.sampled_from([k for k, c in enumerate(rows[i]) if c == ","]))
+            rows[i] = rows[i][:pos] + rows[i][pos + 1:]
+        else:
+            rows.insert(i, "")
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(rows) + 1, max_size=len(rows) + 1))
+    return rows, endings
+
+
+def csv_text(rows, endings):
+    return "".join(line + end for line, end in zip([CSV_HEADER] + rows, endings))
+
+
+def outcome(read, path):
+    """The table read, or the line and message of its ParseError."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+@given(mutated_csv())
+# Texts that differ only past their 15th byte or in a trailing NUL.
+@example((["0.5,1.2.3.4,1,5.6.7.8,2,TCP,60,0", "0.75,1.2.3.4\0,1,5.6.7.8,2,TCP,60,0"],
+          ["\n"] * 3))
+@example((["0.5,001.002.003.004,1,001.002.003.0041,2,TCP,60,0",
+           "0.75,001.002.003.0042,1,001.002.003.004,2,TCP,60,0"], ["\n"] * 3))
+@settings(max_examples=400, deadline=None)
+def test_csv_reader_matches_the_per_line_oracle(tmp_path_factory, case):
+    rows, endings = case
+    work = tmp_path_factory.mktemp("oracle")
+    path, reference = work / "mutated.csv", work / "narrowed.csv"
+    path.write_bytes(csv_text(rows, endings).encode())
+    reference.write_bytes(csv_text([narrowed(r) for r in rows], endings).encode())
+    # Equal wherever no integer field uses a spelling the column reader
+    # narrowed; on those it must act as if the field were not an integer.
+    assert outcome(read_packet_csv, path) == outcome(packet_csv_oracle.read_packet_csv, reference)
+
+
+@pytest.mark.parametrize("read", [read_packet_csv, packet_csv_oracle.read_packet_csv],
+                         ids=["columns", "oracle"])
+def test_csv_line_endings_share_line_numbers(tmp_path, read):
+    rows = ["0.5,1.1.1.1,1,2.2.2.2,2,TCP,60,0", "", "1.25,3.3.3.3,7,4.4.4.4,502,UDP,28,1",
+            "", "", "2.0,5.5.5.5,0,6.6.6.6,0,OTHER,20,0"]
+    bad = rows + ["3.0,5.5.5.5,1,6.6.6.6,2,TCP,60,7"]
+    tables, errors = [], []
+    for end in ("\n", "\r\n", "\r"):
+        path = tmp_path / "endings.csv"
+        path.write_bytes(end.join([CSV_HEADER] + rows + [""]).encode())
+        tables.append(read(path))
+        path.write_bytes(end.join([CSV_HEADER] + bad).encode())
+        with pytest.raises(ParseError) as err:
+            read(path)
+        errors.append((err.value.line, str(err.value)))
+    assert len(tables[0]) == 3
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+    assert errors == [(8, errors[0][1])] * 3
 
 
 @given(st.binary(max_size=400))
