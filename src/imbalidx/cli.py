@@ -55,11 +55,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_text(path, what: str) -> str:
+def _input(path, what: str) -> Path:
+    """path as a Path; UsageError (exit 1) unless it names a file."""
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"{what} not found: {p}")
-    return p.read_text()
+    return p
 
 
 def _seed_arg(value: str) -> int:
@@ -70,7 +71,7 @@ def _seed_arg(value: str) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = config_from_json(SimConfig, _read_text(args.config, "config file"))
+    cfg = config_from_json(SimConfig, _input(args.config, "config file").read_text())
     packets, rules = simulate(cfg, args.seed)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -88,9 +89,7 @@ def cmd_simulate(args) -> int:
 
 
 def _read_capture(path) -> pk.PacketTable:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"capture not found: {p}")
+    p = _input(path, "capture")
     with open(p, "rb") as f:
         head = f.read(4)
     if head in (b"\xd4\xc3\xb2\xa1", b"\xa1\xb2\xc3\xd4"):
@@ -102,7 +101,7 @@ def cmd_extract(args) -> int:
     if not args.idle_timeout > 0:  # before reading the capture; NaN fails too
         raise ValueError(f"--idle-timeout must be > 0, got {args.idle_timeout}")
     packets = _read_capture(args.input)
-    rules = fl.read_label_csv(args.labels) if args.labels else []
+    rules = fl.read_label_csv(_input(args.labels, "label file")) if args.labels else []
     feats = fl.features_from_packets(packets, rules, idle_timeout=args.idle_timeout)
     fl.write_features_csv(feats, args.out)
     print(f"{len(feats)} flows ({feats.n_attack} attack) -> {args.out}")
@@ -110,7 +109,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_build(args) -> int:
-    pool = fl.read_features_csv(args.features)
+    pool = fl.read_features_csv(_input(args.features, "feature file"))
     attacks = pool.x[pool.y == fl.ATTACK]
     normals = pool.x[pool.y == fl.NORMAL]
     n_attack = args.n_attack if args.n_attack is not None else len(attacks)
@@ -124,7 +123,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_smote(args) -> int:
-    data = fl.read_features_csv(args.data)
+    data = fl.read_features_csv(_input(args.data, "dataset"))
     mino = minority_class(data.y)
     rows = np.flatnonzero(data.y == mino)
     if args.target_count is not None:
@@ -157,7 +156,7 @@ def _train_options(args):
     layer_sizes = (23, 16, 8, 1)
     cfg = mlp.TrainConfig()
     if args.config:
-        obj = load_json(_read_text(args.config, "config file"))
+        obj = load_json(_input(args.config, "config file").read_text())
         if isinstance(obj, dict) and "layer_sizes" in obj:
             layer_sizes = json_value(Tuple[int, ...], obj.pop("layer_sizes"), "layer_sizes")
             check_layer_sizes(layer_sizes)
@@ -167,7 +166,7 @@ def _train_options(args):
 
 def cmd_train(args) -> int:
     layer_sizes, cfg = _train_options(args)
-    data = fl.read_features_csv(args.data)
+    data = fl.read_features_csv(_input(args.data, "dataset"))
     stats = ds.normalize_fit(data.x)
     z = ds.normalize_apply(data, stats)
     model = mlp.init_model(layer_sizes, derive_seed(args.seed, 0))
@@ -182,7 +181,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = mlp.load_model(args.model)
+    model = mlp.load_model(_input(args.model, "model"))
     stats_path = Path(str(args.model) + ".stats.json")
     if not stats_path.is_file():
         raise ValueError(
@@ -190,7 +189,7 @@ def cmd_evaluate(args) -> int:
             "evaluate needs the stats saved at training time"
         )
     stats = ds.load_stats(stats_path)
-    data = fl.read_features_csv(args.data)
+    data = fl.read_features_csv(_input(args.data, "dataset"))
     z = ds.normalize_apply(data.x, stats)
     preds = mlp.predict(model, z, args.threshold)
     report = MetricsReport.from_confusion(confusion(preds, data.y))
@@ -204,11 +203,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     if args.config:
-        cfg = config_from_json(ExperimentConfig, _read_text(args.config, "config file"))
+        cfg = config_from_json(ExperimentConfig, _input(args.config, "config file").read_text())
     else:
         cfg = ExperimentConfig()
     start = time.perf_counter()
-    result = run_experiment(cfg, threads=args.threads)
+    result = run_experiment(cfg)
     elapsed = time.perf_counter() - start
     write_report(result, args.out)
     print(f"{len(result.cells)} cells in {elapsed:.1f}s -> {args.out}")
@@ -291,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the full ratio sweep")
     p.add_argument("--config", help="ExperimentConfig JSON (default: built-ins)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="seeds run at once (default 1)")
     p.add_argument("--out", required=True,
                    help="detail CSV path; summary and manifest land next to it")
     p.set_defaults(func=cmd_experiment)

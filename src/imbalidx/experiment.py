@@ -14,18 +14,14 @@ cells are independent and the whole sweep is reproducible byte for byte.
 The report columns after the cell keys are the fields of MetricsReport,
 in their order; this module names no metric itself.
 
-With threads > 1 seeds run concurrently, but only one cell trains at a
-time: small-batch SGD is a long run of small numpy calls that hold the
-interpreter lock, so two trainings at once only contend for it. The data
-stages of other seeds overlap the training.
+Seeds run one at a time, in config order, so only one seed's pool and
+feature matrix are alive at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -49,9 +45,6 @@ from .textio import ConfigInvalid
 
 # Stage tags for per-stage seed derivation.
 _SIM, _BUILD, _SPLIT, _SMOTE, _INIT, _TRAIN = range(6)
-
-# Held around each train() call, so seed threads train one at a time.
-_TRAIN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -214,11 +207,8 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
                 cfg.layer_sizes,
                 np.random.SeedSequence([seed, _INIT, r_idx, int(use_smote)]),
             )
-            # Only the train() call holds the lock, so the tracer's train
-            # span times training, not waiting.
-            with _TRAIN_LOCK:
-                train(model, LabeledDataset(xv, yv), cfg.train,
-                      derive_seed(seed, _TRAIN, r_idx, int(use_smote)))
+            train(model, LabeledDataset(xv, yv), cfg.train,
+                  derive_seed(seed, _TRAIN, r_idx, int(use_smote)))
             preds = predict(model, xte)
             report = MetricsReport.from_confusion(confusion(preds, yte))
             cells.append(CellResult(ratio, seed, use_smote, report))
@@ -245,19 +235,14 @@ def summarize(cells: List[CellResult]) -> List[SummaryRow]:
 def run_experiment(
     cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
 ) -> ExperimentResult:
-    """Run the sweep. threads > 1 runs seeds concurrently, with one cell
-    training at a time; the result is sorted deterministically either way
-    (ratio desc, seed asc, smote asc)."""
+    """Run the sweep, one seed at a time in config order; cells come back
+    sorted by ratio desc, seed asc, smote asc. threads must be >= 1 and
+    changes nothing else: seeds never run concurrently."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or len(cfg.seeds) == 1:
-        cells: List[CellResult] = []
-        for seed in cfg.seeds:
-            cells.extend(_run_seed(cfg, seed))
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(cfg.seeds))) as pool:
-            chunks = pool.map(lambda s: _run_seed(cfg, s), cfg.seeds)
-            cells = [c for chunk in chunks for c in chunk]
+    cells: List[CellResult] = []
+    for seed in cfg.seeds:
+        cells.extend(_run_seed(cfg, seed))
     cells = _sorted_cells(cfg, cells)
     return ExperimentResult(cfg, tuple(cells), tuple(summarize(cells)))
 

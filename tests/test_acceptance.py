@@ -3,10 +3,10 @@
 Fast exact checks first: metric formulas against a high-precision oracle,
 dataset construction demands, backprop against finite differences,
 oversampling geometry against a brute-force neighbor search, and capture
-round trips plus reader fuzzing. Then the expensive part: the default
-ratio sweep runs twice, once on one thread for the direction-of-effect
-checks and once on two threads to prove byte-level reproducibility across
-reruns and thread counts, which dominates the suite's runtime.
+round trips plus reader fuzzing. Then the expensive part, marked slow:
+the default ratio sweep runs twice, once for the direction-of-effect
+checks and once more to prove that a rerun writes the same bytes. The two
+sweeps dominate the suite's runtime; `-m "not slow"` leaves them out.
 """
 
 import decimal
@@ -247,7 +247,7 @@ SWEEP_BUDGET_SECONDS = 15 * 60
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
     start = time.monotonic()
-    result = run_experiment(ExperimentConfig(), threads=1)
+    result = run_experiment(ExperimentConfig())
     elapsed = time.monotonic() - start
     out = tmp_path_factory.mktemp("sweep") / "report.csv"
     write_report(result, out)
@@ -261,6 +261,7 @@ def _median_row(result, ratio, smoted):
     raise AssertionError(f"no summary row for ratio={ratio} smote={smoted}")
 
 
+@pytest.mark.slow
 def test_imbalance_trend(sweep):
     result, elapsed, _ = sweep
     assert elapsed < SWEEP_BUDGET_SECONDS
@@ -271,6 +272,7 @@ def test_imbalance_trend(sweep):
     assert rich.sensitivity > starved.sensitivity
 
 
+@pytest.mark.slow
 def test_oversampling_benefit(sweep):
     result, _, _ = sweep
     plain = _median_row(result, 0.003, False)
@@ -278,11 +280,10 @@ def test_oversampling_benefit(sweep):
     assert grown.ur < plain.ur
 
 
+@pytest.mark.slow
 def test_rerun_is_byte_identical(sweep, tmp_path):
-    # The rerun also runs the seeds on two threads: the outputs must not
-    # depend on the thread count.
     _, _, first = sweep
-    result = run_experiment(ExperimentConfig(), threads=2)
+    result = run_experiment(ExperimentConfig())
     again = tmp_path / "report.csv"
     write_report(result, again)
     for name in ("report.csv", "report.summary.csv", "report.manifest.json"):

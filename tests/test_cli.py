@@ -187,16 +187,42 @@ def test_bad_config_key_exits_two(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_missing_model_exits_two(tmp_path, capsys):
+def test_missing_model_exits_one(tmp_path, capsys):
     code = main(["evaluate", "--model", str(tmp_path / "nope.json"),
                  "--data", str(tmp_path / "d.csv")])
-    assert code == 2
+    assert code == 1
+    assert "model not found" in capsys.readouterr().err
 
 
 def _run_cli(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(imbalidx.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "imbalidx.cli", *argv],
                           capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "command,flag,others",
+    [
+        ("extract", "--labels", ["--in", "pcap"]),
+        ("build", "--features", ["--ratio", "0.2"]),
+        ("smote", "--data", []),
+        ("train", "--data", []),
+        ("evaluate", "--model", ["--data", "dataset"]),
+        ("evaluate", "--data", ["--model", "model"]),
+    ],
+    ids=["extract-labels", "build-features", "smote-data", "train-data",
+         "evaluate-model", "evaluate-data"],
+)
+def test_missing_input_file_exits_one(pipeline, tmp_path, command, flag, others):
+    missing = tmp_path / "missing.csv"
+    argv = [command, flag, str(missing), "--out", str(tmp_path / "out")]
+    for name, key in zip(others[::2], others[1::2]):
+        argv += [name, str(pipeline[key]) if key in pipeline else key]
+    proc = _run_cli(argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert f"not found: {missing}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -374,38 +400,60 @@ def test_experiment_summary_and_manifest(sweep):
     assert manifest["config"]["n_attack"] == 40
 
 
-def test_experiment_rerun_and_threads_match(sweep, tmp_path, monkeypatch, capsys):
-    # Seed threads must train one cell at a time: count the train() calls
-    # in flight, holding each open long enough for another seed to arrive.
+def test_experiment_rerun_is_byte_identical(sweep, tmp_path, capsys):
     cfg, out = sweep
-    real_train = experiment.train
+    redo = tmp_path / "report.csv"
+    assert main(["experiment", "--config", str(cfg), "--out", str(redo)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(rf"6 cells in \d+\.\ds -> {re.escape(str(redo))}", first)
+    for name in ("report.csv", "report.summary.csv", "report.manifest.json"):
+        assert redo.with_name(name).read_bytes() == out.with_name(name).read_bytes()
+
+
+def test_seeds_run_one_at_a_time_in_config_order(sweep, tmp_path, monkeypatch):
+    # Each seed is held open long enough for a concurrent seed to start;
+    # even with threads=2, none may.
+    cfg, out = sweep
+    real_run_seed = experiment._run_seed
     guard = threading.Lock()
     in_flight = [0]
     peak = [0]
+    order = []
 
-    def counting_train(*args, **kwargs):
+    def counting_run_seed(cfg, seed):
         with guard:
             in_flight[0] += 1
             peak[0] = max(peak[0], in_flight[0])
+            order.append(seed)
         try:
-            time.sleep(0.02)
-            return real_train(*args, **kwargs)
+            time.sleep(0.05)
+            return real_run_seed(cfg, seed)
         finally:
             with guard:
                 in_flight[0] -= 1
 
-    monkeypatch.setattr(experiment, "train", counting_train)
-    redo = tmp_path / "report.csv"
-    assert main(["experiment", "--config", str(cfg), "--threads", "2",
-                 "--out", str(redo)]) == 0
+    monkeypatch.setattr(experiment, "_run_seed", counting_run_seed)
+    exp = config_from_json(experiment.ExperimentConfig, cfg.read_text())
+    result = experiment.run_experiment(exp, threads=2)
     assert peak[0] == 1
-    first = capsys.readouterr().out.splitlines()[0]
-    assert re.fullmatch(rf"6 cells in \d+\.\ds -> {re.escape(str(redo))}", first)
-    assert redo.read_bytes() == out.read_bytes()
-    assert redo.with_name("report.summary.csv").read_bytes() == \
-        out.with_name("report.summary.csv").read_bytes()
-    assert redo.with_name("report.manifest.json").read_bytes() == \
-        out.with_name("report.manifest.json").read_bytes()
+    assert order == list(exp.seeds)
+    redo = tmp_path / "report.csv"
+    experiment.write_report(result, redo)
+    for name in ("report.csv", "report.summary.csv", "report.manifest.json"):
+        assert redo.with_name(name).read_bytes() == out.with_name(name).read_bytes()
+
+
+def test_experiment_has_no_threads_flag(sweep, tmp_path, capsys):
+    cfg, _ = sweep
+    assert main(["experiment", "--config", str(cfg), "--threads", "2",
+                 "--out", str(tmp_path / "report.csv")]) == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_run_experiment_rejects_threads_below_one():
+    with pytest.raises(ValueError, match="threads"):
+        experiment.run_experiment(experiment.ExperimentConfig(), threads=0)
 
 
 def test_experiment_workdir_keeps_each_seeds_features(sweep, tmp_path):

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from imbalidx.flows import ATTACK, FEATURE_NAMES, assemble_flows, features_from_packets
+from imbalidx.flows import (
+    ATTACK,
+    DEFAULT_IDLE_TIMEOUT,
+    FEATURE_NAMES,
+    assemble_flows,
+    features_from_packets,
+)
 from imbalidx.packets import PacketTable, Protocol, parse_addr, quantize_timestamp
 from imbalidx.experiment import ExperimentConfig
 from imbalidx.mlp import TrainConfig
@@ -184,33 +190,46 @@ def test_port_reuse_needs_a_wide_enough_stagger():
     SimConfig(n_normal_flows=70_000)  # 645 s apart at the default stagger
 
 
+def _share(lo=0.0):
+    """A share of a budget SimConfig allows, sometimes within 1% of the bound."""
+    return st.one_of(st.floats(lo, 0.99), st.floats(0.99, 0.9999))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n_normal=st.integers(0, 30),
     n_attack=st.integers(0, 8),
     burst_fraction=st.floats(0.0, 1.0),
-    poll_period=st.floats(0.2, 6.0),
-    period_stddev=st.floats(0.0, 0.2),
-    cycle_jitter=st.floats(0.0, 0.1),
-    shift_frac=st.floats(0.0, 0.9),
+    poll_period=st.floats(0.2, 4.0),
+    fill=_share(),
+    shares=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    stddev_frac=st.floats(0.0, 1.0),
+    shift_frac=st.floats(0.0, 1.0),
     jitter_boost=st.floats(0.0, 10.0),
-    delay_boost=st.floats(0.0, 50.0),
-    max_gap=st.floats(0.01, 8.0),
+    max_gap_frac=_share(0.002),
     pkts=st.integers(2, 16),
     seed=st.integers(0, 2**16),
 )
 def test_accepted_configs_keep_one_flow_per_session(
-    n_normal, n_attack, burst_fraction, poll_period, period_stddev, cycle_jitter,
-    shift_frac, jitter_boost, delay_boost, max_gap, pkts, seed,
+    n_normal, n_attack, burst_fraction, poll_period, fill, shares, stddev_frac,
+    shift_frac, jitter_boost, max_gap_frac, pkts, seed,
 ):
+    # SimConfig bounds the in-session gap by the longest period (the period
+    # spread or the mimic shift on top of poll_period), plus the cycle
+    # jitter term, plus the response delay; each part takes a share of the
+    # budget left under the idle timeout, so nearly every draw is accepted.
+    delay_hi = SimConfig.response_delay_hi
+    budget = fill * (DEFAULT_IDLE_TIMEOUT - poll_period - delay_hi)
+    spread, jitter, delay = (budget * w / (sum(shares) or 1.0) for w in shares)
     try:
         cfg = SimConfig(
             n_normal_flows=n_normal, n_attack_flows=n_attack,
             burst_fraction=burst_fraction, poll_period=poll_period,
-            period_stddev=period_stddev, cycle_jitter=cycle_jitter,
-            mimic_period_shift=shift_frac * poll_period,
-            mimic_jitter_boost=jitter_boost, mimic_delay_boost=delay_boost,
-            max_gap=max_gap, normal_pkts_per_flow=pkts,
+            period_stddev=stddev_frac * spread / 6,
+            cycle_jitter=jitter / (12 * (1 + jitter_boost)),
+            mimic_period_shift=min(shift_frac * spread, 0.9 * poll_period),
+            mimic_jitter_boost=jitter_boost, mimic_delay_boost=delay / delay_hi,
+            max_gap=max_gap_frac * DEFAULT_IDLE_TIMEOUT, normal_pkts_per_flow=pkts,
         )
     except ConfigInvalid:
         assume(False)
