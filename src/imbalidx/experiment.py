@@ -15,13 +15,19 @@ The report columns after the cell keys are the fields of MetricsReport,
 in their order; this module names no metric itself.
 
 Seeds run one at a time, in config order, so only one seed's pool and
-feature matrix are alive at once.
+feature matrix are alive at once. Cells do not: within a seed, each
+(ratio, smote) cell is one task on a pool of forked worker processes, one
+per usable CPU and at most one per cell. Workers read the seed's feature
+matrices copy-on-write, the largest training sets go first, and the
+results are put back in cell order, so no output byte depends on the
+worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -160,8 +166,61 @@ def derive_seed(seed: Optional[int], *path: int) -> Optional[int]:
     return int(np.random.SeedSequence([seed, *path]).generate_state(1, np.uint64)[0])
 
 
+# The feature matrices of the seed being swept, as (attack_rows,
+# normal_rows). _run_seed sets them before it forks the cell pool, so each
+# worker reads them copy-on-write instead of unpickling its own copy.
+_ROWS: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+
+def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> CellResult:
+    """Build, split and normalize ratio r_idx's dataset from _ROWS,
+    optionally SMOTE the training split, then train and score one model.
+    Every draw comes from (seed, stage, cell), so a cell gives the same
+    result in whichever process runs it; a plain cell and its SMOTE twin
+    build the same dataset."""
+    attack_rows, normal_rows = _ROWS
+    ratio = cfg.ratios[r_idx]
+    data = build_imbalanced(
+        attack_rows, normal_rows, cfg.n_attack, ratio,
+        np.random.SeedSequence([seed, _BUILD, r_idx]),
+    )
+    train_set, test_set = split_train_test(
+        data, cfg.train_frac, np.random.SeedSequence([seed, _SPLIT, r_idx])
+    )
+    del data
+    stats = normalize_fit(train_set)
+    xtr = normalize_apply(train_set.x, stats)
+    ytr = train_set.y
+    xte = normalize_apply(test_set.x, stats)
+    yte = test_set.y
+    del train_set, test_set
+    if use_smote:
+        xtr, ytr, _ = augment_training_set(
+            xtr, ytr,
+            target_ratio=cfg.smote_target_ratio,
+            k=cfg.smote_k,
+            seed=np.random.SeedSequence([seed, _SMOTE, r_idx]),
+        )
+    model = init_model(
+        cfg.layer_sizes,
+        np.random.SeedSequence([seed, _INIT, r_idx, int(use_smote)]),
+    )
+    train(model, LabeledDataset(xtr, ytr), cfg.train,
+          derive_seed(seed, _TRAIN, r_idx, int(use_smote)))
+    preds = predict(model, xte)
+    return CellResult(ratio, seed, use_smote, MetricsReport.from_confusion(confusion(preds, yte)))
+
+
 def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
-    """Simulate one pool, then run every (ratio, smote) cell for this seed."""
+    """Simulate one pool, then run every (ratio, smote) cell for this seed
+    on a pool of forked workers. Cells come back in config ratio order,
+    plain before SMOTE."""
+    global _ROWS
+    # Imported here: `import imbalidx` loads this module, and most callers
+    # never sweep.
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     packets, rules = simulate(cfg.pool_sim(), np.random.SeedSequence([seed, _SIM]))
     feats = features_from_packets(packets, rules)
     del packets
@@ -175,44 +234,33 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     normal_rows = x[y != ATTACK]
     del x, y
 
-    cells: List[CellResult] = []
-    for r_idx, ratio in enumerate(cfg.ratios):
-        data = build_imbalanced(
-            attack_rows, normal_rows, cfg.n_attack, ratio,
-            np.random.SeedSequence([seed, _BUILD, r_idx]),
-        )
-        train_set, test_set = split_train_test(
-            data, cfg.train_frac, np.random.SeedSequence([seed, _SPLIT, r_idx])
-        )
-        del data
-        stats = normalize_fit(train_set)
-        xtr = normalize_apply(train_set.x, stats)
-        ytr = train_set.y
-        xte = normalize_apply(test_set.x, stats)
-        yte = test_set.y
-        del train_set, test_set
-
-        variants = (False, True) if ratio in cfg.smote_ratios else (False,)
-        for use_smote in variants:
-            if use_smote:
-                xv, yv, _ = augment_training_set(
-                    xtr, ytr,
-                    target_ratio=cfg.smote_target_ratio,
-                    k=cfg.smote_k,
-                    seed=np.random.SeedSequence([seed, _SMOTE, r_idx]),
-                )
-            else:
-                xv, yv = xtr, ytr
-            model = init_model(
-                cfg.layer_sizes,
-                np.random.SeedSequence([seed, _INIT, r_idx, int(use_smote)]),
-            )
-            train(model, LabeledDataset(xv, yv), cfg.train,
-                  derive_seed(seed, _TRAIN, r_idx, int(use_smote)))
-            preds = predict(model, xte)
-            report = MetricsReport.from_confusion(confusion(preds, yte))
-            cells.append(CellResult(ratio, seed, use_smote, report))
-    return cells
+    cells = [(r_idx, use_smote) for r_idx, ratio in enumerate(cfg.ratios)
+             for use_smote in ((False, True) if ratio in cfg.smote_ratios else (False,))]
+    # Largest training set first (smallest ratio, SMOTE before plain), so
+    # the small cells fill in around the large ones.
+    largest_first = sorted(cells, key=lambda c: (cfg.ratios[c[0]], not c[1]))
+    workers = min(len(os.sched_getaffinity(0)), len(cells))
+    # fork, so that the workers share the rows rather than copy them. The
+    # workers start at the first submit, after _ROWS is set.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    _ROWS = attack_rows, normal_rows
+    futures = {}
+    running = set()
+    try:
+        # A cell is submitted only when a worker is free, so none waits in
+        # the pool's queue: after the first failure raises, no new cell
+        # starts, and shutdown waits only for those already running.
+        for c in largest_first:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for f in done:
+                    f.result()
+            futures[c] = pool.submit(_run_cell, cfg, seed, *c)
+            running.add(futures[c])
+        return [futures[c].result() for c in cells]
+    finally:
+        pool.shutdown()
+        _ROWS = None
 
 
 def _sorted_cells(cfg: ExperimentConfig, cells: List[CellResult]) -> List[CellResult]:
@@ -235,9 +283,10 @@ def summarize(cells: List[CellResult]) -> List[SummaryRow]:
 def run_experiment(
     cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
 ) -> ExperimentResult:
-    """Run the sweep, one seed at a time in config order; cells come back
-    sorted by ratio desc, seed asc, smote asc. threads must be >= 1 and
-    changes nothing else: seeds never run concurrently."""
+    """Run the sweep, one seed at a time in config order, each seed's
+    cells on worker processes; cells come back sorted by ratio desc, seed
+    asc, smote asc. threads is accepted, and ignored, only because
+    perfbench/worker.py passes it; it must be >= 1."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cells: List[CellResult] = []

@@ -139,16 +139,13 @@ class SimConfig:
             raise ConfigInvalid("mimic_len_shift must be non-negative")
         if self.attack_window_gap <= 0 or self.max_gap <= 0:
             raise ConfigInvalid("gaps must be positive")
-        period = self.poll_period + 6 * self.period_stddev
-        gap = (max(period, self.poll_period + self.mimic_period_shift)
-               + 12 * self.cycle_jitter * (1 + self.mimic_jitter_boost)
-               + self.response_delay_hi * (1 + self.mimic_delay_boost))
-        if max(gap, self.max_gap) >= DEFAULT_IDLE_TIMEOUT:
+        if self.session_gap_bound >= DEFAULT_IDLE_TIMEOUT:
             raise ConfigInvalid(
                 f"polling timing (poll_period, period_stddev, cycle_jitter, "
                 f"response_delay_hi, mimic_*) or max_gap allows a "
-                f"{max(gap, self.max_gap):g} s gap inside a session, which reaches "
+                f"{self.session_gap_bound:g} s gap inside a session, which reaches "
                 f"the {DEFAULT_IDLE_TIMEOUT:g} s flow idle timeout and would split it")
+        period = self.poll_period + 6 * self.period_stddev
         longest = ((self.poll_cycles_bounds[1] - 1) * period
                    + 12 * self.cycle_jitter + self.response_delay_hi)
         if (self.n_normal_flows > _EPHEMERAL_SPAN
@@ -158,6 +155,22 @@ class SimConfig:
                 f"round after {_EPHEMERAL_SPAN * self.flow_stagger:g} s, not more than "
                 f"a session plus the flow idle timeout ({longest + DEFAULT_IDLE_TIMEOUT:g} s), "
                 f"so two sessions would merge")
+
+    @property
+    def response_gap_bound(self) -> float:
+        """The longest response delay: no response follows its request by
+        more, so no gap in a session that ends at a response is longer."""
+        return self.response_delay_hi * (1 + self.mimic_delay_boost)
+
+    @property
+    def session_gap_bound(self) -> float:
+        """The longest gap between consecutive packets of one session, the
+        bound the class docstring states."""
+        period = self.poll_period + 6 * self.period_stddev
+        polling = (max(period, self.poll_period + self.mimic_period_shift)
+                   + 12 * self.cycle_jitter * (1 + self.mimic_jitter_boost)
+                   + self.response_gap_bound)
+        return max(polling, self.max_gap)
 
     @property
     def poll_cycles_bounds(self) -> Tuple[int, int]:

@@ -1,6 +1,8 @@
 """Command-line interface: pipeline wiring, file outputs, exit codes."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -454,6 +456,54 @@ def test_experiment_has_no_threads_flag(sweep, tmp_path, capsys):
 def test_run_experiment_rejects_threads_below_one():
     with pytest.raises(ValueError, match="threads"):
         experiment.run_experiment(experiment.ExperimentConfig(), threads=0)
+
+
+def test_report_bytes_do_not_depend_on_the_worker_count(sweep, tmp_path, monkeypatch):
+    # The pool takes one worker per usable CPU, so the affinity lookup sets
+    # the count; the spy records what each seed's pool was given.
+    cfg, out = sweep
+    exp = config_from_json(experiment.ExperimentConfig, cfg.read_text())
+    sizes = []
+
+    class SizedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        redo = tmp_path / f"{len(cpus)}-workers" / "report.csv"
+        experiment.write_report(experiment.run_experiment(exp), redo)
+        for name in ("report.csv", "report.summary.csv", "report.manifest.json"):
+            assert redo.with_name(name).read_bytes() == out.with_name(name).read_bytes()
+    assert sizes == [1, 1, 2, 2]  # two seeds per run
+
+
+def test_a_failing_cell_stops_the_sweep_and_leaves_no_worker(tmp_path, monkeypatch):
+    # Twelve slow cells on two workers: the first failure reaches the
+    # caller, and only the two cells already running by then ever start.
+    exp = experiment.ExperimentConfig(
+        ratios=(0.3, 0.25, 0.2, 0.15, 0.1, 0.05),
+        smote_ratios=(0.3, 0.25, 0.2, 0.15, 0.1, 0.05),
+        seeds=(0,), n_attack=40, pool_margin=20, layer_sizes=(23, 8, 1),
+        train=mlp.TrainConfig(epochs=2, batch_size=32), smote_target_ratio=0.4,
+    )
+    started = tmp_path / "started"
+
+    def diverging_train(*args, **kwargs):
+        with open(started, "a") as f:  # one short O_APPEND write per cell
+            f.write(f"{os.getpid()}\n")
+        time.sleep(0.5)
+        raise mlp.NonFiniteLoss("loss became nan")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(experiment, "train", diverging_train)  # workers fork it
+    with pytest.raises(mlp.NonFiniteLoss, match="nan"):
+        experiment.run_experiment(exp)
+    assert multiprocessing.active_children() == []
+    assert experiment._ROWS is None
+    assert len(started.read_text().splitlines()) == 2
 
 
 def test_experiment_workdir_keeps_each_seeds_features(sweep, tmp_path):

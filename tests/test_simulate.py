@@ -243,6 +243,18 @@ def test_accepted_configs_keep_one_flow_per_session(
     for r in rules:
         overlaps = on_pair & (flows.start <= r.end_time) & (flows.end >= r.start_time)
         assert np.count_nonzero(overlaps) == 1
+    # Each session is one flow, so the gaps inside flows are the gaps inside
+    # sessions. Checking them against SimConfig's bound directly catches a
+    # simulator that outgrows it while staying under the timeout; the
+    # response gaps are checked against their own term, because the whole
+    # bound sits far above them unless that term dominates it.
+    order = flows.order
+    same = flows.flow[order][1:] == flows.flow[order][:-1]
+    gaps = np.diff(packets.ts[order])[same]
+    to_response = (packets.src[order] == parse_addr(cfg.plc_addr))[1:][same]
+    grid = 1e-6  # two times, each rounded to the microsecond grid
+    assert gaps.max(initial=0.0) <= cfg.session_gap_bound + grid
+    assert gaps[to_response].max(initial=0.0) <= cfg.response_gap_bound + grid
 
 
 def test_config_from_json_round_trip():
