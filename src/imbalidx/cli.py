@@ -153,7 +153,7 @@ def cmd_smote(args) -> int:
 
 
 def _train_options(args):
-    layer_sizes = (23, 16, 8, 1)
+    layer_sizes = ExperimentConfig.layer_sizes
     cfg = mlp.TrainConfig()
     if args.config:
         obj = load_json(_input(args.config, "config file").read_text())

@@ -17,10 +17,10 @@ in their order; this module names no metric itself.
 Seeds run one at a time, in config order, so only one seed's pool and
 feature matrix are alive at once. Cells do not: within a seed, each
 (ratio, smote) cell is one task on a pool of forked worker processes, one
-per usable CPU and at most one per cell. Workers read the seed's feature
-matrices copy-on-write, the largest training sets go first, and the
-results are put back in cell order, so no output byte depends on the
-worker count.
+per usable CPU and at most one per cell. The pool's initializer hands each
+worker the seed's feature matrices, copy-on-write, so the parent keeps no
+sweep state. The largest training sets go first, and the report sorts the
+cells, so no output byte depends on the worker count.
 """
 
 from __future__ import annotations
@@ -166,10 +166,14 @@ def derive_seed(seed: Optional[int], *path: int) -> Optional[int]:
     return int(np.random.SeedSequence([seed, *path]).generate_state(1, np.uint64)[0])
 
 
-# The feature matrices of the seed being swept, as (attack_rows,
-# normal_rows). _run_seed sets them before it forks the cell pool, so each
-# worker reads them copy-on-write instead of unpickling its own copy.
+# A cell worker's seed rows, (attack_rows, normal_rows); unset in the parent.
 _ROWS: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+
+def _share_rows(attack_rows: np.ndarray, normal_rows: np.ndarray) -> None:
+    """Cell pool initializer: keep the seed's rows for this worker's cells."""
+    global _ROWS
+    _ROWS = attack_rows, normal_rows
 
 
 def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> CellResult:
@@ -213,13 +217,11 @@ def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> 
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     """Simulate one pool, then run every (ratio, smote) cell for this seed
-    on a pool of forked workers. Cells come back in config ratio order,
-    plain before SMOTE."""
-    global _ROWS
+    on a pool of forked workers. Cells come back in the order they finish."""
     # Imported here: `import imbalidx` loads this module, and most callers
     # never sweep.
     import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
 
     packets, rules = simulate(cfg.pool_sim(), np.random.SeedSequence([seed, _SIM]))
     feats = features_from_packets(packets, rules)
@@ -234,33 +236,28 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     normal_rows = x[y != ATTACK]
     del x, y
 
-    cells = [(r_idx, use_smote) for r_idx, ratio in enumerate(cfg.ratios)
-             for use_smote in ((False, True) if ratio in cfg.smote_ratios else (False,))]
     # Largest training set first (smallest ratio, SMOTE before plain), so
     # the small cells fill in around the large ones.
-    largest_first = sorted(cells, key=lambda c: (cfg.ratios[c[0]], not c[1]))
+    by_ratio = sorted(enumerate(cfg.ratios), key=lambda item: item[1])
+    cells = [(r_idx, use_smote) for r_idx, ratio in by_ratio
+             for use_smote in ((True, False) if ratio in cfg.smote_ratios else (False,))]
     workers = min(len(os.sched_getaffinity(0)), len(cells))
-    # fork, so that the workers share the rows rather than copy them. The
-    # workers start at the first submit, after _ROWS is set.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    _ROWS = attack_rows, normal_rows
-    futures = {}
+    results: List[CellResult] = []
     running = set()
-    try:
+    # fork, so that each worker inherits initargs copy-on-write; none is pickled.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_share_rows,
+                             initargs=(attack_rows, normal_rows)) as pool:
         # A cell is submitted only when a worker is free, so none waits in
         # the pool's queue: after the first failure raises, no new cell
-        # starts, and shutdown waits only for those already running.
-        for c in largest_first:
+        # starts, and leaving the block waits only for those already running.
+        for c in cells:
             if len(running) == workers:
                 done, running = wait(running, return_when=FIRST_COMPLETED)
-                for f in done:
-                    f.result()
-            futures[c] = pool.submit(_run_cell, cfg, seed, *c)
-            running.add(futures[c])
-        return [futures[c].result() for c in cells]
-    finally:
-        pool.shutdown()
-        _ROWS = None
+                results.extend(f.result() for f in done)
+            running.add(pool.submit(_run_cell, cfg, seed, *c))
+        results.extend(f.result() for f in as_completed(running))
+    return results
 
 
 def _sorted_cells(cfg: ExperimentConfig, cells: List[CellResult]) -> List[CellResult]:
@@ -284,7 +281,8 @@ def run_experiment(
     cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
 ) -> ExperimentResult:
     """Run the sweep, one seed at a time in config order, each seed's
-    cells on worker processes; cells come back sorted by ratio desc, seed
+    cells on its own worker processes, so calls from concurrent threads
+    each keep their own rows; cells come back sorted by ratio desc, seed
     asc, smote asc. threads is accepted, and ignored, only because
     perfbench/worker.py passes it; it must be >= 1."""
     if threads < 1:

@@ -9,6 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .textio import json_value
+
 
 class LengthMismatch(ValueError):
     """Prediction and truth vectors differ in length (or are empty)."""
@@ -125,4 +127,7 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
-        return cls(**json.loads(text))
+        """The report to_json writes. JSON that is anything but an object
+        of exactly the five metrics, each a finite number, raises
+        ConfigInvalid naming the key."""
+        return json_value(cls, json.loads(text), "report")

@@ -506,6 +506,45 @@ def test_a_failing_cell_stops_the_sweep_and_leaves_no_worker(tmp_path, monkeypat
     assert len(started.read_text().splitlines()) == 2
 
 
+def test_two_sweeps_in_threads_keep_their_own_rows(monkeypatch):
+    # Each pool's first submit waits until the other sweep has reached its
+    # own, so both hold their seed's rows before either forks a worker.
+    configs = [experiment.ExperimentConfig(
+        ratios=(0.5, 0.25), smote_ratios=(0.25,), seeds=(seed,), n_attack=40,
+        pool_margin=20, layer_sizes=(23, 8, 1),
+        train=mlp.TrainConfig(epochs=5, batch_size=32), smote_target_ratio=0.4,
+    ) for seed in (0, 7)]
+    alone = [experiment.run_experiment(exp).cells for exp in configs]
+    assert [c.report for c in alone[0]] != [c.report for c in alone[1]]
+    both_forking = threading.Barrier(2, timeout=60)
+
+    class MeetingPool(concurrent.futures.ProcessPoolExecutor):
+        met = False
+
+        def submit(self, *args, **kwargs):
+            if not self.met:
+                self.met = True
+                both_forking.wait()
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", MeetingPool)
+    results = [None, None]
+
+    def sweep(i):
+        try:
+            results[i] = experiment.run_experiment(configs[i]).cells
+        except Exception as exc:  # reported by the main thread below
+            results[i] = exc
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert results == alone
+
+
 def test_experiment_workdir_keeps_each_seeds_features(sweep, tmp_path):
     _, out = sweep
     work = tmp_path / "work"

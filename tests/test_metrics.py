@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -20,6 +21,7 @@ from imbalidx.metrics import (
     sensitivity,
     undetected_rate,
 )
+from imbalidx.textio import ConfigInvalid
 
 getcontext().prec = 50
 
@@ -194,3 +196,18 @@ def test_report_json_round_trip():
     assert set(json.loads(report.to_json())) == {
         "accuracy", "far", "ur", "mcc", "sensitivity",
     }
+
+
+_REPORT = {"accuracy": 92.0, "far": 5.5, "ur": 30.0, "mcc": 55.1, "sensitivity": 70.0}
+
+
+@pytest.mark.parametrize("text, key", [
+    (json.dumps({**_REPORT, "accuracy": "x"}), "report.accuracy"),
+    (json.dumps({**_REPORT, "far": True}), "report.far"),
+    (json.dumps({**_REPORT, "mcc": float("nan")}), "report.mcc"),
+    ("[1, 2]", "report"),
+    (json.dumps({k: v for k, v in _REPORT.items() if k != "ur"}), "'ur'"),
+])
+def test_report_from_json_rejects_bad_values(text, key):
+    with pytest.raises(ConfigInvalid, match=re.escape(key)):
+        MetricsReport.from_json(text)
