@@ -168,7 +168,7 @@ def cmd_train(args) -> int:
     layer_sizes, cfg = _train_options(args)
     data = fl.read_features_csv(_input(args.data, "dataset"))
     stats = ds.normalize_fit(data.x)
-    z = ds.normalize_apply(data, stats)
+    z = fl.LabeledDataset(ds.normalize_apply(data.x, stats), data.y)
     model = mlp.init_model(layer_sizes, derive_seed(args.seed, 0))
     _, history = mlp.train(model, z, cfg, derive_seed(args.seed, 1))
     mlp.save_model(model, args.out)

@@ -35,6 +35,16 @@ def required_normals(n_attack: int, ratio: float) -> int:
     return round(n_attack * (1.0 - ratio) / ratio)
 
 
+def train_count(n: int, train_frac: float, what: str = "rows") -> int:
+    """How many of a class's n rows a stratified split trains on:
+    train_frac * n, rounded to the nearest whole row. DegenerateSplit
+    unless both sides keep at least one row; what names the rows."""
+    n_train = round(train_frac * n)
+    if n_train == 0 or n_train == n:
+        raise DegenerateSplit(f"train_frac {train_frac} of {n} {what} leaves one side empty")
+    return n_train
+
+
 def _pool_matrix(pool: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(pool, dtype=np.float64)
     if m.ndim != 2:
@@ -92,14 +102,7 @@ def split_train_test(
     test_parts: List[np.ndarray] = []
     for cls in (NORMAL, ATTACK):
         idx = np.flatnonzero(data.y == cls)
-        if idx.size == 0:
-            raise DegenerateSplit(f"class {cls} is absent from the dataset")
-        n_train = round(train_frac * idx.size)
-        if n_train == 0 or n_train == idx.size:
-            raise DegenerateSplit(
-                f"class {cls} has {idx.size} rows; train_frac {train_frac} "
-                "leaves one side empty"
-            )
+        n_train = train_count(idx.size, train_frac, f"class-{cls} rows")
         shuffled = idx[rng.permutation(idx.size)]
         train_parts.append(shuffled[:n_train])
         test_parts.append(shuffled[n_train:])
@@ -142,14 +145,10 @@ class NormalizationStats:
         return cls(mean=mean, std=std)
 
 
-def _matrix_of(ds) -> np.ndarray:
-    return ds.x if isinstance(ds, LabeledDataset) else np.asarray(ds, dtype=np.float64)
-
-
-def normalize_fit(train) -> NormalizationStats:
-    """Column means and population stddevs from a LabeledDataset or matrix.
-    Constant columns get std 1 so scaling maps them to exactly zero."""
-    x = _matrix_of(train)
+def normalize_fit(x: np.ndarray) -> NormalizationStats:
+    """Column means and population stddevs of a matrix. Constant columns
+    get std 1 so scaling maps them to exactly zero."""
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"need a non-empty 2-d matrix, got shape {x.shape}")
     mean = x.mean(axis=0)
@@ -158,18 +157,14 @@ def normalize_fit(train) -> NormalizationStats:
     return NormalizationStats(mean=mean, std=std)
 
 
-def normalize_apply(ds, stats: NormalizationStats):
-    """Z-score with training stats. Returns the same kind it was given:
-    LabeledDataset in, LabeledDataset out; matrix in, matrix out."""
-    x = _matrix_of(ds)
+def normalize_apply(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+    """A matrix z-scored with training stats."""
+    x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != stats.mean.shape[0]:
         raise ValueError(
             f"matrix has {x.shape[-1]} columns, stats expect {stats.mean.shape[0]}"
         )
-    scaled = (x - stats.mean) / stats.std
-    if isinstance(ds, LabeledDataset):
-        return LabeledDataset(scaled, ds.y.copy())
-    return scaled
+    return (x - stats.mean) / stats.std
 
 
 def save_stats(stats: NormalizationStats, path) -> None:

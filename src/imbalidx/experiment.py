@@ -35,18 +35,20 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .dataset import (
+    DegenerateSplit,
     LabeledDataset,
     build_imbalanced,
     normalize_apply,
     normalize_fit,
     required_normals,
+    train_count,
 )
 from .dataset import split_train_test
 from .flows import ATTACK, FEATURE_NAMES, features_from_packets, to_arrays, write_features_csv
 from .metrics import MetricsReport, confusion
 from .mlp import BadArchitecture, TrainConfig, check_architecture, init_model, predict, train
 from .simulate import SimConfig, simulate
-from .smote import augment_training_set
+from .smote import augment_training_set, synthetic_count
 from .textio import ConfigInvalid
 
 # Stage tags for per-stage seed derivation.
@@ -100,6 +102,23 @@ class ExperimentConfig:
         if self.pool_margin < 0:
             raise ConfigInvalid("pool_margin must be >= 0")
         check_layer_sizes(self.layer_sizes)
+        # Every cell must run as asked: each ratio's split keeps both
+        # classes on both sides, and SMOTE grows a minority attack class.
+        for r in self.ratios:
+            try:
+                n_attack, n_normal = (train_count(n, self.train_frac) for n in
+                                      (self.n_attack, required_normals(self.n_attack, r)))
+            except DegenerateSplit as exc:
+                raise ConfigInvalid(f"ratio {r}: {exc}") from None
+            if r not in self.smote_ratios:
+                continue
+            if not r < min(self.smote_target_ratio, 0.5):
+                raise ConfigInvalid(f"smote ratio {r} must be below smote_target_ratio "
+                                    f"{self.smote_target_ratio} and 0.5")
+            grown = synthetic_count(n_attack, n_attack + n_normal, self.smote_target_ratio)
+            if n_attack < 2 or grown == 0:
+                raise ConfigInvalid(f"smote ratio {r}: SMOTE needs at least 2 training attacks "
+                                    f"and 1 new row, got {n_attack} and {grown}")
         # pool_sim sets these per seed, so any other value would be ignored.
         for name in ("n_normal_flows", "n_attack_flows"):
             default = getattr(SimConfig, name)
@@ -192,7 +211,7 @@ def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> 
         data, cfg.train_frac, np.random.SeedSequence([seed, _SPLIT, r_idx])
     )
     del data
-    stats = normalize_fit(train_set)
+    stats = normalize_fit(train_set.x)
     xtr = normalize_apply(train_set.x, stats)
     ytr = train_set.y
     xte = normalize_apply(test_set.x, stats)

@@ -15,7 +15,7 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .packets import PacketTable, parse_addr, parse_timestamp
+from .packets import PacketTable, format_addr, parse_addr, parse_timestamp
 from .textio import ParseError, csv_rows
 
 NORMAL = 0
@@ -201,14 +201,13 @@ def feature_matrix(flows: FlowTable) -> np.ndarray:
 
 
 class LabelRule(NamedTuple):
-    """One ground-truth window: the address pair is an attack conversation
-    during [start_time, end_time]."""
+    """One attack window: flows between the two 32-bit IPv4 addresses, in
+    either direction, are attacks during [start_time, end_time]."""
 
-    src_addr: str
-    dst_addr: str
+    src_addr: int
+    dst_addr: int
     start_time: float
     end_time: float
-    label: int
 
 
 LABEL_CSV_HEADER = "src_addr,dst_addr,start_time,end_time,label"
@@ -218,30 +217,27 @@ def write_label_csv(rules: Iterable[LabelRule], path) -> None:
     with open(path, "w", newline="") as f:
         f.write(LABEL_CSV_HEADER + "\n")
         for r in rules:
-            f.write(
-                f"{r.src_addr},{r.dst_addr},{r.start_time:.6f},{r.end_time:.6f},{r.label}\n"
-            )
+            f.write(f"{format_addr(r.src_addr)},{format_addr(r.dst_addr)},"
+                    f"{r.start_time:.6f},{r.end_time:.6f},1\n")
 
 
 def read_label_csv(path) -> List[LabelRule]:
+    """The windows of a label CSV. ParseError names the first line with an
+    address that is not a dotted quad, a time off the microsecond grid, a
+    window that ends before it starts, or a label other than 1."""
     rules: List[LabelRule] = []
     for line_no, fields in csv_rows(path, LABEL_CSV_HEADER):
         src, dst, start_s, end_s, label_s = fields
-        for name, text in (("src_addr", src), ("dst_addr", dst)):
-            try:
-                parse_addr(text)
-            except ValueError:
-                raise ParseError(line_no, f"bad {name} {text!r}") from None
         try:
-            start, end = parse_timestamp(start_s), parse_timestamp(end_s)
-            label = int(label_s)
-        except ValueError:
-            raise ParseError(line_no, f"bad numeric field in {','.join(fields)!r}") from None
-        if end < start:
+            rule = LabelRule(parse_addr(src), parse_addr(dst),
+                             parse_timestamp(start_s), parse_timestamp(end_s))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        if rule.end_time < rule.start_time:
             raise ParseError(line_no, "window ends before it starts")
-        if label not in (NORMAL, ATTACK):
-            raise ParseError(line_no, f"label must be 0 or 1, got {label_s!r}")
-        rules.append(LabelRule(src, dst, start, end, label))
+        if label_s != "1":
+            raise ParseError(line_no, "label must be 1: every window is an attack window")
+        rules.append(rule)
     return rules
 
 
@@ -252,23 +248,13 @@ def _pair_key(a, b) -> np.ndarray:
 
 
 def label_flows(flows: FlowTable, rules: Sequence[LabelRule]) -> np.ndarray:
-    """Per flow, ATTACK iff an attack rule names its address pair (in
-    either order) and the rule's window overlaps the flow's [start, end],
-    closed at both ends; NORMAL otherwise. A rule address that is not a
-    dotted-quad IPv4 address matches no flow."""
+    """Per flow, ATTACK iff a rule names its address pair (in either
+    order) and the rule's window overlaps the flow's [start, end], closed
+    at both ends; NORMAL otherwise."""
     labels = np.full(len(flows), NORMAL, dtype=np.int64)
-    windows = []
-    for r in rules:
-        if r.label != ATTACK:
-            continue
-        try:
-            windows.append((parse_addr(r.src_addr), parse_addr(r.dst_addr),
-                            r.start_time, r.end_time))
-        except ValueError:
-            continue
-    if not windows:
+    if not rules:
         return labels
-    a, b, w_start, w_end = (np.array(c) for c in zip(*windows))
+    a, b, w_start, w_end = (np.array(c) for c in zip(*rules))
     w_pair = _pair_key(a, b)
     by_pair = np.lexsort((w_start, w_pair))
     w_pair, w_start, w_end = w_pair[by_pair], w_start[by_pair], w_end[by_pair]

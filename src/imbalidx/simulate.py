@@ -29,7 +29,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .flows import ATTACK, DEFAULT_IDLE_TIMEOUT, LabelRule
+from .flows import DEFAULT_IDLE_TIMEOUT, LabelRule
 from .packets import PacketTable, Protocol, grid_seconds, parse_addr, quantize_us
 from .textio import ConfigInvalid
 
@@ -295,6 +295,7 @@ def simulate(config: SimConfig, seed=None) -> Tuple[PacketTable, List[LabelRule]
     Generator from either give the same stream."""
     rng = np.random.default_rng(seed)
     cfg = config
+    hmi, plc, atk = (parse_addr(a) for a in (cfg.hmi_addr, cfg.plc_addr, cfg.attacker_addr))
     # One block per source, each (times, endpoint code, ephemeral port,
     # length, retx); normal traffic first.
     blocks = [_normal_columns(cfg, rng)] if cfg.n_normal_flows > 0 else []
@@ -326,8 +327,7 @@ def simulate(config: SimConfig, seed=None) -> Tuple[PacketTable, List[LabelRule]
         # start and start + span, the session's first and last packet.
         lo, hi = (grid_seconds(*np.divmod(quantize_us(t), 1_000_000)).tolist()
                   for t in (start, start + span))
-        rules = [LabelRule(cfg.attacker_addr, cfg.plc_addr, a, b, ATTACK)
-                 for a, b in zip(lo, hi)]
+        rules = [LabelRule(atk, plc, a, b) for a, b in zip(lo, hi)]
 
     if not blocks:
         return PacketTable.from_records([]), []
@@ -345,7 +345,6 @@ def simulate(config: SimConfig, seed=None) -> Tuple[PacketTable, List[LabelRule]
                                for i in range(1, 5))
     del blocks
     eph = eph.astype(np.uint16)
-    hmi, plc, atk = (parse_addr(a) for a in (cfg.hmi_addr, cfg.plc_addr, cfg.attacker_addr))
     # Indexed by endpoint code: _HMI_TO_PLC, _PLC_TO_HMI, _ATK_TO_PLC, _PLC_TO_ATK.
     src_of = np.array([hmi, plc, atk, plc], dtype=np.uint32)
     dst_of = np.array([plc, hmi, plc, atk], dtype=np.uint32)

@@ -132,13 +132,12 @@ def compute_features(flow: FlowRecord) -> Dict[str, float]:
 
 
 def label_flows(flows: Sequence[FlowRecord], rules: Sequence[LabelRule]) -> List[int]:
-    """ATTACK iff an attack rule names the flow's address pair and its
-    window overlaps [start_time, end_time]."""
+    """ATTACK iff a rule names the flow's address pair and its window
+    overlaps [start_time, end_time]."""
     by_pair: Dict[tuple, List[Tuple[float, float]]] = {}
     for r in rules:
-        if r.label == ATTACK:
-            pair = tuple(sorted((r.src_addr, r.dst_addr)))
-            by_pair.setdefault(pair, []).append((r.start_time, r.end_time))
+        pair = tuple(sorted((format_addr(r.src_addr), format_addr(r.dst_addr))))
+        by_pair.setdefault(pair, []).append((r.start_time, r.end_time))
     index = {}
     for pair, windows in by_pair.items():
         windows.sort()

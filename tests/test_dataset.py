@@ -183,15 +183,6 @@ def test_normalize_test_set_uses_train_stats_only():
     assert np.all(z.mean(axis=0) > 3.0)
 
 
-def test_normalize_accepts_dataset_and_returns_dataset():
-    data = LabeledDataset(tagged_pool(6), np.array([0, 1, 0, 1, 0, 1]))
-    stats = normalize_fit(data)
-    z = normalize_apply(data, stats)
-    assert isinstance(z, LabeledDataset)
-    assert np.array_equal(z.y, data.y)
-    assert normalize_apply(data.x, stats).shape == data.x.shape
-
-
 def test_normalize_apply_checks_column_count():
     stats = normalize_fit(np.ones((3, 4)) * np.arange(4))
     with pytest.raises(ValueError):

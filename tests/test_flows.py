@@ -52,6 +52,11 @@ def table(records):
     return PacketTable.from_records(records)
 
 
+def window(a, b, start, end):
+    """A label window between two dotted-quad addresses."""
+    return LabelRule(parse_addr(a), parse_addr(b), start, end)
+
+
 def features(records, idle_timeout=5.0):
     """One {feature name: value} dict per flow."""
     x = feature_matrix(assemble_flows(table(records), idle_timeout))
@@ -282,29 +287,27 @@ def test_labeling_by_window_overlap():
     def label(rules):
         return label_flows(flows, rules).tolist()
 
-    assert label([LabelRule(A, B, 0.0, 1.0, ATTACK)]) == [ATTACK]
-    assert label([LabelRule(A, B, 5.0, 6.0, ATTACK)]) == [NORMAL]
+    assert label([window(A, B, 0.0, 1.0)]) == [ATTACK]
+    assert label([window(A, B, 5.0, 6.0)]) == [NORMAL]
     assert label([]) == [NORMAL]
     # Address order in the rule does not matter.
-    assert label([LabelRule(B, A, 0.0, 1.0, ATTACK)]) == [ATTACK]
+    assert label([window(B, A, 0.0, 1.0)]) == [ATTACK]
     # Touching windows count as overlap (closed intervals), at either edge.
-    assert label([LabelRule(A, B, 0.35, 2.0, ATTACK)]) == [ATTACK]
-    assert label([LabelRule(A, B, -1.0, 0.0, ATTACK)]) == [ATTACK]
-    assert label([LabelRule(A, "10.9.9.9", 0.0, 1.0, ATTACK)]) == [NORMAL]
-    # Only attack rules label, and an unparseable address matches nothing.
-    assert label([LabelRule(A, B, 0.0, 1.0, NORMAL)]) == [NORMAL]
-    assert label([LabelRule(A, "host-b", 0.0, 1.0, ATTACK)]) == [NORMAL]
+    assert label([window(A, B, 0.35, 2.0)]) == [ATTACK]
+    assert label([window(A, B, -1.0, 0.0)]) == [ATTACK]
+    assert label([window(A, "10.9.9.9", 0.0, 1.0)]) == [NORMAL]
 
 
 def test_label_csv_round_trip(tmp_path):
     rules = [
-        LabelRule("10.0.0.66", "10.0.0.20", 50.0, 61.25, ATTACK),
-        LabelRule("10.0.0.66", "10.0.0.20", 70.5, 80.0, ATTACK),
+        window("10.0.0.66", "10.0.0.20", 50.0, 61.25),
+        window("10.0.0.66", "10.0.0.20", 70.5, 80.0),
         # A grid time whose float is not the nearest to its 6-decimal text.
-        LabelRule("10.0.0.66", "10.0.0.20", 1657 + 892201 / 1e6, 1700.0, ATTACK),
+        window("10.0.0.66", "10.0.0.20", 1657 + 892201 / 1e6, 1700.0),
     ]
     path = tmp_path / "labels.csv"
     write_label_csv(rules, path)
+    assert path.read_text().splitlines()[1] == "10.0.0.66,10.0.0.20,50.000000,61.250000,1"
     assert read_label_csv(path) == rules
 
 
@@ -313,6 +316,7 @@ def test_label_csv_round_trip(tmp_path):
     [
         "1.1.1.1,2.2.2.2,1.0,0.5,1",     # window ends before it starts
         "1.1.1.1,2.2.2.2,0.0,1.0,2",     # label out of range
+        "1.1.1.1,2.2.2.2,0.0,1.0,0",     # every window is an attack window
         "1.1.1.1,2.2.2.2,x,1.0,1",       # non-numeric
         "1.1.1.1,2.2.2.2,0.0,1.0",       # missing field
         "1.1.1.x,2.2.2.2,0.0,1.0,1",     # not an IPv4 address
@@ -335,7 +339,7 @@ def test_features_csv_round_trip(tmp_path):
     packets = four_packet_flow() + [
         pkt(9.0, A, "10.0.0.7", sport=1100, dport=502, n=70, retx=True),
     ]
-    feats = features_from_packets(table(packets), [LabelRule(A, B, 0.0, 1.0, ATTACK)])
+    feats = features_from_packets(table(packets), [window(A, B, 0.0, 1.0)])
     path = tmp_path / "features.csv"
     write_features_csv(feats, path)
     assert path.read_text().splitlines()[0] == FEATURE_CSV_HEADER
@@ -394,7 +398,7 @@ def test_extraction_pipeline_label_counts():
         src = "10.0.0.66" if i < 3 else A
         packets.append(pkt(base, src, B, sport=2000 + i))
         packets.append(pkt(base + 0.05, B, src, sport=502, dport=2000 + i))
-    rules = [LabelRule("10.0.0.66", B, 0.0, 45.0, ATTACK)]
+    rules = [window("10.0.0.66", B, 0.0, 45.0)]
     feats = features_from_packets(table(packets), rules)
     assert len(feats) == 10
     assert feats.y.tolist() == [ATTACK] * 3 + [NORMAL] * 7
@@ -457,7 +461,7 @@ def labelled_streams(draw):
     for _ in range(draw(st.integers(0, 4))):
         a, b, *_ = draw(st.sampled_from(convs))
         start, end = sorted((draw(edge), draw(edge)))
-        rules.append(LabelRule(a, b, start, end, draw(st.sampled_from((ATTACK, ATTACK, NORMAL)))))
+        rules.append(window(a, b, start, end))
     return stream, rules
 
 
@@ -497,8 +501,7 @@ def test_flow_contract_on_simulated_pool(pool):
     data = features_from_packets(packets, rules)
     assert len(flows) == len(data) == cfg.n_normal_flows + cfg.n_attack_flows
     assert data.n_attack == cfg.n_attack_flows == len(rules)
-    for r in rules:
-        a, b = parse_addr(r.src_addr), parse_addr(r.dst_addr)
+    for a, b, start, end in rules:
         same_pair = ((flows.src == a) & (flows.dst == b)) | ((flows.src == b) & (flows.dst == a))
-        overlap = same_pair & (flows.start <= r.end_time) & (flows.end >= r.start_time)
+        overlap = same_pair & (flows.start <= end) & (flows.end >= start)
         assert np.count_nonzero(overlap) == 1

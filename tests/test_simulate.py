@@ -78,14 +78,13 @@ def test_one_label_window_per_attack_session(n_normal, burst_fraction):
                     burst_fraction=burst_fraction)
     packets, rules = simulate(cfg, 9)
     assert len(rules) == 7
+    atk, plc = parse_addr(cfg.attacker_addr), parse_addr(cfg.plc_addr)
     for r in rules:
-        assert r.label == ATTACK
-        assert {r.src_addr, r.dst_addr} == {cfg.attacker_addr, cfg.plc_addr}
+        assert (r.src_addr, r.dst_addr) == (atk, plc)
         assert r.start_time <= r.end_time
     # Sessions are placed in id order and spaced out, so the windows
     # increase in session order and never touch: one time sort merges them.
     assert all(a.end_time < b.start_time for a, b in zip(rules, rules[1:]))
-    atk = parse_addr(cfg.attacker_addr)
     ts = packets.ts[(packets.src == atk) | (packets.dst == atk)]
     inside = ((ts[:, None] >= [r.start_time for r in rules])
               & (ts[:, None] <= [r.end_time for r in rules]))
@@ -295,6 +294,16 @@ BAD_CONFIGS = [
     (ExperimentConfig, '{"workdir": 5}'),  # number for an Optional string
     (ExperimentConfig, '{"layer_sizes": [23, 8, 2]}'),  # two output units
     (ExperimentConfig, '{"layer_sizes": [10, 1]}'),  # not the 23 flow features
+    # Cells that cannot run as asked: a split with an empty side, ...
+    (ExperimentConfig, '{"n_attack": 2}'),  # both attacks would train
+    (ExperimentConfig, '{"ratios": [0.999, 0.1], "smote_ratios": []}'),  # 1 normal
+    # ... and SMOTE that would not grow the minority attack class.
+    (ExperimentConfig, '{"ratios": [0.5, 0.1], "smote_ratios": [0.5]}'),  # at the target
+    (ExperimentConfig, '{"ratios": [0.5, 0.1], "smote_ratios": [0.5], '
+                       '"smote_target_ratio": 0.9}'),  # attacks are not the minority
+    (ExperimentConfig, '{"n_attack": 3, "train_frac": 0.4}'),  # 1 training attack
+    # Below the target, but 8 training attacks in 81 rows round to 0 new.
+    (ExperimentConfig, '{"n_attack": 10, "ratios": [0.099], "smote_ratios": [0.099]}'),
 ]
 
 
