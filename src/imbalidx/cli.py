@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minority share after growth (default 0.10)")
     p.add_argument("--target-count", type=int,
                    help="exact minority size after growth (overrides ratio)")
-    p.add_argument("--k", type=int, default=5, help="neighbours per base row")
+    p.add_argument("--k", type=int, default=5,
+                   help="neighbours per base row; must be below the minority row count")
     p.add_argument("--seed", type=_seed_arg)
     p.add_argument("--provenance", help="also write base,neighbor,gap CSV here")
     p.add_argument("--out", required=True, help="augmented dataset CSV path")

@@ -116,9 +116,9 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"smote ratio {r} must be below smote_target_ratio "
                                     f"{self.smote_target_ratio} and 0.5")
             grown = synthetic_count(n_attack, n_attack + n_normal, self.smote_target_ratio)
-            if n_attack < 2 or grown == 0:
-                raise ConfigInvalid(f"smote ratio {r}: SMOTE needs at least 2 training attacks "
-                                    f"and 1 new row, got {n_attack} and {grown}")
+            if n_attack <= self.smote_k or grown == 0:
+                raise ConfigInvalid(f"smote ratio {r}: SMOTE needs over smote_k={self.smote_k} "
+                                    f"training attacks and 1 new row, got {n_attack} and {grown}")
         # pool_sim sets these per seed, so any other value would be ignored.
         for name in ("n_normal_flows", "n_attack_flows"):
             default = getattr(SimConfig, name)

@@ -223,8 +223,9 @@ def write_label_csv(rules: Iterable[LabelRule], path) -> None:
 
 def read_label_csv(path) -> List[LabelRule]:
     """The windows of a label CSV. ParseError names the first line with an
-    address that is not a dotted quad, a time off the microsecond grid, a
-    window that ends before it starts, or a label other than 1."""
+    address that is not a canonical dotted quad (see parse_addr), a time
+    off the microsecond grid, a window that ends before it starts, or a
+    label other than 1."""
     rules: List[LabelRule] = []
     for line_no, fields in csv_rows(path, LABEL_CSV_HEADER):
         src, dst, start_s, end_s, label_s = fields
@@ -359,21 +360,21 @@ def write_features_csv(data: LabeledDataset, path) -> None:
 
 
 def read_features_csv(path) -> LabeledDataset:
-    """Read a feature CSV back as a float matrix and 0/1 labels."""
+    """Read a feature CSV back as a float matrix and 0/1 labels. A feature
+    is any finite float() text; the label is the text 0 or 1."""
     rows: List[List[float]] = []
     labels: List[int] = []
     for line_no, fields in csv_rows(path, FEATURE_CSV_HEADER):
         try:
             values = [float(v) for v in fields[:-1]]
-            label = int(fields[-1])
         except ValueError:
             raise ParseError(line_no, f"bad numeric field in {','.join(fields)!r}") from None
         if not all(map(math.isfinite, values)):
             raise ParseError(line_no, f"non-finite feature in {','.join(fields)!r}")
-        if label not in (NORMAL, ATTACK):
+        if fields[-1] not in ("0", "1"):
             raise ParseError(line_no, f"label must be 0 or 1, got {fields[-1]!r}")
         rows.append(values)
-        labels.append(label)
+        labels.append(int(fields[-1]))
     x = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
     return LabeledDataset(x, np.array(labels, dtype=np.int64))
 

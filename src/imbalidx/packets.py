@@ -13,6 +13,7 @@ of the IPv4 flags field so a capture round-trips every field.
 
 from __future__ import annotations
 
+import ipaddress
 import os
 import struct
 from enum import IntEnum
@@ -62,17 +63,16 @@ _MAX_U32 = 0xFFFFFFFF
 
 
 def parse_addr(text: str) -> int:
-    """Dotted-quad IPv4 address to its 32-bit integer value."""
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"not a dotted-quad IPv4 address: {text!r}")
+    """Dotted-quad IPv4 address to its 32-bit integer value. Only the
+    canonical spelling that format_addr writes is accepted: four ASCII
+    decimal octets 0-255, with no leading zero, sign, space or underscore,
+    so each address has one text."""
     try:
-        quad = [int(p) for p in parts]
+        if isinstance(text, str):  # the stdlib also takes ints and bytes
+            return int(ipaddress.IPv4Address(text))
     except ValueError:
-        raise ValueError(f"not a dotted-quad IPv4 address: {text!r}") from None
-    if any(not 0 <= q <= 255 for q in quad):
-        raise ValueError(f"not a dotted-quad IPv4 address: {text!r}")
-    return (quad[0] << 24) | (quad[1] << 16) | (quad[2] << 8) | quad[3]
+        pass
+    raise ValueError(f"not a dotted-quad IPv4 address: {text!r}")
 
 
 def format_addr(value: int) -> str:
@@ -550,7 +550,8 @@ def _addresses(data: bytes, starts: np.ndarray, ends: np.ndarray, parsed: dict):
     length = ends - starts
     # A text of up to 15 bytes is keyed by the two 8-byte words at its
     # start, with the bytes past its end masked off and its length in the
-    # top byte. Longer texts share length 16 and are parsed one by one.
+    # top byte. Longer texts share length 16 and a key per first 15 bytes;
+    # no canonical address is that long, so each such key reads -1.
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
     n = np.minimum(length, 15)
     n_lo = np.minimum(n, 8)
@@ -571,10 +572,7 @@ def _addresses(data: bytes, starts: np.ndarray, ends: np.ndarray, parsed: dict):
                 parsed[raw] = -1
         return parsed[raw]
 
-    value = np.array([parse(i) for i in row_of.tolist()], dtype=np.int64)[key]
-    for i in np.flatnonzero(length > 15).tolist():
-        value[i] = parse(i)
-    return value
+    return np.array([parse(i) for i in row_of.tolist()], dtype=np.int64)[key]
 
 
 def read_packet_csv(path) -> PacketTable:

@@ -98,11 +98,11 @@ class SimConfig:
         addrs = {self.hmi_addr, self.plc_addr, self.attacker_addr}
         if len(addrs) != 3 or not all(addrs):
             raise ConfigInvalid("hmi, plc and attacker addresses must be distinct")
-        for addr in addrs:
+        for name in ("hmi_addr", "plc_addr", "attacker_addr"):
             try:
-                parse_addr(addr)
-            except (AttributeError, ValueError):
-                raise ConfigInvalid(f"{addr!r} is not a dotted-quad IPv4 address") from None
+                parse_addr(getattr(self, name))
+            except ValueError as exc:
+                raise ConfigInvalid(f"{name}: {exc}") from None
         if not 0 < self.modbus_port <= 65535:
             raise ConfigInvalid(f"bad service port {self.modbus_port}")
         if self.base_time < 0 or self.attack_start < 0:

@@ -12,7 +12,6 @@ swamp the geometry.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -23,7 +22,7 @@ from .textio import ParseError, csv_rows
 
 
 class TooFewMinority(ValueError):
-    """Interpolation needs at least two minority rows."""
+    """k nearest neighbours need more than k minority rows."""
 
 
 @dataclass
@@ -32,14 +31,14 @@ class SmoteResult:
 
     base_idx / neighbor_idx index into the minority matrix, so
     minority[base] + gap * (minority[neighbor] - minority[base]) rebuilds
-    each synthetic row exactly.
+    each synthetic row exactly. Each neighbor is among its base's k
+    nearest, for the k that smote was given.
     """
 
     synthetic: np.ndarray
     base_idx: np.ndarray
     neighbor_idx: np.ndarray
     gap: np.ndarray
-    k_used: int
 
     @property
     def n_synthetic(self) -> int:
@@ -89,8 +88,10 @@ def _nearest_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
 
 def smote(minority: np.ndarray, target_count: int, k: int = 5, seed=None) -> SmoteResult:
     """Grow a minority matrix of M rows to target_count rows, returning
-    only the target_count - M synthetic ones. k bounds the neighbour pool
-    per base row; seed is anything np.random.default_rng takes.
+    only the target_count - M synthetic ones. k is the neighbour pool per
+    base row; growing needs k < M, else TooFewMinority, since every row
+    has only M - 1 neighbours. seed is anything np.random.default_rng
+    takes.
 
     Base rows are assigned round-robin over the minority set, with the
     remainder drawn uniformly without replacement. Each synthetic row
@@ -110,13 +111,9 @@ def smote(minority: np.ndarray, target_count: int, k: int = 5, seed=None) -> Smo
         )
     empty = np.empty(0, dtype=np.int64)
     if n_synth == 0:
-        return SmoteResult(np.empty((0, minority.shape[1])), empty, empty, np.empty(0), k)
-    if m < 2:
-        raise TooFewMinority(f"minority class has {m} row(s); need at least 2")
+        return SmoteResult(np.empty((0, minority.shape[1])), empty, empty, np.empty(0))
     if k > m - 1:
-        warnings.warn(f"k={k} exceeds available neighbours; clamped to {m - 1}",
-                      stacklevel=2)
-        k = m - 1
+        raise TooFewMinority(f"k={k} needs more than {k} minority rows, got {m}")
     rng = np.random.default_rng(seed)
 
     q, r = divmod(n_synth, m)
@@ -127,7 +124,7 @@ def smote(minority: np.ndarray, target_count: int, k: int = 5, seed=None) -> Smo
     table = _nearest_neighbors(minority, k)
     pick = rng.integers(0, k, size=n_synth)
     gaps = rng.random(n_synth)
-    result = SmoteResult(None, bases.astype(np.int64), table[bases, pick], gaps, k)
+    result = SmoteResult(None, bases.astype(np.int64), table[bases, pick], gaps)
     result.synthetic = replay(minority, result)
     return result
 

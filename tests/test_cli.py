@@ -153,6 +153,17 @@ def test_help_exits_zero(capsys):
     assert "simulate" in capsys.readouterr().out
 
 
+def test_import_leaves_the_process_pool_modules_unloaded():
+    # _run_seed imports them when a sweep runs, so `import imbalidx` and
+    # every CLI start skip their import time.
+    code = ("import sys, imbalidx; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(imbalidx.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -274,6 +285,18 @@ def test_overdrawn_pool_exits_two(pipeline, tmp_path, capsys):
     assert "pool" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k", ["12", "13"])
+def test_smote_k_at_or_above_the_minority_count_exits_two(pipeline, tmp_path, capsys, k):
+    # The dataset's minority class is its 12 attack rows.
+    out = tmp_path / "augmented.csv"
+    code = main(["smote", "--data", str(pipeline["dataset"]), "--target-count", "32",
+                 "--k", k, "--seed", "4", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"k={k}" in err
+    assert not out.exists()
+
+
 def test_unknown_train_key_exits_two(pipeline, tmp_path, capsys):
     bad = tmp_path / "train.json"
     bad.write_text('{"epohcs": 3}')
@@ -339,6 +362,10 @@ def test_extract_rejects_meaningless_idle_timeouts(pipeline, tmp_path, capsys, t
         ("train", '{"threshold": 0.7}', "threshold"),  # evaluate --threshold sets it
         ("train", '{"seed": 5}', "seed"),
         ("simulate", '{"seed": 5}', "seed"),
+        ("simulate", '{"attacker_addr": "010.0.0.66"}', "attacker_addr"),
+        # Its SMOTE cell trains on 4 attacks, too few for smote_k 5.
+        ("experiment", '{"n_attack": 5, "ratios": [0.1, 0.01], "smote_ratios": [0.01], '
+                       '"seeds": [0]}', "smote_k"),
     ],
 )
 def test_wrongly_typed_config_exits_two(pipeline, tmp_path, command, config, key):
@@ -352,6 +379,7 @@ def test_wrongly_typed_config_exits_two(pipeline, tmp_path, command, config, key
     assert proc.stderr.startswith("error:")
     assert key in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 EXPERIMENT_JSON = json.dumps({

@@ -324,6 +324,12 @@ def test_label_csv_round_trip(tmp_path):
         "1.1.1.1,2.2.2.2,0.0,inf,1",
         "1.1.1.1,2.2.2.2,-0.5,1.0,1",
         "1.1.1.1,2.2.2.\udcff,0.0,1.0,1",  # a 0xff byte: not UTF-8 text
+        # Addresses take only the canonical dotted quad.
+        "1_0.0.0.66,2.2.2.2,0.0,1.0,1",
+        " 10.0.0.66,2.2.2.2,0.0,1.0,1",
+        "1.1.1.1,+10.0.0.66,0.0,1.0,1",
+        "1.1.1.1,010.0.0.66,0.0,1.0,1",
+        "10.0.0.\uff16\uff16,2.2.2.2,0.0,1.0,1",
     ],
 )
 def test_label_csv_rejects_bad_rows(tmp_path, row):
@@ -371,7 +377,12 @@ def test_features_csv_prints_each_cell_as_formatted_alone(tmp_path):
     assert path.read_text() == "\n".join(want) + "\n"
 
 
-@pytest.mark.parametrize("cell,label", [("nan", "0"), ("inf", "1"), ("1.0", "2")])
+@pytest.mark.parametrize(
+    "cell,label",
+    [("nan", "0"), ("inf", "1"), ("1.0", "2"),
+     # The label is the text 0 or 1, though int() takes more.
+     ("0", " 1"), ("0", "1 "), ("0", "+1"), ("0", "01"), ("0", "0_1"), ("0", "\uff11")],
+)
 def test_features_csv_rejects_bad_rows(tmp_path, cell, label):
     path = tmp_path / "bad.csv"
     path.write_text(FEATURE_CSV_HEADER + "\n"

@@ -20,6 +20,8 @@ from imbalidx.packets import (
     Truncated,
     UnsupportedLinkType,
     BadRow,
+    format_addr,
+    parse_addr,
     quantize_timestamp,
     read_packet_csv,
     read_pcap,
@@ -164,6 +166,36 @@ def test_record_validation():
         assert err.value.row == 2, bad
 
 
+@given(st.integers(0, 2**32 - 1))
+def test_every_address_round_trips(value):
+    assert parse_addr(format_addr(value)) == value
+
+
+# Dotted texts whose parts are octets or draws from digits, '.', sign,
+# underscore, space and a full-width digit.
+address_like = st.lists(
+    st.one_of(octet.map(str), st.text("0123456789.+_ \uff16", max_size=4)),
+    min_size=1, max_size=5,
+).map(".".join)
+
+
+@given(address_like)
+@example("00.0.0.0")
+@example("10.0.0.66")
+def test_only_the_canonical_address_text_parses(text):
+    try:
+        value = parse_addr(text)
+    except ValueError:
+        return
+    assert format_addr(value) == text
+
+
+@pytest.mark.parametrize("value", [0x0A000042, b"\n\x00\x00B", None])
+def test_parse_addr_takes_only_text(value):
+    with pytest.raises(ValueError, match="dotted-quad"):
+        parse_addr(value)
+
+
 def test_quantize_timestamp():
     # The grid value is reconstructed as sec + usec/1e6, the exact
     # expression both readers use, so equality is against that form.
@@ -237,6 +269,12 @@ def test_csv_rejects_wrong_header(tmp_path):
         ("1.0,1.1.1.1,1,2.2.2.2,5_0,TCP,60,0", "must be integers"),
         ("1.0,1.1.1.1,1,2.2.2.2,2,TCP,\u0666\u0660,0", "must be integers"),
         ("1.0,1.1.1.1,-1,2.2.2.2,2,TCP,60,0", "must be integers"),
+        # Addresses take only the canonical dotted quad.
+        ("1.0,1_0.0.0.66,1,2.2.2.2,2,TCP,60,0", "src_addr"),
+        ("1.0, 10.0.0.66,1,2.2.2.2,2,TCP,60,0", "src_addr"),
+        ("1.0,1.1.1.1,1,+10.0.0.66,2,TCP,60,0", "dst_addr"),
+        ("1.0,1.1.1.1,1,010.0.0.66,2,TCP,60,0", "dst_addr"),
+        ("1.0,10.0.0.\uff16\uff16,1,2.2.2.2,2,TCP,60,0", "src_addr"),
     ],
 )
 def test_csv_bad_rows_carry_line_numbers(tmp_path, row, fragment):

@@ -173,6 +173,8 @@ def test_mimics_share_the_normal_packet_count_range():
         dict(mimic_delay_boost=300.0),  # mimic responses up to 3 s late
         dict(attacker_addr="10.0.0.256"),  # not an IPv4 address
         dict(hmi_addr="hmi"),
+        dict(attacker_addr=5),  # the stdlib parser would take an int
+        dict(attacker_addr=b"\n\x00\x00B"),  # ... and packed bytes
     ],
 )
 def test_config_validation(kwargs):
@@ -275,6 +277,7 @@ BAD_CONFIGS = [
     (SimConfig, '{"n_normal_flows": 5.5}'),  # float for an int
     (SimConfig, '{"seed": "1"}'),  # the seed is an argument of simulate
     (SimConfig, '{"poll_period": NaN}'),  # not finite
+    (SimConfig, '{"attacker_addr": "010.0.0.66"}'),  # not the canonical spelling
     (TrainConfig, '{"epochs": "3"}'),  # string for an int
     (TrainConfig, '{"batch_size": 5.5}'),
     (TrainConfig, '{"learning_rate": "0.1"}'),  # string for a float
@@ -304,6 +307,9 @@ BAD_CONFIGS = [
     (ExperimentConfig, '{"n_attack": 3, "train_frac": 0.4}'),  # 1 training attack
     # Below the target, but 8 training attacks in 81 rows round to 0 new.
     (ExperimentConfig, '{"n_attack": 10, "ratios": [0.099], "smote_ratios": [0.099]}'),
+    # 4 training attacks: each has 3 neighbours, fewer than smote_k 5.
+    (ExperimentConfig, '{"n_attack": 5, "ratios": [0.1, 0.01], "smote_ratios": [0.01], '
+                       '"seeds": [0]}'),
 ]
 
 

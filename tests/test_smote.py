@@ -157,12 +157,14 @@ def test_determinism_and_seed_sensitivity():
     assert not np.array_equal(r1.gap, r3.gap)
 
 
-def test_k_clamped_with_warning_when_minority_is_small():
+def test_k_at_or_above_minority_rows_rejected():
+    # Each of 3 rows has 2 neighbours, so k=5 cannot be honoured.
     minority = np.random.default_rng(0).normal(size=(3, 4))
-    with pytest.warns(UserWarning, match="clamped"):
-        result = smote(minority, 8, k=5, seed=0)
-    assert result.k_used == 2
-    assert result.n_synthetic == 5
+    with pytest.raises(TooFewMinority, match="k=5"):
+        smote(minority, 8, k=5, seed=0)
+    with pytest.raises(TooFewMinority, match="k=3"):
+        smote(minority, 8, k=3, seed=0)
+    assert smote(minority, 8, k=2, seed=0).n_synthetic == 5
 
 
 def test_too_few_minority_rows():
