@@ -49,7 +49,7 @@ from .metrics import MetricsReport, confusion
 from .mlp import BadArchitecture, TrainConfig, check_architecture, init_model, predict, train
 from .simulate import SimConfig, simulate
 from .smote import augment_training_set, synthetic_count
-from .textio import ConfigInvalid
+from .textio import ConfigInvalid, check_fields
 
 # Stage tags for per-stage seed derivation.
 _SIM, _BUILD, _SPLIT, _SMOTE, _INIT, _TRAIN = range(6)
@@ -73,6 +73,7 @@ class ExperimentConfig:
     workdir: Optional[str] = None
 
     def __post_init__(self):
+        check_fields(self)
         if not self.ratios:
             raise ConfigInvalid("ratios must be non-empty")
         for r in self.ratios:
@@ -237,7 +238,7 @@ def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     """Simulate one pool, then run every (ratio, smote) cell for this seed
     on a pool of forked workers. Cells come back in the order they finish."""
-    # Imported here: `import imbalidx` loads this module, and most callers
+    # Imported here: every CLI start loads this module, and most commands
     # never sweep.
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait

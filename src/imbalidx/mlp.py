@@ -46,7 +46,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .dataset import LabeledDataset
-from .textio import ConfigInvalid
+from .textio import ConfigInvalid, check_fields, json_value
 
 FORMAT_VERSION = 1
 
@@ -86,6 +86,7 @@ class TrainConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
+        check_fields(self)
         if self.epochs < 1:
             raise ConfigInvalid(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -393,20 +394,27 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """The model save_model wrote. ModelFormatError unless the file is a
+    JSON object in this format, its layer sizes are integers, and its
+    weights and biases are finite JSON numbers in the shapes those imply."""
     with open(path, "r") as f:
         try:
             obj = json.load(f)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(obj, dict) or obj.get("version") != FORMAT_VERSION:
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"model file must be a JSON object, got {obj!r:.40}")
+    if obj.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format: {obj.get('version')!r}")
     if obj.get("hidden_activation") != "relu" or obj.get("output_activation") != "sigmoid":
         raise ModelFormatError("unknown activation names")
     try:
-        sizes = check_architecture(obj["layer_sizes"])
-        weights = [np.asarray(w, dtype=np.float64) for w in obj["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in obj["biases"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        sizes = check_architecture(json_value(Tuple[int, ...], obj["layer_sizes"], "layer_sizes"))
+        weights = [np.asarray(w, dtype=np.float64) for w in json_value(
+            Tuple[Tuple[Tuple[float, ...], ...], ...], obj["weights"], "weights")]
+        biases = [np.asarray(b, dtype=np.float64) for b in json_value(
+            Tuple[Tuple[float, ...], ...], obj["biases"], "biases")]
+    except (KeyError, ValueError) as exc:  # ragged rows fail in asarray
         raise ModelFormatError(f"malformed model payload: {exc}") from None
     if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
         raise ModelFormatError("layer count does not match weight count")
@@ -415,6 +423,4 @@ def load_model(path) -> MlpModel:
             raise ModelFormatError(
                 f"layer {i} shapes {w.shape}/{b.shape} do not match sizes {sizes}"
             )
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ModelFormatError(f"layer {i} contains non-finite parameters")
     return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)

@@ -199,14 +199,19 @@ def grid_seconds(sec, usec):
 
 
 def quantize_us(t):
-    """Whole microseconds nearest to t seconds (ties to even), as int64.
+    """rint(t * 1e6) as int64: the product is rounded to a double first,
+    then to a whole number of microseconds (ties to even). That is the
+    nearest microsecond on grid times and most others, but not always for
+    large t, where the product's own rounding can cross a half (for
+    uniform times below 2e9 s, about 8% land one microsecond off).
     Raises FloatingPointError for NaN, infinity or |t| beyond about 9.2e12."""
     with np.errstate(invalid="raise"):
         return np.rint(t * 1e6).astype(np.int64)
 
 
 def quantize_timestamp(t: float) -> float:
-    """Snap a timestamp to the microsecond grid pcap and CSV can represent."""
+    """Snap a timestamp to the microsecond grid pcap and CSV can represent,
+    by quantize_us's rule (so not always the nearest grid point)."""
     return float(grid_seconds(*divmod(quantize_us(t), 1_000_000)))
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .flows import DEFAULT_IDLE_TIMEOUT, LabelRule
 from .packets import PacketTable, Protocol, grid_seconds, parse_addr, quantize_us
-from .textio import ConfigInvalid
+from .textio import ConfigInvalid, check_fields
 
 _EPHEMERAL_BASE = 1024
 _EPHEMERAL_SPAN = 65536 - 1024
@@ -93,6 +93,7 @@ class SimConfig:
     max_gap: float = 2.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.n_normal_flows < 0 or self.n_attack_flows < 0:
             raise ConfigInvalid("flow counts must be non-negative")
         addrs = {self.hmi_addr, self.plc_addr, self.attacker_addr}

@@ -5,14 +5,15 @@ line-number rules have this one owner, and a bad row is reported as
 ParseError with its line number. A line ends at LF, CRLF or a lone CR,
 as in text mode. Every config dataclass is loaded by config_from_json, which
 checks the JSON against the dataclass's type annotations and reports
-ConfigInvalid naming the key.
+ConfigInvalid naming the key; a config built in Python gets the same check
+from check_fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
 from typing import (
     Iterator, List, NamedTuple, Optional, Tuple, Union, get_args, get_origin,
     get_type_hints,
@@ -106,8 +107,11 @@ _JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}
 def json_value(tp, value, key: str):
     """A parsed JSON value checked against the type annotation `tp`, as
     config_from_json checks each field; `key` names it in errors. Objects
-    become dataclasses and arrays become tuples."""
+    become dataclasses and arrays become tuples. An instance of `tp` passes
+    as it is, and a tuple passes as an array, so check_fields can reuse it."""
     if is_dataclass(tp):
+        if isinstance(value, tp):  # checked by its own __post_init__
+            return value
         if not isinstance(value, dict):
             raise ConfigInvalid(f"{key or 'config'} must be a JSON object, got {value!r}")
         hints = get_type_hints(tp)
@@ -128,7 +132,7 @@ def json_value(tp, value, key: str):
         (tp,) = [a for a in args if a is not type(None)]
         return json_value(tp, value, key)
     if origin is tuple:  # Tuple[X, ...]
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             raise ConfigInvalid(f"{key} must be a JSON array, got {value!r}")
         return tuple(json_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
     kinds = (int, float) if tp is float else (tp,)
@@ -156,3 +160,11 @@ def config_from_json(cls, text_or_obj):
     also null, tuple fields arrays and nested config fields objects."""
     obj = load_json(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
     return json_value(cls, obj, "")
+
+
+def check_fields(config) -> None:
+    """ConfigInvalid naming the field unless every field of the config
+    dataclass instance holds what config_from_json would accept for it."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        json_value(hints[f.name], getattr(config, f.name), f.name)

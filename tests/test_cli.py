@@ -153,15 +153,29 @@ def test_help_exits_zero(capsys):
     assert "simulate" in capsys.readouterr().out
 
 
-def test_import_leaves_the_process_pool_modules_unloaded():
-    # _run_seed imports them when a sweep runs, so `import imbalidx` and
-    # every CLI start skip their import time.
-    code = ("import sys, imbalidx; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+def _fresh_import(code):
+    """stdout of code run in a fresh interpreter that imports this imbalidx."""
     env = dict(os.environ, PYTHONPATH=str(Path(imbalidx.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_import_leaves_the_process_pool_modules_unloaded():
+    # _run_seed imports them when a sweep runs, so every CLI start skips
+    # their import time; imbalidx.cli loads every other module.
+    assert _fresh_import(
+        "import sys, imbalidx.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    ) == "[]\n"
+
+
+def test_bare_import_loads_no_submodule():
+    # Names are imported from their modules; the package root holds only
+    # __version__.
+    assert _fresh_import(
+        "import sys, imbalidx; "
+        "print(imbalidx.__version__, sorted(m for m in sys.modules if m.startswith('imbalidx.')))"
+    ) == "0.1.0 []\n"
 
 
 @pytest.mark.parametrize(
@@ -253,6 +267,15 @@ def test_bad_stats_sidecar_exits_two(pipeline, tmp_path, stats):
     proc = _run_cli(["evaluate", "--model", str(model), "--data", str(pipeline["dataset"])])
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "stats" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_malformed_model_exits_two(pipeline, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text("[1, 2]")
+    proc = _run_cli(["evaluate", "--model", str(model), "--data", str(pipeline["dataset"])])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "JSON object" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

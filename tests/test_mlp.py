@@ -298,6 +298,35 @@ def test_load_model_rejects_malformed_files(tmp_path):
         load_model(truncated)
 
 
+# Each bad value keeps the shapes a lax int() or float() reading accepts.
+@pytest.mark.parametrize(
+    "where,value",
+    [
+        ((), [1, 2]),  # not an object
+        (("layer_sizes", 0), 23.5),
+        (("layer_sizes", 2), True),
+        (("layer_sizes", 0), "23"),
+        (("weights", 0, 0, 0), True),
+        (("biases", 0, 0), "0.5"),
+    ],
+    ids=["array", "float-size", "bool-size", "string-size", "bool-weight", "string-bias"],
+)
+def test_load_model_rejects_values_of_the_wrong_json_type(tmp_path, where, value):
+    path = tmp_path / "model.json"
+    save_model(init_model([23, 8, 1], seed=0), path)
+    obj = json.loads(path.read_text())
+    if where:
+        parent = obj
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+    else:
+        obj = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
 ODD = st.sampled_from([1, 3, 5, 7, 9])
 
 

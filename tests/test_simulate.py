@@ -2,6 +2,7 @@
 the pipeline from synthetic packets to labeled flows."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,3 +322,19 @@ BAD_CONFIGS = [
 def test_config_from_json_rejects_bad_input(cls, text):
     with pytest.raises(ConfigInvalid):
         config_from_json(cls, text)
+
+
+# Configs built in Python get the type checks config_from_json makes.
+@pytest.mark.parametrize(
+    "build,key",
+    [
+        (lambda: ExperimentConfig(smote_k=2.5), "smote_k"),
+        (lambda: TrainConfig(epochs=2.5), "epochs"),
+        (lambda: SimConfig(attacker_addr=[1]), "attacker_addr"),
+        (lambda: ExperimentConfig(workdir=Path("x")), "workdir"),  # the report is JSON
+    ],
+    ids=["smote_k-float", "epochs-float", "attacker_addr-list", "workdir-path"],
+)
+def test_python_built_config_rejects_bad_types(build, key):
+    with pytest.raises(ConfigInvalid, match=key):
+        build()
