@@ -32,7 +32,6 @@ from .smote import (
 from .experiment import (
     ExperimentConfig,
     check_layer_sizes,
-    derive_seed,
     run_experiment,
     write_report,
 )
@@ -169,8 +168,10 @@ def cmd_train(args) -> int:
     data = fl.read_features_csv(_input(args.data, "dataset"))
     stats = ds.normalize_fit(data.x)
     z = fl.LabeledDataset(ds.normalize_apply(data.x, stats), data.y)
-    model = mlp.init_model(layer_sizes, derive_seed(args.seed, 0))
-    _, history = mlp.train(model, z, cfg, derive_seed(args.seed, 1))
+    init_seed, shuffle_seed = (None, None) if args.seed is None else (
+        np.random.SeedSequence([args.seed, stage]) for stage in (0, 1))
+    model = mlp.init_model(layer_sizes, init_seed)
+    _, history = mlp.train(model, z, cfg, shuffle_seed)
     mlp.save_model(model, args.out)
     ds.save_stats(stats, str(args.out) + ".stats.json")
     print(

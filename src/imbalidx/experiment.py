@@ -8,8 +8,9 @@ configured subset of ratios the training set is additionally
 SMOTE-augmented and the cell is run again, so reports carry matched
 with/without rows.
 
-Every stage draws from its own seed derived from (seed, stage, cell), so
-cells are independent and the whole sweep is reproducible byte for byte.
+Every stage draws from default_rng(SeedSequence([seed, stage, *cell])),
+so cells are independent and the whole sweep is reproducible byte for
+byte.
 
 The report columns after the cell keys are the fields of MetricsReport,
 in their order; this module names no metric itself.
@@ -51,7 +52,7 @@ from .simulate import SimConfig, simulate
 from .smote import augment_training_set, synthetic_count
 from .textio import ConfigInvalid, check_fields
 
-# Stage tags for per-stage seed derivation.
+# Stage tags, the second word of every SeedSequence the sweep draws from.
 _SIM, _BUILD, _SPLIT, _SMOTE, _INIT, _TRAIN = range(6)
 
 
@@ -175,17 +176,6 @@ def check_layer_sizes(layer_sizes) -> None:
         raise ConfigInvalid(f"layer_sizes: {exc}") from None
 
 
-def derive_seed(seed: Optional[int], *path: int) -> Optional[int]:
-    """The integer seed of one stage: the first 64-bit word of
-    SeedSequence([seed, *path]), where path names the stage and cell. None
-    stays None, so an unseeded run stays unseeded. The sweep seeds train
-    with this int and every other stage with SeedSequence([seed, *path])
-    itself."""
-    if seed is None:
-        return None
-    return int(np.random.SeedSequence([seed, *path]).generate_state(1, np.uint64)[0])
-
-
 # A cell worker's seed rows, (attack_rows, normal_rows); unset in the parent.
 _ROWS: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -230,7 +220,7 @@ def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> 
         np.random.SeedSequence([seed, _INIT, r_idx, int(use_smote)]),
     )
     train(model, LabeledDataset(xtr, ytr), cfg.train,
-          derive_seed(seed, _TRAIN, r_idx, int(use_smote)))
+          np.random.SeedSequence([seed, _TRAIN, r_idx, int(use_smote)]))
     preds = predict(model, xte)
     return CellResult(ratio, seed, use_smote, MetricsReport.from_confusion(confusion(preds, yte)))
 

@@ -199,19 +199,25 @@ def grid_seconds(sec, usec):
 
 
 def quantize_us(t):
-    """rint(t * 1e6) as int64: the product is rounded to a double first,
-    then to a whole number of microseconds (ties to even). That is the
-    nearest microsecond on grid times and most others, but not always for
-    large t, where the product's own rounding can cross a half (for
-    uniform times below 2e9 s, about 8% land one microsecond off).
-    Raises FloatingPointError for NaN, infinity or |t| beyond about 9.2e12."""
+    """Seconds t (a number or an array) as int64 microseconds: whole
+    seconds by floor, then rint((t - sec) * 1e6), so a fraction that rounds
+    up to 1e6 carries into the next second. The subtraction and the sum are
+    exact below 2**53 us (about 285 years), so this is the nearest
+    microsecond, ties to even, except within 2**-34 us of a half, where the
+    product with 1e6 can round onto the half. The simulator and the pcap
+    writer both round with it. Raises FloatingPointError for NaN, infinity
+    or |t| beyond about 9.2e12."""
     with np.errstate(invalid="raise"):
-        return np.rint(t * 1e6).astype(np.int64)
+        sec = np.floor(t)
+        us = np.rint((t - sec) * 1e6)
+        sec *= 1e6
+        us += sec
+        return us.astype(np.int64)
 
 
 def quantize_timestamp(t: float) -> float:
     """Snap a timestamp to the microsecond grid pcap and CSV can represent,
-    by quantize_us's rule (so not always the nearest grid point)."""
+    by quantize_us's rule."""
     return float(grid_seconds(*divmod(quantize_us(t), 1_000_000)))
 
 
@@ -227,19 +233,6 @@ def parse_timestamp(text: str) -> float:
         return grid_seconds(int(whole), int(frac.ljust(6, "0")) if dot else 0)
     except (OverflowError, ValueError):  # beyond a float, or int()'s digit limit
         raise ValueError(f"timestamp {text!r} out of range") from None
-
-
-def _split_timestamps(ts: np.ndarray):
-    """Whole seconds and rounded microseconds, carried at 1e6. This is the
-    pcap writer's own rule, kept apart from quantize_us on purpose: the two
-    agree on grid times but not on every time off the grid (4 of the 8.03M
-    unquantized times of the default sweep's seed-0 pool round differently).
-    One rule for both would move simulated packets, or change the bytes
-    written for tables off the grid."""
-    sec = np.floor(ts)
-    usec = np.rint((ts - sec) * 1e6)
-    carry = usec >= 1_000_000
-    return sec + carry, usec - 1_000_000 * carry
 
 
 _ETH = b"\x02\x00\x00\x00\x00\x02" + b"\x02\x00\x00\x00\x00\x01" + b"\x08\x00"
@@ -287,7 +280,7 @@ def _records(packets: PacketTable, rows: slice) -> np.ndarray:
     frame_len = np.maximum(header_len - 16, wire_len.astype(np.int64))
     ip_len = np.minimum(frame_len - _ETH_HDR, 0xFFFF)
     flags_frag = np.where(packets.retx[rows], 0x8000, 0)
-    sec, usec = (c.astype(np.int64) for c in _split_timestamps(packets.ts[rows]))
+    sec, usec = np.divmod(quantize_us(packets.ts[rows]), 1_000_000)
     checksum = _ip_checksum([
         0x4500, ip_len, flags_frag, (64 << 8) | proto.astype(np.uint64),
         src >> 16, src & 0xFFFF, dst >> 16, dst & 0xFFFF])
@@ -333,13 +326,16 @@ _WRITE_CHUNK = 1 << 16
 def write_pcap(packets: PacketTable, path) -> None:
     """Write a packet table to a little-endian classic pcap file.
 
-    The table is checked before any bytes go out, so a bad row never
-    leaves a partially written file behind. Round trips are exact for
-    timestamps on the microsecond grid (see quantize_timestamp).
+    Each timestamp is written as quantize_us rounds it, so times on the
+    microsecond grid round trip exactly (see quantize_timestamp). The table
+    is checked before any bytes go out, so a bad row, or a time past the
+    pcap's 32-bit seconds field, never leaves a partially written file
+    behind.
     """
     _check_rows(packets.ts, packets.src, packets.dst, packets.sport,
                 packets.dport, packets.proto, packets.wire_len)
-    if len(packets) and _split_timestamps(packets.ts)[0].max() > _MAX_U32:
+    # Capped first, so that no time past the epoch can overflow quantize_us.
+    if len(packets) and quantize_us(min(packets.ts.max(), 2.0**32)) // 1_000_000 > _MAX_U32:
         raise ValueError(
             f"timestamp {packets.ts.max()} exceeds the pcap epoch range")
     with open(path, "wb") as f:

@@ -164,7 +164,13 @@ def config_from_json(cls, text_or_obj):
 
 def check_fields(config) -> None:
     """ConfigInvalid naming the field unless every field of the config
-    dataclass instance holds what config_from_json would accept for it."""
+    dataclass instance holds what config_from_json would build for it: a
+    value json_value accepts and returns unchanged, so a list or a dict
+    where config_from_json builds a tuple or a config is rejected."""
     hints = get_type_hints(type(config))
     for f in fields(config):
-        json_value(hints[f.name], getattr(config, f.name), f.name)
+        value = getattr(config, f.name)
+        built = json_value(hints[f.name], value, f.name)
+        if built != value:
+            raise ConfigInvalid(
+                f"{f.name} must be a {type(built).__name__}, got {value!r}")

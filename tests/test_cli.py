@@ -1,6 +1,8 @@
 """Command-line interface: pipeline wiring, file outputs, exit codes."""
 
 import concurrent.futures
+import hashlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -16,11 +18,14 @@ import numpy as np
 import pytest
 
 import imbalidx
+from imbalidx import dataset as ds
 from imbalidx import experiment
 from imbalidx import flows as fl
 from imbalidx import mlp
 from imbalidx.cli import main
-from imbalidx.metrics import MetricsReport
+from imbalidx.metrics import MetricsReport, confusion
+from imbalidx.simulate import simulate
+from imbalidx.smote import augment_training_set
 from imbalidx.textio import config_from_json
 
 SIM_JSON = json.dumps({"n_normal_flows": 60, "n_attack_flows": 12})
@@ -287,6 +292,11 @@ def test_train_seed_flag_pins_the_model(pipeline, tmp_path):
         assert main(["train", "--data", str(pipeline["augmented"]), "--config", str(cfg),
                      "--seed", "3", "--out", str(out)]) == 0
     assert models[0].read_bytes() == models[1].read_bytes()
+    # Without --seed, init and shuffling are unseeded.
+    for out in models:
+        assert main(["train", "--data", str(pipeline["augmented"]), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    assert models[0].read_bytes() != models[1].read_bytes()
 
 
 def test_missing_stats_sidecar_exits_two(pipeline, tmp_path, capsys):
@@ -594,6 +604,76 @@ def test_two_sweeps_in_threads_keep_their_own_rows(monkeypatch):
         t.join(timeout=120)
         assert not t.is_alive()
     assert results == alone
+
+
+def test_a_sweep_cell_draws_every_stage_from_seed_stage_and_cell(tmp_path, monkeypatch):
+    # The recipe: stage k of a cell draws from SeedSequence([seed, k,
+    # r_idx]), or ([seed, k, r_idx, smote]) for init and train, with the
+    # stages numbered in pipeline order; the pool draws from [seed, 0].
+    # Rebuild one SMOTE cell from it through the public stage functions.
+    # This grid's test splits are too small for the metrics to show every
+    # change of shuffle order, so the sweep's trained models are kept too,
+    # named by a digest of their training rows.
+    SIM, BUILD, SPLIT, SMOTE, INIT, TRAIN = range(6)
+    exp = config_from_json(experiment.ExperimentConfig, EXPERIMENT_JSON)
+    seed, r_idx = 1, 1
+    assert exp.ratios[r_idx] in exp.smote_ratios
+
+    def model_path(x):
+        return tmp_path / f"{hashlib.sha256(x.tobytes()).hexdigest()}.json"
+
+    def saving_train(model, train_set, *rest):
+        out = mlp.train(model, train_set, *rest)
+        mlp.save_model(model, model_path(train_set.x))  # workers fork it
+        return out
+
+    monkeypatch.setattr(experiment, "train", saving_train)
+    cells = experiment.run_experiment(exp).cells
+
+    def seeded(*path):
+        return np.random.SeedSequence([seed, *path])
+
+    x, y = fl.to_arrays(fl.features_from_packets(*simulate(exp.pool_sim(), seeded(SIM))))
+    data = ds.build_imbalanced(x[y == fl.ATTACK], x[y != fl.ATTACK], exp.n_attack,
+                               exp.ratios[r_idx], seeded(BUILD, r_idx))
+    train_set, test_set = ds.split_train_test(data, exp.train_frac, seeded(SPLIT, r_idx))
+    stats = ds.normalize_fit(train_set.x)
+    xtr, ytr, _ = augment_training_set(
+        ds.normalize_apply(train_set.x, stats), train_set.y,
+        target_ratio=exp.smote_target_ratio, k=exp.smote_k, seed=seeded(SMOTE, r_idx))
+    model = mlp.init_model(exp.layer_sizes, seeded(INIT, r_idx, 1))
+    mlp.train(model, fl.LabeledDataset(xtr, ytr), exp.train, seeded(TRAIN, r_idx, 1))
+    mlp.save_model(model, tmp_path / "by_hand.json")
+    assert (tmp_path / "by_hand.json").read_bytes() == model_path(xtr).read_bytes()
+    preds = mlp.predict(model, ds.normalize_apply(test_set.x, stats))
+    by_hand = experiment.CellResult(exp.ratios[r_idx], seed, True,
+                                    MetricsReport.from_confusion(confusion(preds, test_set.y)))
+    assert by_hand in cells
+
+
+def test_the_benchmark_tracer_still_finds_and_counts_the_sweep():
+    # perfbench/spans.py patches names by string; a name deleted or renamed
+    # here would break every traced benchmark run.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod}.{attr}" for mod, attr, *_ in spans.PATCHES
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert missing == []
+    originals = (experiment.simulate, experiment.to_arrays, experiment.train)
+    tracer = spans.Tracer("hooks")
+    try:
+        tracer.install()
+        experiment.run_experiment(config_from_json(experiment.ExperimentConfig,
+                                                   EXPERIMENT_JSON))
+    finally:
+        tracer.uninstall()
+    assert (experiment.simulate, experiment.to_arrays, experiment.train) == originals
+    spans.add_self_times(tracer.spans)
+    metrics = spans.module_metrics(tracer.spans)
+    assert metrics["simulate.packets"] > 0
+    assert metrics["flows.per_session"] == 1.0
 
 
 def test_experiment_workdir_keeps_each_seeds_features(sweep, tmp_path):

@@ -3,7 +3,9 @@ The packet CSV reader is checked against the per-line reader in
 packet_csv_oracle.py."""
 
 import struct
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,8 +23,10 @@ from imbalidx.packets import (
     UnsupportedLinkType,
     BadRow,
     format_addr,
+    grid_seconds,
     parse_addr,
     quantize_timestamp,
+    quantize_us,
     read_packet_csv,
     read_pcap,
     write_packet_csv,
@@ -143,10 +147,12 @@ def test_writer_rejects_corrupted_wire_len_before_writing(tmp_path):
 
 
 def test_writer_rejects_timestamp_past_the_epoch_range(tmp_path):
-    pkt = PacketRecord(2.0**33, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)
-    with pytest.raises(ValueError):
-        write_pcap(table([pkt]), tmp_path / "never.pcap")
-    assert not (tmp_path / "never.pcap").exists()
+    # 1e13 and 1e300 are past quantize_us's int64 range too.
+    for t in (2.0**32, 2.0**33, 1e13, 1e300):
+        pkt = PacketRecord(t, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)
+        with pytest.raises(ValueError, match="epoch"):
+            write_pcap(table([pkt]), tmp_path / "never.pcap")
+        assert not (tmp_path / "never.pcap").exists()
 
 
 def test_record_validation():
@@ -205,6 +211,32 @@ def test_quantize_timestamp():
     # Quantizing is idempotent on the grid.
     t = quantize_timestamp(977.123456)
     assert quantize_timestamp(t) == t
+
+
+def test_quantize_us_is_the_nearest_microsecond():
+    # Exact oracle: t's binary value times 1e6, rounded half to even.
+    rng = np.random.default_rng(16)
+    times = np.concatenate([rng.uniform(0, 2**32, 20_000), rng.uniform(0, 1e3, 20_000)])
+    assert quantize_us(times).tolist() == [round(Fraction(t) * 10**6) for t in times.tolist()]
+    us = np.concatenate([rng.integers(0, 2**32 * 10**6, 20_000),
+                         [0, 1, 999_999, 10**6, 2**32 * 10**6 - 1]])
+    assert np.array_equal(quantize_us(grid_seconds(*np.divmod(us, 10**6))), us)
+
+
+def test_pcap_records_carry_quantize_us_seconds_and_microseconds(tmp_path):
+    rng = np.random.default_rng(17)
+    ts = np.concatenate([rng.uniform(0, 2**32 - 1, 300), rng.uniform(0, 10, 300)])
+    n = ts.size
+    path = tmp_path / "off_grid.pcap"
+    write_pcap(PacketTable(ts, np.ones(n), np.full(n, 2), np.ones(n), np.full(n, 2),
+                           np.full(n, Protocol.TCP), np.full(n, 40), np.zeros(n)), path)
+    data = path.read_bytes()
+    fields, at = [], len(GLOBAL_HEADER)
+    while at < len(data):
+        sec, usec, incl_len = struct.unpack_from("<III", data, at)
+        fields.append((sec, usec))
+        at += 16 + incl_len
+    assert fields == [divmod(int(us), 10**6) for us in quantize_us(ts)]
 
 
 @given(timestamps)

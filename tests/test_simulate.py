@@ -332,9 +332,14 @@ def test_config_from_json_rejects_bad_input(cls, text):
         (lambda: TrainConfig(epochs=2.5), "epochs"),
         (lambda: SimConfig(attacker_addr=[1]), "attacker_addr"),
         (lambda: ExperimentConfig(workdir=Path("x")), "workdir"),  # the report is JSON
+        # JSON shapes that config_from_json would convert, not keep.
+        (lambda: ExperimentConfig(train={"epochs": 2}), "train"),
+        (lambda: ExperimentConfig(sim={"poll_period": 1.0}), "sim"),
+        (lambda: ExperimentConfig(ratios=[0.1, 0.01], smote_ratios=[]), "ratios"),
     ],
-    ids=["smote_k-float", "epochs-float", "attacker_addr-list", "workdir-path"],
+    ids=["smote_k-float", "epochs-float", "attacker_addr-list", "workdir-path",
+         "train-dict", "sim-dict", "ratios-list"],
 )
 def test_python_built_config_rejects_bad_types(build, key):
-    with pytest.raises(ConfigInvalid, match=key):
+    with pytest.raises(ConfigInvalid, match=rf"^{key} "):
         build()
