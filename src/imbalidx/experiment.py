@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -70,7 +70,6 @@ class ExperimentConfig:
     smote_k: int = 5
     smote_target_ratio: float = 0.10
     pool_margin: int = 1000
-    sim: SimConfig = SimConfig()
     workdir: Optional[str] = None
 
     def __post_init__(self):
@@ -121,24 +120,13 @@ class ExperimentConfig:
             if n_attack <= self.smote_k or grown == 0:
                 raise ConfigInvalid(f"smote ratio {r}: SMOTE needs over smote_k={self.smote_k} "
                                     f"training attacks and 1 new row, got {n_attack} and {grown}")
-        # pool_sim sets these per seed, so any other value would be ignored.
-        for name in ("n_normal_flows", "n_attack_flows"):
-            default = getattr(SimConfig, name)
-            if getattr(self.sim, name) != default:
-                raise ConfigInvalid(
-                    f"sim.{name} is derived by the sweep, so it must keep its default {default!r}"
-                )
-        self.pool_sim()  # the per-seed pool must be a valid SimConfig too
 
     def pool_sim(self) -> SimConfig:
         """The simulator config of every seed's pool: enough normal
         sessions for the smallest ratio plus pool_margin, and n_attack
         attack sessions. Its seed is an argument of simulate."""
-        return replace(
-            self.sim,
-            n_normal_flows=required_normals(self.n_attack, min(self.ratios)) + self.pool_margin,
-            n_attack_flows=self.n_attack,
-        )
+        return SimConfig(required_normals(self.n_attack, min(self.ratios)) + self.pool_margin,
+                         self.n_attack)
 
 
 @dataclass(frozen=True)

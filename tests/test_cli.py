@@ -388,7 +388,7 @@ def test_extract_rejects_meaningless_idle_timeouts(pipeline, tmp_path, capsys, t
         ("experiment", '{"n_attack": "5"}', "n_attack"),
         ("experiment", '{"ratios": 5}', "ratios"),
         ("experiment", '{"train": {"epochs": 2.5}}', "train.epochs"),
-        ("experiment", '{"sim": {"seed": 1}}', "sim.seed"),  # seeds are call arguments
+        ("experiment", '{"train": {"seed": 1}}', "train.seed"),  # seeds are call arguments
         ("experiment", '{"layer_sizes": [23, 8, 2]}', "layer_sizes"),
         ("train", '{"epochs": "3"}', "epochs"),
         ("train", '{"layer_sizes": 5}', "layer_sizes"),
@@ -519,11 +519,13 @@ def test_run_experiment_rejects_threads_below_one():
         experiment.run_experiment(experiment.ExperimentConfig(), threads=0)
 
 
-def test_report_bytes_do_not_depend_on_the_worker_count(sweep, tmp_path, monkeypatch):
+def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     # The pool takes one worker per usable CPU, so the affinity lookup sets
-    # the count; the spy records what each seed's pool was given.
-    cfg, out = sweep
-    exp = config_from_json(experiment.ExperimentConfig, cfg.read_text())
+    # the count; the spy records what each seed's pool was given. At 200
+    # attacks the test splits are large enough for the reports to show the
+    # training stream, so a stream that followed the worker would show too.
+    exp = config_from_json(experiment.ExperimentConfig,
+                           {**json.loads(EXPERIMENT_JSON), "n_attack": 200})
     sizes = []
 
     class SizedPool(concurrent.futures.ProcessPoolExecutor):
@@ -531,14 +533,24 @@ def test_report_bytes_do_not_depend_on_the_worker_count(sweep, tmp_path, monkeyp
             sizes.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
+    def report_bytes(name):
+        path = tmp_path / name / "report.csv"
+        experiment.write_report(experiment.run_experiment(exp), path)
+        return [path.with_name(n).read_bytes()
+                for n in ("report.csv", "report.summary.csv", "report.manifest.json")]
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
+    by_workers = []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        redo = tmp_path / f"{len(cpus)}-workers" / "report.csv"
-        experiment.write_report(experiment.run_experiment(exp), redo)
-        for name in ("report.csv", "report.summary.csv", "report.manifest.json"):
-            assert redo.with_name(name).read_bytes() == out.with_name(name).read_bytes()
+        by_workers.append(report_bytes(f"{len(cpus)}-workers"))
+    assert by_workers[0] == by_workers[1]
     assert sizes == [1, 1, 2, 2]  # two seeds per run
+
+    train = experiment.train
+    monkeypatch.setattr(experiment, "train", lambda model, data, cfg, seed: train(
+        model, data, cfg, np.random.SeedSequence([*seed.entropy, 1])))  # workers fork it
+    assert report_bytes("reseeded")[0] != by_workers[0][0]
 
 
 def test_a_failing_cell_stops_the_sweep_and_leaves_no_worker(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbalidx.flows import (
@@ -16,9 +16,10 @@ from imbalidx.flows import (
     assemble_flows,
     features_from_packets,
 )
-from imbalidx.packets import PacketTable, Protocol, parse_addr, quantize_timestamp
+from imbalidx.packets import PacketTable, Protocol, quantize_timestamp
 from imbalidx.experiment import ExperimentConfig
 from imbalidx.mlp import TrainConfig
+from imbalidx import simulate as sim
 from imbalidx.simulate import ConfigInvalid, SimConfig, simulate
 from imbalidx.textio import config_from_json
 
@@ -56,11 +57,10 @@ def test_stream_shape_normal_only():
     cfg = SimConfig(n_normal_flows=25, n_attack_flows=0)
     packets, rules = simulate(cfg, 3)
     assert rules == []
-    hmi, plc = parse_addr(cfg.hmi_addr), parse_addr(cfg.plc_addr)
     hosts = set(zip(packets.src.tolist(), packets.dst.tolist()))
-    assert hosts <= {(hmi, plc), (plc, hmi)}
+    assert hosts <= {(sim.HMI, sim.PLC), (sim.PLC, sim.HMI)}
     assert np.all(packets.proto == Protocol.TCP)
-    assert np.all((packets.sport == 502) | (packets.dport == 502))
+    assert np.all((packets.sport == sim.MODBUS_PORT) | (packets.dport == sim.MODBUS_PORT))
     assert np.all((60 <= packets.wire_len) & (packets.wire_len <= 65535))
 
 
@@ -69,20 +69,25 @@ def test_empty_config_yields_empty_stream():
     assert packets == PacketTable.from_records([]) and rules == []
 
 
+# Seeds picked so that one draw holds only mimics and one only bursts,
+# which runs the branches of simulate that skip an empty attack kind.
 @pytest.mark.parametrize(
-    "n_normal,burst_fraction",
-    [(20, 0.0), (20, 0.3), (20, 1.0), (0, 0.3)],
+    "n_normal,seed,kinds",
+    [(20, 6, {"mimic"}), (20, 9, {"mimic", "burst"}), (20, 132, {"burst"}),
+     (0, 9, {"mimic", "burst"})],
     ids=["mimics", "mixed", "bursts", "no-normals"],
 )
-def test_one_label_window_per_attack_session(n_normal, burst_fraction):
-    cfg = SimConfig(n_normal_flows=n_normal, n_attack_flows=7,
-                    burst_fraction=burst_fraction)
-    packets, rules = simulate(cfg, 9)
+def test_one_label_window_per_attack_session(n_normal, seed, kinds):
+    packets, rules = simulate(SimConfig(n_normal_flows=n_normal, n_attack_flows=7), seed)
     assert len(rules) == 7
-    atk, plc = parse_addr(cfg.attacker_addr), parse_addr(cfg.plc_addr)
+    atk, plc = sim.ATTACKER, sim.PLC
     for r in rules:
         assert (r.src_addr, r.dst_addr) == (atk, plc)
         assert r.start_time <= r.end_time
+    # A mimic's PLC answers it; a burst goes one way only.
+    answers = packets.ts[(packets.src == plc) & (packets.dst == atk)]
+    assert {"mimic" if ((answers >= r.start_time) & (answers <= r.end_time)).any()
+            else "burst" for r in rules} == kinds
     # Sessions are placed in id order and spaced out, so the windows
     # increase in session order and never touch: one time sort merges them.
     assert all(a.end_time < b.start_time for a, b in zip(rules, rules[1:]))
@@ -115,8 +120,7 @@ def test_pipeline_labels_exactly_the_attack_sessions(seed):
     assert len(feats) == 100
     assert feats.n_attack == 10
     flows = assemble_flows(packets, idle_timeout=60.0)
-    attacker = parse_addr(cfg.attacker_addr)
-    on_attacker = (flows.src == attacker) | (flows.dst == attacker)
+    on_attacker = (flows.src == sim.ATTACKER) | (flows.dst == sim.ATTACKER)
     assert np.array_equal(on_attacker, feats.y == ATTACK)
 
 
@@ -130,23 +134,28 @@ def test_attack_flows_are_statistically_noisier(seed):
 
 
 def test_mimics_share_the_normal_packet_count_range():
-    # With bursts disabled every attack session polls, so packet counts
-    # cannot separate the classes.
-    cfg = SimConfig(
-        n_normal_flows=40, n_attack_flows=40, burst_fraction=0.0
-    )
+    # Mimic sessions poll, so packet counts cannot separate them from
+    # normal ones. Bursts go one way only, so the attack flows with
+    # packets back from the PLC are the mimics.
+    cfg = SimConfig(n_normal_flows=40, n_attack_flows=40)
     packets, rules = simulate(cfg, 14)
     feats = features_from_packets(packets, rules, idle_timeout=60.0)
     tpkts = feats.x[:, FEATURE_NAMES.index("tpkts")]
-    assert set(tpkts[feats.y == ATTACK]) <= set(tpkts[feats.y != ATTACK])
+    answered = feats.x[:, FEATURE_NAMES.index("dpkts")] > 0
+    mimic = (feats.y == ATTACK) & answered
+    assert 0 < mimic.sum() < feats.n_attack  # bursts are left out
+    assert set(tpkts[mimic]) <= set(tpkts[feats.y != ATTACK])
 
 
+# Only the two session counts are settable. A negative count is invalid,
+# and each former traffic-shape knob is an unknown key, whatever its value:
+# the last nine give former defaults.
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(n_normal_flows=-1),
         dict(n_attack_flows=-1),
-        dict(plc_addr="10.0.0.10"),  # collides with the HMI
+        dict(plc_addr="10.0.0.10"),
         dict(attacker_addr=""),
         dict(modbus_port=0),
         dict(modbus_port=70000),
@@ -163,82 +172,57 @@ def test_mimics_share_the_normal_packet_count_range():
         dict(attack_pkts_min=0),
         dict(attack_pkts_min=50, attack_pkts_max=10),
         dict(attack_gap_scale_lo=0.0),
-        dict(mimic_period_shift=1.0),  # as large as the period itself
+        dict(mimic_period_shift=1.0),
         dict(mimic_len_shift=-1),
         dict(mimic_jitter_boost=-1.0),
         dict(attack_window_gap=0.0),
         dict(max_gap=0.0),
-        dict(max_gap=5.0),  # a burst gap reaching the flow idle timeout
-        dict(poll_period=6.0),  # longer than the idle timeout
-        dict(cycle_jitter=0.05),  # mimic jitter alone spans 6 s
-        dict(mimic_delay_boost=300.0),  # mimic responses up to 3 s late
-        dict(attacker_addr="10.0.0.256"),  # not an IPv4 address
+        dict(max_gap=5.0),
+        dict(poll_period=6.0),
+        dict(cycle_jitter=0.05),
+        dict(mimic_delay_boost=300.0),
+        dict(attacker_addr="10.0.0.256"),
         dict(hmi_addr="hmi"),
-        dict(attacker_addr=5),  # the stdlib parser would take an int
-        dict(attacker_addr=b"\n\x00\x00B"),  # ... and packed bytes
+        dict(attacker_addr=5),
+        dict(attacker_addr=[10, 0, 0, 66]),
+        dict(base_time=10.0),
+        dict(response_len_lo=68),
+        dict(response_len_hi=72),
+        dict(attack_len_lo=60),
+        dict(attack_len_hi=1500),
+        dict(attack_gap_scale_hi=0.40),
+        dict(attack_retx_prob=0.02),
+        dict(mimic_retx_max=0.06),
+        dict(attack_start=50.0),
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ConfigInvalid):
-        SimConfig(**kwargs)
+    counts = set(kwargs) <= {"n_normal_flows", "n_attack_flows"}
+    with pytest.raises(ConfigInvalid, match="non-negative" if counts else "^unknown config keys"):
+        config_from_json(SimConfig, json.dumps(kwargs))
 
 
-def test_port_reuse_needs_a_wide_enough_stagger():
-    # Normal sessions 64,512 apart share an ephemeral port; at this stagger
-    # they start 6.45 s apart, which is within a session plus the timeout.
-    with pytest.raises(ConfigInvalid, match="flow_stagger"):
-        SimConfig(n_normal_flows=70_000, flow_stagger=0.0001)
-    SimConfig(n_normal_flows=64_512, flow_stagger=0.0001)  # no port reused
-    SimConfig(n_normal_flows=70_000)  # 645 s apart at the default stagger
+def test_session_gaps_stay_below_the_idle_timeout():
+    assert sim.SESSION_GAP_BOUND < DEFAULT_IDLE_TIMEOUT
 
 
-def _share(lo=0.0):
-    """A share of a budget SimConfig allows, sometimes within 1% of the bound."""
-    return st.one_of(st.floats(lo, 0.99), st.floats(0.99, 0.9999))
+def test_normal_ports_come_round_after_a_session_and_the_timeout():
+    # Normal sessions 64,512 apart share an ephemeral port. The later one
+    # must start after the earlier one has ended and timed out.
+    longest = ((sim.POLL_CYCLES[1] - 1) * (sim.POLL_PERIOD + 6 * sim.PERIOD_STDDEV)
+               + 12 * sim.CYCLE_JITTER + sim.RESPONSE_DELAY[1])
+    assert sim._EPHEMERAL_SPAN * sim.FLOW_STAGGER > longest + DEFAULT_IDLE_TIMEOUT
+    packets, _ = simulate(SimConfig(n_normal_flows=70_000, n_attack_flows=0), 0)
+    assert len(assemble_flows(packets)) == 70_000
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    n_normal=st.integers(0, 30),
-    n_attack=st.integers(0, 8),
-    burst_fraction=st.floats(0.0, 1.0),
-    poll_period=st.floats(0.2, 4.0),
-    fill=_share(),
-    shares=st.tuples(*[st.floats(0.0, 1.0)] * 3),
-    stddev_frac=st.floats(0.0, 1.0),
-    shift_frac=st.floats(0.0, 1.0),
-    jitter_boost=st.floats(0.0, 10.0),
-    max_gap_frac=_share(0.002),
-    pkts=st.integers(2, 16),
-    seed=st.integers(0, 2**16),
-)
-def test_accepted_configs_keep_one_flow_per_session(
-    n_normal, n_attack, burst_fraction, poll_period, fill, shares, stddev_frac,
-    shift_frac, jitter_boost, max_gap_frac, pkts, seed,
-):
-    # SimConfig bounds the in-session gap by the longest period (the period
-    # spread or the mimic shift on top of poll_period), plus the cycle
-    # jitter term, plus the response delay; each part takes a share of the
-    # budget left under the idle timeout, so nearly every draw is accepted.
-    delay_hi = SimConfig.response_delay_hi
-    budget = fill * (DEFAULT_IDLE_TIMEOUT - poll_period - delay_hi)
-    spread, jitter, delay = (budget * w / (sum(shares) or 1.0) for w in shares)
-    try:
-        cfg = SimConfig(
-            n_normal_flows=n_normal, n_attack_flows=n_attack,
-            burst_fraction=burst_fraction, poll_period=poll_period,
-            period_stddev=stddev_frac * spread / 6,
-            cycle_jitter=jitter / (12 * (1 + jitter_boost)),
-            mimic_period_shift=min(shift_frac * spread, 0.9 * poll_period),
-            mimic_jitter_boost=jitter_boost, mimic_delay_boost=delay / delay_hi,
-            max_gap=max_gap_frac * DEFAULT_IDLE_TIMEOUT, normal_pkts_per_flow=pkts,
-        )
-    except ConfigInvalid:
-        assume(False)
-    packets, rules = simulate(cfg, seed)
+@given(n_normal=st.integers(0, 30), n_attack=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_accepted_configs_keep_one_flow_per_session(n_normal, n_attack, seed):
+    packets, rules = simulate(SimConfig(n_normal_flows=n_normal, n_attack_flows=n_attack), seed)
     flows = assemble_flows(packets)
     assert len(flows) == n_normal + n_attack
-    pair = {parse_addr(cfg.attacker_addr), parse_addr(cfg.plc_addr)}
+    pair = {sim.ATTACKER, sim.PLC}
     on_pair = np.array([{a, b} == pair for a, b in zip(flows.src.tolist(), flows.dst.tolist())],
                        dtype=bool)
     assert len(rules) == n_attack
@@ -246,26 +230,24 @@ def test_accepted_configs_keep_one_flow_per_session(
         overlaps = on_pair & (flows.start <= r.end_time) & (flows.end >= r.start_time)
         assert np.count_nonzero(overlaps) == 1
     # Each session is one flow, so the gaps inside flows are the gaps inside
-    # sessions. Checking them against SimConfig's bound directly catches a
-    # simulator that outgrows it while staying under the timeout; the
-    # response gaps are checked against their own term, because the whole
-    # bound sits far above them unless that term dominates it.
+    # sessions. Checking them against the simulator's bounds directly
+    # catches a simulator that outgrows them while staying under the
+    # timeout; the response gaps are checked against their own bound,
+    # because the session bound sits far above them.
     order = flows.order
     same = flows.flow[order][1:] == flows.flow[order][:-1]
     gaps = np.diff(packets.ts[order])[same]
-    to_response = (packets.src[order] == parse_addr(cfg.plc_addr))[1:][same]
+    to_response = (packets.src[order] == sim.PLC)[1:][same]
     grid = 1e-6  # two times, each rounded to the microsecond grid
-    assert gaps.max(initial=0.0) <= cfg.session_gap_bound + grid
-    assert gaps[to_response].max(initial=0.0) <= cfg.response_gap_bound + grid
+    assert gaps.max(initial=0.0) <= sim.SESSION_GAP_BOUND + grid
+    assert gaps[to_response].max(initial=0.0) <= sim.RESPONSE_GAP_BOUND + grid
 
 
 def test_config_from_json_round_trip():
     cfg = config_from_json(
         SimConfig, json.dumps({"n_normal_flows": 5, "n_attack_flows": 1})
     )
-    assert cfg.n_normal_flows == 5
-    assert cfg.n_attack_flows == 1
-    assert cfg.poll_period == SimConfig().poll_period
+    assert cfg == SimConfig(n_normal_flows=5, n_attack_flows=1)
 
 
 BAD_CONFIGS = [
@@ -274,20 +256,21 @@ BAD_CONFIGS = [
     for text in ("{not json", "[1, 2]", '{"n_normal_flow": 5}')  # misspelled key
 ] + [
     (SimConfig, '{"n_normal_flows": "lots"}'),
-    (SimConfig, '{"modbus_port": -1}'),
+    (SimConfig, '{"modbus_port": -1}'),  # former knobs are unknown keys
     (SimConfig, '{"n_normal_flows": 5.5}'),  # float for an int
     (SimConfig, '{"seed": "1"}'),  # the seed is an argument of simulate
-    (SimConfig, '{"poll_period": NaN}'),  # not finite
-    (SimConfig, '{"attacker_addr": "010.0.0.66"}'),  # not the canonical spelling
+    (SimConfig, '{"poll_period": NaN}'),
+    (SimConfig, '{"attacker_addr": "010.0.0.66"}'),
     (TrainConfig, '{"epochs": "3"}'),  # string for an int
     (TrainConfig, '{"batch_size": 5.5}'),
     (TrainConfig, '{"learning_rate": "0.1"}'),  # string for a float
+    (TrainConfig, '{"learning_rate": NaN}'),  # not finite
     (ExperimentConfig, '{"n_attack": "5"}'),
     (ExperimentConfig, '{"n_attack": 50.5}'),
     (ExperimentConfig, '{"ratios": 5}'),  # scalar for a tuple
     (ExperimentConfig, '{"seeds": [0, 1.5]}'),  # float inside a tuple
     (ExperimentConfig, '{"train": null}'),
-    (ExperimentConfig, '{"sim": null}'),
+    (ExperimentConfig, '{"sim": null}'),  # the simulated plant is fixed
     (ExperimentConfig, '{"train": {"epohcs": 3}}'),  # unknown nested key
     (ExperimentConfig, '{"sim": {"n_normal_flow": 5}}'),
     (ExperimentConfig, '{"train": {"epochs": "3"}}'),
@@ -330,15 +313,14 @@ def test_config_from_json_rejects_bad_input(cls, text):
     [
         (lambda: ExperimentConfig(smote_k=2.5), "smote_k"),
         (lambda: TrainConfig(epochs=2.5), "epochs"),
-        (lambda: SimConfig(attacker_addr=[1]), "attacker_addr"),
+        (lambda: SimConfig(n_attack_flows=[1]), "n_attack_flows"),
         (lambda: ExperimentConfig(workdir=Path("x")), "workdir"),  # the report is JSON
         # JSON shapes that config_from_json would convert, not keep.
         (lambda: ExperimentConfig(train={"epochs": 2}), "train"),
-        (lambda: ExperimentConfig(sim={"poll_period": 1.0}), "sim"),
         (lambda: ExperimentConfig(ratios=[0.1, 0.01], smote_ratios=[]), "ratios"),
     ],
-    ids=["smote_k-float", "epochs-float", "attacker_addr-list", "workdir-path",
-         "train-dict", "sim-dict", "ratios-list"],
+    ids=["smote_k-float", "epochs-float", "n_attack_flows-list", "workdir-path",
+         "train-dict", "ratios-list"],
 )
 def test_python_built_config_rejects_bad_types(build, key):
     with pytest.raises(ConfigInvalid, match=rf"^{key} "):
