@@ -21,7 +21,7 @@ from typing import BinaryIO, Iterable, List, NamedTuple
 
 import numpy as np
 
-from .textio import ParseError, csv_fields
+from .textio import CsvFields, ParseError, csv_fields
 
 
 class Protocol(IntEnum):
@@ -319,8 +319,8 @@ def _records(packets: PacketTable, rows: slice) -> np.ndarray:
     return out
 
 
-# Rows encoded per write, which bounds the writer's buffers.
-_WRITE_CHUNK = 1 << 16
+# Rows encoded per write, which bounds the writers' buffers.
+_WRITE_CHUNK = 1 << 12
 
 
 def write_pcap(packets: PacketTable, path) -> None:
@@ -378,29 +378,17 @@ def _decode_frames(frames: np.ndarray, incl_len: np.ndarray, wire_len: np.ndarra
     )
 
 
-def _read_records(f: BinaryIO, fmt: str) -> PacketTable:
-    """Walk the record headers, then decode every record at once."""
-    width = 16 + _PREFIX
-    size = os.fstat(f.fileno()).st_size - f.tell()
-    # Zero padding past the end keeps every row below inside the buffer.
-    buf = np.zeros(size + width, dtype=np.uint8)
-    size = f.readinto(memoryview(buf)[:size])
-    incl_field = struct.Struct(fmt + "I")
-    starts: List[int] = []
-    pos = 0
-    while pos + 16 <= size:
-        (incl_len,) = incl_field.unpack_from(buf, pos + 8)
-        starts.append(pos)
-        pos += 16 + incl_len
-    if pos > size:
-        remain = size - starts[-1] - 16
-        raise Truncated(f"record claims {incl_len} bytes, {remain} remain")
-    if pos < size:
-        raise Truncated("record header cut short")
+# Bytes of records read and decoded at a time. A record longer than this is
+# decoded from its first bytes and the rest of it is skipped.
+_READ_BLOCK = 1 << 20
+
+
+def _decode_block(buf: np.ndarray, starts: List[int], fmt: str) -> PacketTable:
+    """Decode the records that start at `starts` in `buf`."""
     # Each record's header and frame prefix as one row. Bytes past a short
     # frame belong to the next record (or padding); the decoder checks the
     # frame length before it trusts any byte.
-    rows = np.lib.stride_tricks.sliding_window_view(buf, width)[starts]
+    rows = np.lib.stride_tricks.sliding_window_view(buf, 16 + _PREFIX)[starts]
     hdr = np.ascontiguousarray(rows[:, :16]).view(np.dtype([
         ("sec", fmt + "u4"), ("usec", fmt + "u4"),
         ("incl_len", fmt + "u4"), ("orig_len", fmt + "u4")]))[:, 0]
@@ -409,6 +397,53 @@ def _read_records(f: BinaryIO, fmt: str) -> PacketTable:
         rows[:, 16:], hdr["incl_len"].astype(np.int64), wire_len)
     ts = grid_seconds(hdr["sec"], hdr["usec"])
     return PacketTable(ts, src, dst, sport, dport, proto, wire_len, retx)
+
+
+def _read_records(f: BinaryIO, fmt: str) -> PacketTable:
+    """Walk the record headers one block at a time, decoding each block's
+    whole records at once; a record cut by the block's end starts the next
+    block."""
+    width = 16 + _PREFIX
+    block = max(_READ_BLOCK, width)  # holds the prefix of a longer record
+    size = os.fstat(f.fileno()).st_size - f.tell()
+    # The padding past a block keeps every row's window inside the buffer.
+    buf = np.zeros(block + width, dtype=np.uint8)
+    incl_field = struct.Struct(fmt + "I")
+    parts = []
+    done = 0  # file bytes (past the global header) before buf[0]
+    have = 0  # bytes of buf that hold the file from there
+    while True:
+        have += f.readinto(memoryview(buf)[have:block])
+        buf[have:have + width] = 0
+        at_end = have < block
+        starts: List[int] = []
+        pos = 0
+        while pos + 16 <= have:
+            (incl_len,) = incl_field.unpack_from(buf, pos + 8)
+            if pos + 16 + incl_len > have:
+                break
+            starts.append(pos)
+            pos += 16 + incl_len
+        if pos == 0 and not at_end:
+            # A record longer than the block: decode its prefix, skip the rest.
+            if done + 16 + incl_len > size:
+                raise Truncated(f"record claims {incl_len} bytes, {size - done - 16} remain")
+            f.seek(16 + incl_len - have, os.SEEK_CUR)
+            starts, pos = [0], 16 + incl_len
+        part = _decode_block(buf, starts, fmt)
+        parts.append(tuple(getattr(part, c) for c in PacketTable.COLUMNS))
+        if at_end:
+            break
+        # Carry the cut record to the front of the buffer.
+        keep = max(have - pos, 0)
+        buf[:keep] = buf[pos:have]
+        done += pos
+        have = keep
+    if pos + 16 <= have:
+        raise Truncated(f"record claims {incl_len} bytes, {have - pos - 16} remain")
+    if pos < have:
+        raise Truncated("record header cut short")
+    return _joined(parts)
 
 
 def read_pcap(path) -> PacketTable:
@@ -440,25 +475,97 @@ def read_pcap(path) -> PacketTable:
 CSV_HEADER = "timestamp,src_addr,src_port,dst_addr,dst_port,protocol,wire_len,is_retransmission"
 
 
-def _addr_texts(col: np.ndarray) -> List[str]:
-    """Dotted-quad text per row, formatting each distinct address once."""
+def _digit_text(values: np.ndarray, width: int):
+    """Decimal digits of non-negative integers below 10**width, one row per
+    value, right-aligned in `width` bytes, and the mask of the bytes that
+    are the number's own (no leading zeros, but at least one digit)."""
+    rest = values.astype(np.uint64)
+    text = np.empty((rest.size, width), dtype=np.uint8)
+    for k in range(width - 1, -1, -1):
+        text[:, k] = rest % 10
+        rest //= 10
+    text += ord("0")
+    n_digits = np.searchsorted(_POW10[1:width].astype(np.uint64), values, side="right") + 1
+    return text, np.arange(width) >= width - n_digits[:, None]
+
+
+def _table_text(codes: np.ndarray, names: List[bytes]):
+    """names[code] per row, left-aligned in the longest name's width, and
+    the mask of each row's own bytes."""
+    width = max(map(len, names), default=0)
+    table = np.array(names, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(names), -1)
+    lengths = np.array([len(n) for n in names], dtype=np.int64)
+    return table[codes, :width], np.arange(width) < lengths[codes][:, None]
+
+
+def _lookup_text(col: np.ndarray, name):
+    """name(value) per row, formatting each distinct value once."""
     uniq, inverse = np.unique(col, return_inverse=True)
-    names = [format_addr(a) for a in uniq.tolist()]
-    return [names[i] for i in inverse.tolist()]
+    return _table_text(inverse, [name(v).encode() for v in uniq.tolist()])
+
+
+# A timestamp below 2**32 s is a 1-10 digit second and 6 microsecond digits.
+_SEC_DIGITS = 10
+
+
+def _timestamp_text(ts: np.ndarray):
+    """f"{t:.6f}" per row. For a grid time t below 2**32 s that is
+    f"{sec}.{usec:06d}" with (sec, usec) as quantize_us splits it: the
+    float sum sec + usec/1e6 is within half a microsecond of the decimal,
+    so rounding it to 6 places gives those digits back. Every other time
+    is formatted by itself."""
+    sec = np.zeros(ts.shape, dtype=np.int64)
+    usec = np.zeros(ts.shape, dtype=np.int64)
+    grid = np.zeros(ts.shape, dtype=bool)
+    # -0.0 passes t >= 0 but prints its sign; NaN fails both tests.
+    near = np.flatnonzero(~np.signbit(ts) & (ts < 2.0**32))
+    sec[near], usec[near] = np.divmod(quantize_us(ts[near]), 1_000_000)
+    grid[near] = grid_seconds(sec[near], usec[near]) == ts[near]
+    sec_text, sec_keep = _digit_text(sec, _SEC_DIGITS)
+    usec_text, _ = _digit_text(usec, 6)
+    dot = np.full((ts.size, 1), ord("."), dtype=np.uint8)
+    text = np.hstack([sec_text, dot, usec_text])
+    keep = np.hstack([sec_keep, np.ones((ts.size, 7), dtype=bool)]) & grid[:, None]
+    # Each other row's own text, and none on grid rows.
+    other = np.flatnonzero(~grid)
+    codes = np.zeros(ts.size, dtype=np.int64)
+    codes[other] = np.arange(1, other.size + 1)
+    own, own_keep = _table_text(codes, [b""] + [f"{t:.6f}".encode() for t in ts[other].tolist()])
+    return np.hstack([own, text]), np.hstack([own_keep, keep])
+
+
+def _csv_chunk(packets: PacketTable, rows: slice) -> bytes:
+    """The packet CSV lines of a slice of rows. Each field is a byte matrix
+    with a mask of the bytes each row keeps; the masked bytes of the fields
+    side by side, read row by row, are the lines."""
+    proto_names = {p.value: p.name for p in Protocol}
+    fields = [
+        _timestamp_text(packets.ts[rows]),
+        _lookup_text(packets.src[rows], format_addr),
+        _digit_text(packets.sport[rows], 5),
+        _lookup_text(packets.dst[rows], format_addr),
+        _digit_text(packets.dport[rows], 5),
+        _lookup_text(packets.proto[rows], proto_names.__getitem__),
+        _digit_text(packets.wire_len[rows], 10),
+        _digit_text(packets.retx[rows].view(np.uint8), 1),
+    ]
+    n = len(fields[0][0])
+    parts, masks = [], []
+    for j, (text, keep) in enumerate(fields):
+        end = b"\n" if j == len(fields) - 1 else b","
+        parts += [text, np.full((n, 1), end[0], dtype=np.uint8)]
+        masks += [keep, np.ones((n, 1), dtype=bool)]
+    return np.hstack(parts)[np.hstack(masks)].tobytes()
 
 
 def write_packet_csv(packets: PacketTable, path) -> None:
-    proto_names = {p.value: p.name for p in Protocol}
-    rows = zip(
-        packets.ts.tolist(), _addr_texts(packets.src), packets.sport.tolist(),
-        _addr_texts(packets.dst), packets.dport.tolist(),
-        [proto_names[p] for p in packets.proto.tolist()],
-        packets.wire_len.tolist(), packets.retx.view(np.uint8).tolist(),
-    )
-    with open(path, "w", newline="") as f:
-        f.write(CSV_HEADER + "\n")
-        for ts, src, sport, dst, dport, proto, wire_len, retx in rows:
-            f.write(f"{ts:.6f},{src},{sport},{dst},{dport},{proto},{wire_len},{retx}\n")
+    """Write a packet table as CSV (header CSV_HEADER): one line per row,
+    the timestamp as f"{t:.6f}", addresses dotted-quad, the protocol by
+    name and the retransmission flag as 0 or 1."""
+    with open(path, "wb") as f:
+        f.write(CSV_HEADER.encode() + b"\n")
+        for lo in range(0, len(packets), _WRITE_CHUNK):
+            f.write(_csv_chunk(packets, slice(lo, lo + _WRITE_CHUNK)))
 
 
 # Digit strings up to this long always fit an int64; longer ones are
@@ -481,8 +588,9 @@ def _digits(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     ok = (length >= 1) & (length <= _MAX_DIGITS)
     value = np.zeros(length.shape, dtype=np.int64)
     for k in range(min(int(length.max(initial=0)), _MAX_DIGITS)):
-        # Every row follows the header, so the index stays in the buffer;
-        # bytes before the field are masked off.
+        # Bytes before the field are masked off. An index before a block's
+        # start wraps to its end: a row holds 7 commas and the buffer 16
+        # spare bytes, so it stays in the buffer.
         digit = buf[ends - 1 - k] - np.uint8(ord("0"))  # wraps below '0'
         digit[k >= length] = 0
         ok &= digit <= 9
@@ -576,19 +684,33 @@ def _addresses(data: bytes, starts: np.ndarray, ends: np.ndarray, parsed: dict):
     return np.array([parse(i) for i in row_of.tolist()], dtype=np.int64)[key]
 
 
-def read_packet_csv(path) -> PacketTable:
-    """Read a packet CSV (header CSV_HEADER) into a packet table, in file
-    order, parsing each column whole.
+def _narrow(values, dtype):
+    """Parsed integers as `dtype` when every one fits, else as they are: the
+    table built from the joined blocks sees the same numbers either way."""
+    if isinstance(values, np.ndarray) and values.max(initial=0) <= np.iinfo(dtype).max:
+        return values.astype(dtype)
+    return values
 
-    A timestamp is ASCII digits, optionally followed by '.' and 1-6
-    digits; ports and wire_len are ASCII digits; the protocol is a
-    Protocol name; is_retransmission is 0 or 1; addresses are read by
-    parse_addr. The first bad line raises ParseError with the message of
-    its first bad field, checked in that order with src_addr before
-    dst_addr. A row whose fields parse but that breaks a PacketTable rule
-    raises ParseError at its line once the whole file has parsed.
-    """
-    rows = csv_fields(path, CSV_HEADER)
+
+def _join(blocks):
+    """One column from its blocks: an array, or a list of Python ints when
+    a block holds one, so that PacketTable reports a value beyond int64."""
+    if any(isinstance(b, list) for b in blocks):
+        return [v for b in blocks for v in (b if isinstance(b, list) else b.tolist())]
+    return np.concatenate(blocks)
+
+
+def _joined(blocks: List[tuple]) -> PacketTable:
+    """The table of per-block columns (tuples in PacketTable order), which
+    are let go one column at a time as they are joined."""
+    columns = list(zip(*blocks))
+    blocks.clear()
+    return PacketTable(*(_join(columns.pop(0)) for _ in PacketTable.COLUMNS))
+
+
+def _parse_block(rows: CsvFields):
+    """The packet columns of one block of rows, in PacketTable order; the
+    first bad line raises ParseError."""
     # 16 spare bytes let the gathers below read past any field's end; the
     # unpadded bytes are let go.
     rows = rows._replace(data=rows.data + bytes(16))
@@ -634,7 +756,26 @@ def read_packet_csv(path) -> PacketTable:
         raise ParseError(int(rows.lines[i]), message(i))
     if rows.error is not None:
         raise rows.error
+    return (ts, src.astype(np.uint32), dst.astype(np.uint32), _narrow(sport, np.uint16),
+            _narrow(dport, np.uint16), proto, _narrow(wire_len, np.uint32), retx)
+
+
+def read_packet_csv(path) -> PacketTable:
+    """Read a packet CSV (header CSV_HEADER) into a packet table, in file
+    order, parsing each column of a block of lines whole.
+
+    A timestamp is ASCII digits, optionally followed by '.' and 1-6
+    digits; ports and wire_len are ASCII digits; the protocol is a
+    Protocol name; is_retransmission is 0 or 1; addresses are read by
+    parse_addr. The first bad line raises ParseError with the message of
+    its first bad field, checked in that order with src_addr before
+    dst_addr. A row whose fields parse but that breaks a PacketTable rule
+    raises ParseError at its line once the whole file has parsed.
+    """
+    blocks = [_parse_block(rows) for rows in csv_fields(path, CSV_HEADER)]
     try:
-        return PacketTable(ts, src, dst, sport, dport, proto, wire_len, retx)
+        return _joined(blocks)
     except BadRow as exc:
-        raise ParseError(int(rows.lines[exc.row]), str(exc)) from None
+        # Only an error needs line numbers, so they are split out again.
+        lines = np.concatenate([rows.lines for rows in csv_fields(path, CSV_HEADER)])
+        raise ParseError(int(lines[exc.row]), str(exc)) from None

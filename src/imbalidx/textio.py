@@ -1,22 +1,23 @@
 """Reading outside text: every CSV reader takes its rows from csv_fields
-(whole columns of byte offsets) or csv_rows (one row of strings at a time,
-built on csv_fields), so the header, blank-line, field-count and
-line-number rules have this one owner, and a bad row is reported as
-ParseError with its line number. A line ends at LF, CRLF or a lone CR,
-as in text mode. Every config dataclass is loaded by config_from_json, which
-checks the JSON against the dataclass's type annotations and reports
-ConfigInvalid naming the key; a config built in Python gets the same check
-from check_fields.
+(whole columns of byte offsets, one block of lines at a time) or csv_rows
+(one row of strings at a time, built on csv_fields), so the header,
+blank-line, field-count and line-number rules have this one owner, and a
+bad row is reported as ParseError with its line number. A line ends at
+LF, CRLF or a lone CR, as in text mode. Every config dataclass is loaded
+by config_from_json, which checks the JSON against the dataclass's type
+annotations and reports ConfigInvalid naming the key; a config built in
+Python gets the same check from check_fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import fields, is_dataclass
 from typing import (
-    Iterator, List, NamedTuple, Optional, Tuple, Union, get_args, get_origin,
-    get_type_hints,
+    BinaryIO, Iterator, List, NamedTuple, Optional, Tuple, Union, get_args,
+    get_origin, get_type_hints,
 )
 
 import numpy as np
@@ -35,12 +36,13 @@ class ConfigInvalid(ValueError):
 
 
 class CsvFields(NamedTuple):
-    """The data rows of a CSV file as byte offsets. `data` holds the file's
-    bytes with every line ending turned into LF. Row i sits on line
-    `lines[i]` and spans data[starts[i]:ends[i]]; `commas[i]` are the
-    offsets of its separators. Rows stop before the first row with the
-    wrong number of fields, whose ParseError is `error`, so a reader can
-    report the bad fields of earlier rows first and then raise it."""
+    """One block of the data rows of a CSV file, as byte offsets. `data`
+    holds the block's bytes with every line ending turned into LF. Row i
+    sits on line `lines[i]` of the file and spans data[starts[i]:ends[i]];
+    `commas[i]` are the offsets of its separators. Rows stop before the
+    first row with the wrong number of fields, whose ParseError is `error`
+    and which ends the file's blocks, so a reader can report the bad fields
+    of earlier rows first and then raise it."""
 
     data: bytes
     lines: np.ndarray
@@ -56,49 +58,83 @@ class CsvFields(NamedTuple):
         return starts, ends
 
 
-def csv_fields(path, header: str) -> CsvFields:
+# Bytes read per block of a CSV file; a block grows past this only to
+# finish a line longer than the rest of it.
+_READ_BLOCK = 1 << 20
+
+
+def _line_blocks(f: BinaryIO) -> Iterator[bytes]:
+    """The file's bytes in blocks that each end after a line ending, except
+    the last, which ends at the end of the file; at least one block. A CR
+    at the end of what was read waits for the next byte, so a CRLF pair
+    never straddles two blocks."""
+    data = b""
+    while True:
+        chunk = f.read(_READ_BLOCK)
+        if not chunk:
+            yield data
+            return
+        data += chunk
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if cut:
+            f.seek(cut - len(data), os.SEEK_CUR)  # the next block starts there
+            block, data = data[:cut], b""
+            yield block
+
+
+def csv_fields(path, header: str) -> Iterator[CsvFields]:
     """Split a CSV file whose first line is exactly `header` into fields,
-    skipping blank lines; every row must have as many comma-separated
-    fields as the header."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.append(np.flatnonzero(buf == ord("\n")), len(data))
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    if data[:ends[0]] != header.encode():
-        raise ParseError(1, f"expected header {header!r}")
-    commas = np.flatnonzero(buf == ord(","))
-    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+    one block of whole lines at a time, skipping blank lines; every row
+    must have as many comma-separated fields as the header."""
     n_sep = header.count(",")
-    rows = np.flatnonzero(ends[1:] > starts[1:]) + 1
-    wrong = np.flatnonzero(per_line[rows] != n_sep)
-    error = None
-    if wrong.size:
-        bad = rows[wrong[0]]
-        error = ParseError(int(bad) + 1,
-                           f"expected {n_sep + 1} fields, got {per_line[bad] + 1}")
-        rows = rows[:wrong[0]]
-    # Blank lines hold no commas, so the separators of the rows before the
-    # first wrong one follow the header's back to back.
-    row_commas = commas[n_sep:n_sep * (rows.size + 1)].reshape(rows.size, n_sep)
-    return CsvFields(data, rows + 1, starts[rows], ends[rows], row_commas, error)
+    first_line = 1  # of the current block
+    with open(path, "rb") as f:
+        for data in _line_blocks(f):
+            if b"\r" in data:
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            buf = np.frombuffer(data, dtype=np.uint8)
+            ends = np.append(np.flatnonzero(buf == ord("\n")), len(data))
+            starts = np.concatenate([[0], ends[:-1] + 1])
+            skip = 0  # separators of the header
+            if first_line == 1:
+                if data[:ends[0]] != header.encode():
+                    raise ParseError(1, f"expected header {header!r}")
+                starts[0] = ends[0]  # the header is no row
+                skip = n_sep
+            commas = np.flatnonzero(buf == ord(","))
+            per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+            rows = np.flatnonzero(ends > starts)
+            wrong = np.flatnonzero(per_line[rows] != n_sep)
+            error = None
+            if wrong.size:
+                bad = rows[wrong[0]]
+                error = ParseError(first_line + int(bad),
+                                   f"expected {n_sep + 1} fields, got {per_line[bad] + 1}")
+                rows = rows[:wrong[0]]
+            # Blank lines hold no commas, so the separators of the rows
+            # before the first wrong one follow the header's (if the block
+            # holds it) back to back.
+            row_commas = commas[skip:skip + n_sep * rows.size].reshape(rows.size, n_sep)
+            yield CsvFields(data, rows + first_line, starts[rows], ends[rows],
+                            row_commas, error)
+            if error is not None:
+                return
+            first_line += ends.size - 1
 
 
 def csv_rows(path, header: str) -> Iterator[Tuple[int, List[str]]]:
     """Yield (line number, fields) for each row of csv_fields, decoded as
     UTF-8, then raise its field-count error if it has one."""
-    rows = csv_fields(path, header)
-    for line, start, end in zip(rows.lines.tolist(), rows.starts.tolist(),
-                                rows.ends.tolist()):
-        try:
-            text = rows.data[start:end].decode()
-        except UnicodeDecodeError:
-            raise ParseError(line, "not UTF-8 text") from None
-        yield line, text.split(",")
-    if rows.error is not None:
-        raise rows.error
+    for rows in csv_fields(path, header):
+        for line, start, end in zip(rows.lines.tolist(), rows.starts.tolist(),
+                                    rows.ends.tolist()):
+            try:
+                text = rows.data[start:end].decode()
+            except UnicodeDecodeError:
+                raise ParseError(line, "not UTF-8 text") from None
+            yield line, text.split(",")
+        if rows.error is not None:
+            raise rows.error
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}

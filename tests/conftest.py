@@ -1,8 +1,20 @@
 """Checks that hold after every test."""
 
 import multiprocessing
+import warnings
 
 import pytest
+
+# When a test fails, Hypothesis imports this module (and libcst) to print a
+# patch for the falsifying example. libcst raises a DeprecationWarning on
+# import, which `filterwarnings = ["error"]` turns into an internal error
+# that hides the example, so it is imported once here with that warning off.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: Hypothesis prints no patch either
+        pass
 
 
 @pytest.fixture(autouse=True)

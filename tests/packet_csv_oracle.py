@@ -1,20 +1,27 @@
-"""Reference packet CSV reader: one text line at a time, one Python value
-per field, the form `packets.read_packet_csv` had before it parsed whole
-columns. The column reader must agree with it: the same table where this
-accepts, the same line and message where this raises ParseError. The only
-inputs where they may differ are integer fields that `int()` accepts but
-that are not plain ASCII digits (signs, spaces, underscores, non-ASCII
-digits), which the column reader rejects, and non-UTF-8 bytes, where this
-raises UnicodeDecodeError without a line.
+"""Reference packet CSV codec: one text line at a time, one Python value
+per field, the form `packets.read_packet_csv` and `write_packet_csv` had
+before they worked on whole columns.
+
+The column reader must agree with read_packet_csv here: the same table
+where this accepts, the same line and message where this raises
+ParseError. The only inputs where they may differ are integer fields that
+`int()` accepts but that are not plain ASCII digits (signs, spaces,
+underscores, non-ASCII digits), which the column reader rejects, and
+non-UTF-8 bytes, where this raises UnicodeDecodeError without a line.
+
+The column writer must write the same bytes as write_packet_csv here.
 """
 
 from typing import List
+
+import numpy as np
 
 from imbalidx.packets import (
     CSV_HEADER,
     BadRow,
     PacketTable,
     Protocol,
+    format_addr,
     parse_addr,
     parse_timestamp,
 )
@@ -75,3 +82,18 @@ def read_packet_csv(path) -> PacketTable:
         return PacketTable(*cols)
     except BadRow as exc:
         raise ParseError(lines[exc.row], str(exc)) from None
+
+
+def write_packet_csv(packets: PacketTable, path) -> None:
+    proto_names = {p.value: p.name for p in Protocol}
+    rows = zip(
+        packets.ts.tolist(), packets.src.tolist(), packets.sport.tolist(),
+        packets.dst.tolist(), packets.dport.tolist(),
+        [proto_names[p] for p in packets.proto.tolist()],
+        packets.wire_len.tolist(), packets.retx.view(np.uint8).tolist(),
+    )
+    with open(path, "w", newline="") as f:
+        f.write(CSV_HEADER + "\n")
+        for ts, src, sport, dst, dport, proto, wire_len, retx in rows:
+            f.write(f"{ts:.6f},{format_addr(src)},{sport},{format_addr(dst)},{dport},"
+                    f"{proto},{wire_len},{retx}\n")

@@ -473,10 +473,30 @@ def test_experiment_rerun_is_byte_identical(sweep, tmp_path, capsys):
         assert redo.with_name(name).read_bytes() == out.with_name(name).read_bytes()
 
 
-def test_seeds_run_one_at_a_time_in_config_order(sweep, tmp_path, monkeypatch):
+# At 200 attacks the test splits are large enough for the reports to show
+# the training stream, so a stream that followed a thread or a worker would
+# show too; the tests below check that it does.
+EXPERIMENT_200 = {**json.loads(EXPERIMENT_JSON), "n_attack": 200}
+
+
+def _report_bytes(result, path):
+    experiment.write_report(result, path)
+    return [path.with_name(n).read_bytes()
+            for n in ("report.csv", "report.summary.csv", "report.manifest.json")]
+
+
+def _reseed_train(monkeypatch):
+    """Give every training stream's seed sequence one more word."""
+    train = experiment.train
+    monkeypatch.setattr(experiment, "train", lambda model, data, cfg, seed: train(
+        model, data, cfg, np.random.SeedSequence([*seed.entropy, 1])))  # workers fork it
+
+
+def test_seeds_run_one_at_a_time_in_config_order(tmp_path, monkeypatch):
     # Each seed is held open long enough for a concurrent seed to start;
     # even with threads=2, none may.
-    cfg, out = sweep
+    exp = config_from_json(experiment.ExperimentConfig, EXPERIMENT_200)
+    reference = _report_bytes(experiment.run_experiment(exp), tmp_path / "ref" / "report.csv")
     real_run_seed = experiment._run_seed
     guard = threading.Lock()
     in_flight = [0]
@@ -496,14 +516,14 @@ def test_seeds_run_one_at_a_time_in_config_order(sweep, tmp_path, monkeypatch):
                 in_flight[0] -= 1
 
     monkeypatch.setattr(experiment, "_run_seed", counting_run_seed)
-    exp = config_from_json(experiment.ExperimentConfig, cfg.read_text())
     result = experiment.run_experiment(exp, threads=2)
     assert peak[0] == 1
     assert order == list(exp.seeds)
-    redo = tmp_path / "report.csv"
-    experiment.write_report(result, redo)
-    for name in ("report.csv", "report.summary.csv", "report.manifest.json"):
-        assert redo.with_name(name).read_bytes() == out.with_name(name).read_bytes()
+    assert _report_bytes(result, tmp_path / "threads" / "report.csv") == reference
+
+    _reseed_train(monkeypatch)
+    reseeded = experiment.run_experiment(exp, threads=2)
+    assert _report_bytes(reseeded, tmp_path / "reseeded" / "report.csv")[0] != reference[0]
 
 
 def test_experiment_has_no_threads_flag(sweep, tmp_path, capsys):
@@ -521,11 +541,8 @@ def test_run_experiment_rejects_threads_below_one():
 
 def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     # The pool takes one worker per usable CPU, so the affinity lookup sets
-    # the count; the spy records what each seed's pool was given. At 200
-    # attacks the test splits are large enough for the reports to show the
-    # training stream, so a stream that followed the worker would show too.
-    exp = config_from_json(experiment.ExperimentConfig,
-                           {**json.loads(EXPERIMENT_JSON), "n_attack": 200})
+    # the count; the spy records what each seed's pool was given.
+    exp = config_from_json(experiment.ExperimentConfig, EXPERIMENT_200)
     sizes = []
 
     class SizedPool(concurrent.futures.ProcessPoolExecutor):
@@ -534,10 +551,7 @@ def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     def report_bytes(name):
-        path = tmp_path / name / "report.csv"
-        experiment.write_report(experiment.run_experiment(exp), path)
-        return [path.with_name(n).read_bytes()
-                for n in ("report.csv", "report.summary.csv", "report.manifest.json")]
+        return _report_bytes(experiment.run_experiment(exp), tmp_path / name / "report.csv")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
     by_workers = []
@@ -547,9 +561,7 @@ def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert by_workers[0] == by_workers[1]
     assert sizes == [1, 1, 2, 2]  # two seeds per run
 
-    train = experiment.train
-    monkeypatch.setattr(experiment, "train", lambda model, data, cfg, seed: train(
-        model, data, cfg, np.random.SeedSequence([*seed.entropy, 1])))  # workers fork it
+    _reseed_train(monkeypatch)
     assert report_bytes("reseeded")[0] != by_workers[0][0]
 
 
