@@ -29,15 +29,11 @@ from .smote import (
     synthetic_count,
     write_provenance_csv,
 )
-from .experiment import (
-    ExperimentConfig,
-    check_layer_sizes,
-    run_experiment,
-    write_report,
-)
+from .experiment import (LAYER_SIZES, SMOTE_K, SMOTE_TARGET_RATIO, ExperimentConfig,
+                         run_experiment, write_report)
 from .metrics import MetricsReport, confusion
 from .simulate import SimConfig, simulate
-from .textio import config_from_json, json_value, load_json
+from .textio import ConfigInvalid, config_from_json, json_value, load_json
 
 
 class UsageError(Exception):
@@ -151,8 +147,19 @@ def cmd_smote(args) -> int:
     return 0
 
 
+def check_layer_sizes(layer_sizes) -> None:
+    """ConfigInvalid naming layer_sizes unless they describe a binary
+    classifier whose input layer takes the FEATURE_NAMES features."""
+    try:
+        n_in, n_features = mlp.check_architecture(layer_sizes)[0], len(fl.FEATURE_NAMES)
+        if n_in != n_features:
+            raise mlp.BadArchitecture(f"input layer of {n_in}, not {n_features} features")
+    except mlp.BadArchitecture as exc:
+        raise ConfigInvalid(f"layer_sizes: {exc}") from None
+
+
 def _train_options(args):
-    layer_sizes = ExperimentConfig.layer_sizes
+    layer_sizes = LAYER_SIZES
     cfg = mlp.TrainConfig()
     if args.config:
         obj = load_json(_input(args.config, "config file").read_text())
@@ -262,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smote", help="oversample the minority class of a dataset")
     p.add_argument("--data", required=True, help="dataset CSV (a training split)")
-    p.add_argument("--target-ratio", type=float, default=0.10,
-                   help="minority share after growth (default 0.10)")
+    p.add_argument("--target-ratio", type=float, default=SMOTE_TARGET_RATIO,
+                   help="minority share after growth (default %(default)s)")
     p.add_argument("--target-count", type=int,
                    help="exact minority size after growth (overrides ratio)")
-    p.add_argument("--k", type=int, default=5,
+    p.add_argument("--k", type=int, default=SMOTE_K,
                    help="neighbours per base row; must be below the minority row count")
     p.add_argument("--seed", type=_seed_arg)
     p.add_argument("--provenance", help="also write base,neighbor,gap CSV here")

@@ -45,9 +45,9 @@ from .dataset import (
     train_count,
 )
 from .dataset import split_train_test
-from .flows import ATTACK, FEATURE_NAMES, features_from_packets, to_arrays, write_features_csv
+from .flows import ATTACK, features_from_packets, to_arrays, write_features_csv
 from .metrics import MetricsReport, confusion
-from .mlp import BadArchitecture, TrainConfig, check_architecture, init_model, predict, train
+from .mlp import TrainConfig, init_model, predict, train
 from .simulate import SimConfig, simulate
 from .smote import augment_training_set, synthetic_count
 from .textio import ConfigInvalid, check_fields
@@ -55,21 +55,25 @@ from .textio import ConfigInvalid, check_fields
 # Stage tags, the second word of every SeedSequence the sweep draws from.
 _SIM, _BUILD, _SPLIT, _SMOTE, _INIT, _TRAIN = range(6)
 
+# The method every cell shares: the training share of each class, the
+# classifier's layers, SMOTE's neighbours (k as in Chawla et al. 2002) and
+# target attack share, and the normal sessions a pool holds beyond need.
+TRAIN_FRAC = 0.8
+LAYER_SIZES = (23, 16, 8, 1)
+SMOTE_K = 5
+SMOTE_TARGET_RATIO = 0.10
+POOL_MARGIN = 1000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The sweep grid plus every knob the cells need."""
+    """The sweep grid; the method is the module constants above."""
 
     ratios: Tuple[float, ...] = (0.10, 0.01, 0.007, 0.003, 0.001)
     smote_ratios: Tuple[float, ...] = (0.007, 0.003, 0.001)
     seeds: Tuple[int, ...] = (0, 1, 2)
     n_attack: int = 1000
-    train_frac: float = 0.8
-    layer_sizes: Tuple[int, ...] = (23, 16, 8, 1)
     train: TrainConfig = TrainConfig()
-    smote_k: int = 5
-    smote_target_ratio: float = 0.10
-    pool_margin: int = 1000
     workdir: Optional[str] = None
 
     def __post_init__(self):
@@ -94,38 +98,29 @@ class ExperimentConfig:
             raise ConfigInvalid("seeds must be unique")
         if self.n_attack < 2:
             raise ConfigInvalid(f"n_attack must be >= 2, got {self.n_attack}")
-        if not 0.0 < self.train_frac < 1.0:
-            raise ConfigInvalid(f"train_frac must be in (0, 1), got {self.train_frac}")
-        if not 0.0 < self.smote_target_ratio < 1.0:
-            raise ConfigInvalid("smote_target_ratio must be in (0, 1)")
-        if self.smote_k < 1:
-            raise ConfigInvalid("smote_k must be >= 1")
-        if self.pool_margin < 0:
-            raise ConfigInvalid("pool_margin must be >= 0")
-        check_layer_sizes(self.layer_sizes)
         # Every cell must run as asked: each ratio's split keeps both
         # classes on both sides, and SMOTE grows a minority attack class.
         for r in self.ratios:
             try:
-                n_attack, n_normal = (train_count(n, self.train_frac) for n in
+                n_attack, n_normal = (train_count(n, TRAIN_FRAC) for n in
                                       (self.n_attack, required_normals(self.n_attack, r)))
             except DegenerateSplit as exc:
                 raise ConfigInvalid(f"ratio {r}: {exc}") from None
             if r not in self.smote_ratios:
                 continue
-            if not r < min(self.smote_target_ratio, 0.5):
-                raise ConfigInvalid(f"smote ratio {r} must be below smote_target_ratio "
-                                    f"{self.smote_target_ratio} and 0.5")
-            grown = synthetic_count(n_attack, n_attack + n_normal, self.smote_target_ratio)
-            if n_attack <= self.smote_k or grown == 0:
-                raise ConfigInvalid(f"smote ratio {r}: SMOTE needs over smote_k={self.smote_k} "
+            if not r < SMOTE_TARGET_RATIO:
+                raise ConfigInvalid(f"smote ratio {r} must be below SMOTE's target "
+                                    f"attack share {SMOTE_TARGET_RATIO}")
+            grown = synthetic_count(n_attack, n_attack + n_normal, SMOTE_TARGET_RATIO)
+            if n_attack <= SMOTE_K or grown == 0:
+                raise ConfigInvalid(f"smote ratio {r}: SMOTE needs over k={SMOTE_K} "
                                     f"training attacks and 1 new row, got {n_attack} and {grown}")
 
     def pool_sim(self) -> SimConfig:
         """The simulator config of every seed's pool: enough normal
-        sessions for the smallest ratio plus pool_margin, and n_attack
+        sessions for the smallest ratio plus POOL_MARGIN, and n_attack
         attack sessions. Its seed is an argument of simulate."""
-        return SimConfig(required_normals(self.n_attack, min(self.ratios)) + self.pool_margin,
+        return SimConfig(required_normals(self.n_attack, min(self.ratios)) + POOL_MARGIN,
                          self.n_attack)
 
 
@@ -153,17 +148,6 @@ class ExperimentResult:
     summary: Tuple[SummaryRow, ...]
 
 
-def check_layer_sizes(layer_sizes) -> None:
-    """ConfigInvalid naming layer_sizes unless they describe a binary
-    classifier whose input layer takes the FEATURE_NAMES features."""
-    try:
-        n_in = check_architecture(layer_sizes)[0]
-        if n_in != len(FEATURE_NAMES):
-            raise BadArchitecture(f"input layer of {n_in}, not {len(FEATURE_NAMES)} features")
-    except BadArchitecture as exc:
-        raise ConfigInvalid(f"layer_sizes: {exc}") from None
-
-
 # A cell worker's seed rows, (attack_rows, normal_rows); unset in the parent.
 _ROWS: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -187,7 +171,7 @@ def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> 
         np.random.SeedSequence([seed, _BUILD, r_idx]),
     )
     train_set, test_set = split_train_test(
-        data, cfg.train_frac, np.random.SeedSequence([seed, _SPLIT, r_idx])
+        data, TRAIN_FRAC, np.random.SeedSequence([seed, _SPLIT, r_idx])
     )
     del data
     stats = normalize_fit(train_set.x)
@@ -199,12 +183,12 @@ def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> 
     if use_smote:
         xtr, ytr, _ = augment_training_set(
             xtr, ytr,
-            target_ratio=cfg.smote_target_ratio,
-            k=cfg.smote_k,
+            target_ratio=SMOTE_TARGET_RATIO,
+            k=SMOTE_K,
             seed=np.random.SeedSequence([seed, _SMOTE, r_idx]),
         )
     model = init_model(
-        cfg.layer_sizes,
+        LAYER_SIZES,
         np.random.SeedSequence([seed, _INIT, r_idx, int(use_smote)]),
     )
     train(model, LabeledDataset(xtr, ytr), cfg.train,

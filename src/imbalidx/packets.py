@@ -509,7 +509,7 @@ _SEC_DIGITS = 10
 
 
 def _timestamp_text(ts: np.ndarray):
-    """f"{t:.6f}" per row. For a grid time t below 2**32 s that is
+    """f"{t:.6f}" per row, but 0.000000 for -0.0. For a grid time t below 2**32 s that is
     f"{sec}.{usec:06d}" with (sec, usec) as quantize_us splits it: the
     float sum sec + usec/1e6 is within half a microsecond of the decimal,
     so rounding it to 6 places gives those digits back. Every other time
@@ -517,8 +517,8 @@ def _timestamp_text(ts: np.ndarray):
     sec = np.zeros(ts.shape, dtype=np.int64)
     usec = np.zeros(ts.shape, dtype=np.int64)
     grid = np.zeros(ts.shape, dtype=bool)
-    # -0.0 passes t >= 0 but prints its sign; NaN fails both tests.
-    near = np.flatnonzero(~np.signbit(ts) & (ts < 2.0**32))
+    # -0.0 is the grid time 0 and prints as 0.000000; NaN fails both tests.
+    near = np.flatnonzero((ts >= 0) & (ts < 2.0**32))
     sec[near], usec[near] = np.divmod(quantize_us(ts[near]), 1_000_000)
     grid[near] = grid_seconds(sec[near], usec[near]) == ts[near]
     sec_text, sec_keep = _digit_text(sec, _SEC_DIGITS)
@@ -560,8 +560,8 @@ def _csv_chunk(packets: PacketTable, rows: slice) -> bytes:
 
 def write_packet_csv(packets: PacketTable, path) -> None:
     """Write a packet table as CSV (header CSV_HEADER): one line per row,
-    the timestamp as f"{t:.6f}", addresses dotted-quad, the protocol by
-    name and the retransmission flag as 0 or 1."""
+    the timestamp as f"{t:.6f}" (-0.0 as 0.000000), addresses dotted-quad,
+    the protocol by name and the retransmission flag as 0 or 1."""
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")
         for lo in range(0, len(packets), _WRITE_CHUNK):

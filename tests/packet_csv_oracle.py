@@ -10,6 +10,7 @@ underscores, non-ASCII digits), which the column reader rejects, and
 non-UTF-8 bytes, where this raises UnicodeDecodeError without a line.
 
 The column writer must write the same bytes as write_packet_csv here.
+Both write a -0.0 timestamp as 0.000000, the text of the grid time 0.
 """
 
 from typing import List
@@ -95,5 +96,7 @@ def write_packet_csv(packets: PacketTable, path) -> None:
     with open(path, "w", newline="") as f:
         f.write(CSV_HEADER + "\n")
         for ts, src, sport, dst, dport, proto, wire_len, retx in rows:
+            if ts == 0:
+                ts = 0.0  # -0.0 too, which the reader would refuse for its sign
             f.write(f"{ts:.6f},{format_addr(src)},{sport},{format_addr(dst)},{dport},"
                     f"{proto},{wire_len},{retx}\n")

@@ -390,15 +390,22 @@ def test_extract_rejects_meaningless_idle_timeouts(pipeline, tmp_path, capsys, t
         ("experiment", '{"train": {"epochs": 2.5}}', "train.epochs"),
         ("experiment", '{"train": {"seed": 1}}', "train.seed"),  # seeds are call arguments
         ("experiment", '{"layer_sizes": [23, 8, 2]}', "layer_sizes"),
+        # The sweep's method is fixed: its old keys are unknown, even at the
+        # values they had.
+        ("experiment", '{"train_frac": 0.8}', "unknown config keys: train_frac"),
+        ("experiment", '{"layer_sizes": [23, 16, 8, 1]}', "unknown config keys: layer_sizes"),
+        ("experiment", '{"smote_k": 5}', "unknown config keys: smote_k"),
+        ("experiment", '{"smote_target_ratio": 0.1}', "unknown config keys: smote_target_ratio"),
+        ("experiment", '{"pool_margin": 1000}', "unknown config keys: pool_margin"),
         ("train", '{"epochs": "3"}', "epochs"),
         ("train", '{"layer_sizes": 5}', "layer_sizes"),
         ("train", '{"threshold": 0.7}', "threshold"),  # evaluate --threshold sets it
         ("train", '{"seed": 5}', "seed"),
         ("simulate", '{"seed": 5}', "seed"),
         ("simulate", '{"attacker_addr": "010.0.0.66"}', "attacker_addr"),
-        # Its SMOTE cell trains on 4 attacks, too few for smote_k 5.
+        # Its SMOTE cell trains on 4 attacks, too few for SMOTE's k of 5.
         ("experiment", '{"n_attack": 5, "ratios": [0.1, 0.01], "smote_ratios": [0.01], '
-                       '"seeds": [0]}', "smote_k"),
+                       '"seeds": [0]}', "over k=5 training attacks"),
     ],
 )
 def test_wrongly_typed_config_exits_two(pipeline, tmp_path, command, config, key):
@@ -415,15 +422,18 @@ def test_wrongly_typed_config_exits_two(pipeline, tmp_path, command, config, key
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_the_sweep_classifier_takes_the_flow_features():
+    assert mlp.check_architecture(experiment.LAYER_SIZES)[0] == len(fl.FEATURE_NAMES)
+
+
+# SMOTE's ratio must sit below its 0.1 target share, so the SMOTE ratio is
+# 0.05; each seed's pool is then 760 normals plus the 1,000-session margin.
 EXPERIMENT_JSON = json.dumps({
-    "ratios": [0.5, 0.25],
-    "smote_ratios": [0.25],
+    "ratios": [0.5, 0.05],
+    "smote_ratios": [0.05],
     "seeds": [0, 1],
     "n_attack": 40,
-    "pool_margin": 20,
-    "layer_sizes": [23, 8, 1],
     "train": {"epochs": 10, "batch_size": 32},
-    "smote_target_ratio": 0.4,
 })
 
 
@@ -445,8 +455,8 @@ def test_experiment_detail_rows(sweep):
     assert len(lines) == 1 + 6
     assert [l.split(",")[:3] for l in lines[1:]] == [
         ["0.5", "0", "0"], ["0.5", "1", "0"],
-        ["0.25", "0", "0"], ["0.25", "0", "1"],
-        ["0.25", "1", "0"], ["0.25", "1", "1"],
+        ["0.05", "0", "0"], ["0.05", "0", "1"],
+        ["0.05", "1", "0"], ["0.05", "1", "1"],
     ]
 
 
@@ -455,7 +465,7 @@ def test_experiment_summary_and_manifest(sweep):
     summary = out.with_name("report.summary.csv").read_text().splitlines()
     assert summary[0] == "ratio,smote,accuracy,far,ur,mcc,sensitivity"
     assert [l.split(",")[:2] for l in summary[1:]] == [
-        ["0.5", "0"], ["0.25", "0"], ["0.25", "1"],
+        ["0.5", "0"], ["0.05", "0"], ["0.05", "1"],
     ]
     manifest = json.loads(out.with_name("report.manifest.json").read_text())
     assert manifest["detail_rows"] == 6
@@ -569,10 +579,9 @@ def test_a_failing_cell_stops_the_sweep_and_leaves_no_worker(tmp_path, monkeypat
     # Twelve slow cells on two workers: the first failure reaches the
     # caller, and only the two cells already running by then ever start.
     exp = experiment.ExperimentConfig(
-        ratios=(0.3, 0.25, 0.2, 0.15, 0.1, 0.05),
-        smote_ratios=(0.3, 0.25, 0.2, 0.15, 0.1, 0.05),
-        seeds=(0,), n_attack=40, pool_margin=20, layer_sizes=(23, 8, 1),
-        train=mlp.TrainConfig(epochs=2, batch_size=32), smote_target_ratio=0.4,
+        ratios=(0.09, 0.08, 0.07, 0.06, 0.05, 0.04),
+        smote_ratios=(0.09, 0.08, 0.07, 0.06, 0.05, 0.04),
+        seeds=(0,), n_attack=40, train=mlp.TrainConfig(epochs=2, batch_size=32),
     )
     started = tmp_path / "started"
 
@@ -595,9 +604,8 @@ def test_two_sweeps_in_threads_keep_their_own_rows(monkeypatch):
     # Each pool's first submit waits until the other sweep has reached its
     # own, so both hold their seed's rows before either forks a worker.
     configs = [experiment.ExperimentConfig(
-        ratios=(0.5, 0.25), smote_ratios=(0.25,), seeds=(seed,), n_attack=40,
-        pool_margin=20, layer_sizes=(23, 8, 1),
-        train=mlp.TrainConfig(epochs=5, batch_size=32), smote_target_ratio=0.4,
+        ratios=(0.5, 0.05), smote_ratios=(0.05,), seeds=(seed,), n_attack=40,
+        train=mlp.TrainConfig(epochs=5, batch_size=32),
     ) for seed in (0, 7)]
     alone = [experiment.run_experiment(exp).cells for exp in configs]
     assert [c.report for c in alone[0]] != [c.report for c in alone[1]]
@@ -660,12 +668,14 @@ def test_a_sweep_cell_draws_every_stage_from_seed_stage_and_cell(tmp_path, monke
     x, y = fl.to_arrays(fl.features_from_packets(*simulate(exp.pool_sim(), seeded(SIM))))
     data = ds.build_imbalanced(x[y == fl.ATTACK], x[y != fl.ATTACK], exp.n_attack,
                                exp.ratios[r_idx], seeded(BUILD, r_idx))
-    train_set, test_set = ds.split_train_test(data, exp.train_frac, seeded(SPLIT, r_idx))
+    train_set, test_set = ds.split_train_test(data, experiment.TRAIN_FRAC,
+                                              seeded(SPLIT, r_idx))
     stats = ds.normalize_fit(train_set.x)
     xtr, ytr, _ = augment_training_set(
         ds.normalize_apply(train_set.x, stats), train_set.y,
-        target_ratio=exp.smote_target_ratio, k=exp.smote_k, seed=seeded(SMOTE, r_idx))
-    model = mlp.init_model(exp.layer_sizes, seeded(INIT, r_idx, 1))
+        target_ratio=experiment.SMOTE_TARGET_RATIO, k=experiment.SMOTE_K,
+        seed=seeded(SMOTE, r_idx))
+    model = mlp.init_model(experiment.LAYER_SIZES, seeded(INIT, r_idx, 1))
     mlp.train(model, fl.LabeledDataset(xtr, ytr), exp.train, seeded(TRAIN, r_idx, 1))
     mlp.save_model(model, tmp_path / "by_hand.json")
     assert (tmp_path / "by_hand.json").read_bytes() == model_path(xtr).read_bytes()
@@ -675,13 +685,18 @@ def test_a_sweep_cell_draws_every_stage_from_seed_stage_and_cell(tmp_path, monke
     assert by_hand in cells
 
 
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_the_benchmark_tracer_still_finds_and_counts_the_sweep():
     # perfbench/spans.py patches names by string; a name deleted or renamed
     # here would break every traced benchmark run.
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench_module("spans")
     missing = [f"{mod}.{attr}" for mod, attr, *_ in spans.PATCHES
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
@@ -698,6 +713,20 @@ def test_the_benchmark_tracer_still_finds_and_counts_the_sweep():
     metrics = spans.module_metrics(tracer.spans)
     assert metrics["simulate.packets"] > 0
     assert metrics["flows.per_session"] == 1.0
+
+
+def test_the_benchmark_sweep_configs_still_build(tmp_path, monkeypatch):
+    # perfbench/worker.py builds its ExperimentConfigs from keyword
+    # arguments; a field it passes that is removed here would fail every
+    # benchmark run at setup. worker.py imports spans.py by its bare name.
+    monkeypatch.setitem(sys.modules, "spans", _perfbench_module("spans"))
+    worker = _perfbench_module("worker")
+    sweeps = {name: w for name, w in worker.WORKLOADS.items()
+              if isinstance(w, worker.Experiment)}
+    assert sweeps
+    for name, workload in sweeps.items():
+        workload.setup(0, tmp_path / name)
+        assert isinstance(workload.cfg, experiment.ExperimentConfig)
 
 
 def test_experiment_workdir_keeps_each_seeds_features(sweep, tmp_path):

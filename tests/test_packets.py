@@ -293,6 +293,20 @@ def test_csv_round_trip(tmp_path_factory, pkts):
     assert read_packet_csv(path) == table(pkts)
 
 
+@pytest.mark.parametrize("write,read", [(write_pcap, read_pcap),
+                                        (write_packet_csv, read_packet_csv)],
+                         ids=["pcap", "csv"])
+def test_a_negative_zero_timestamp_round_trips(tmp_path, write, read):
+    # PacketTable accepts -0.0 (it is >= 0); both formats carry it as 0.
+    packets_ = PacketTable([-0.0, 1.5], [1, 1], [2, 2], [10, 10], [502, 502],
+                           [Protocol.TCP.value] * 2, [60, 60], [False, False])
+    path = tmp_path / "zero"
+    write(packets_, path)
+    back = read(path)
+    assert back == packets_
+    assert not np.signbit(back.ts).any()
+
+
 def test_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_packet_csv(table([]), path)

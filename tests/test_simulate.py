@@ -279,19 +279,21 @@ BAD_CONFIGS = [
     (ExperimentConfig, '{"ratios": [0.5, 0.25, 0.5]}'),  # repeated ratio
     (ExperimentConfig, '{"ratios": [0.5, 0.25], "smote_ratios": [0.25, 0.25]}'),
     (ExperimentConfig, '{"workdir": 5}'),  # number for an Optional string
+    # The method is fixed, so its old keys are unknown, with values good or bad.
     (ExperimentConfig, '{"layer_sizes": [23, 8, 2]}'),  # two output units
     (ExperimentConfig, '{"layer_sizes": [10, 1]}'),  # not the 23 flow features
+    (ExperimentConfig, '{"n_attack": 3, "train_frac": 0.4}'),  # 1 training attack
+    (ExperimentConfig, '{"ratios": [0.5, 0.1], "smote_ratios": [0.5], '
+                       '"smote_target_ratio": 0.9}'),  # attacks are not the minority
     # Cells that cannot run as asked: a split with an empty side, ...
     (ExperimentConfig, '{"n_attack": 2}'),  # both attacks would train
     (ExperimentConfig, '{"ratios": [0.999, 0.1], "smote_ratios": []}'),  # 1 normal
     # ... and SMOTE that would not grow the minority attack class.
-    (ExperimentConfig, '{"ratios": [0.5, 0.1], "smote_ratios": [0.5]}'),  # at the target
-    (ExperimentConfig, '{"ratios": [0.5, 0.1], "smote_ratios": [0.5], '
-                       '"smote_target_ratio": 0.9}'),  # attacks are not the minority
-    (ExperimentConfig, '{"n_attack": 3, "train_frac": 0.4}'),  # 1 training attack
+    (ExperimentConfig, '{"ratios": [0.5, 0.1], "smote_ratios": [0.1]}'),  # at the target
+    (ExperimentConfig, '{"ratios": [0.5, 0.1], "smote_ratios": [0.5]}'),  # above it
     # Below the target, but 8 training attacks in 81 rows round to 0 new.
     (ExperimentConfig, '{"n_attack": 10, "ratios": [0.099], "smote_ratios": [0.099]}'),
-    # 4 training attacks: each has 3 neighbours, fewer than smote_k 5.
+    # 4 training attacks: each has 3 neighbours, fewer than SMOTE's k of 5.
     (ExperimentConfig, '{"n_attack": 5, "ratios": [0.1, 0.01], "smote_ratios": [0.01], '
                        '"seeds": [0]}'),
 ]
@@ -311,7 +313,7 @@ def test_config_from_json_rejects_bad_input(cls, text):
 @pytest.mark.parametrize(
     "build,key",
     [
-        (lambda: ExperimentConfig(smote_k=2.5), "smote_k"),
+        (lambda: ExperimentConfig(n_attack=40.0), "n_attack"),
         (lambda: TrainConfig(epochs=2.5), "epochs"),
         (lambda: SimConfig(n_attack_flows=[1]), "n_attack_flows"),
         (lambda: ExperimentConfig(workdir=Path("x")), "workdir"),  # the report is JSON
@@ -319,7 +321,7 @@ def test_config_from_json_rejects_bad_input(cls, text):
         (lambda: ExperimentConfig(train={"epochs": 2}), "train"),
         (lambda: ExperimentConfig(ratios=[0.1, 0.01], smote_ratios=[]), "ratios"),
     ],
-    ids=["smote_k-float", "epochs-float", "n_attack_flows-list", "workdir-path",
+    ids=["n_attack-float", "epochs-float", "n_attack_flows-list", "workdir-path",
          "train-dict", "ratios-list"],
 )
 def test_python_built_config_rejects_bad_types(build, key):
