@@ -1,8 +1,8 @@
-"""Command-line front end for the capture/train/evaluate pipeline.
+"""Command-line front end: the capture path and the ratio sweep.
 
-Subcommands mirror the pipeline stages: simulate traffic, extract flow
-features, build an imbalanced dataset, oversample it, train the
-classifier, evaluate a model, or run the whole ratio sweep in one shot.
+`simulate` writes a capture and its label windows, `extract` turns a
+capture into flow features, `experiment` runs the whole ratio sweep, and
+`cell` runs one of the sweep's cells alone and prints its detail row.
 
 Exit codes: 0 success, 1 usage problems, 2 data or processing errors.
 """
@@ -14,26 +14,13 @@ import sys
 import time
 from dataclasses import astuple, fields
 from pathlib import Path
-from typing import Tuple
 
-import numpy as np
-
-from . import dataset as ds
 from . import flows as fl
-from . import mlp
 from . import packets as pk
-from .smote import (
-    minority_class,
-    replay,
-    smote,
-    synthetic_count,
-    write_provenance_csv,
-)
-from .experiment import (LAYER_SIZES, SMOTE_K, SMOTE_TARGET_RATIO, ExperimentConfig,
-                         run_experiment, write_report)
-from .metrics import MetricsReport, confusion
+from .experiment import ExperimentConfig, detail_csv, run_cell, run_experiment, write_report
+from .metrics import MetricsReport
 from .simulate import SimConfig, simulate
-from .textio import ConfigInvalid, config_from_json, json_value, load_json
+from .textio import config_from_json
 
 
 class UsageError(Exception):
@@ -84,12 +71,13 @@ def cmd_simulate(args) -> int:
 
 
 def _read_capture(path) -> pk.PacketTable:
+    """A packet CSV if the file starts with its header, else a pcap, whose
+    reader names any magic it does not take."""
     p = _input(path, "capture")
+    header = pk.CSV_HEADER.encode()
     with open(p, "rb") as f:
-        head = f.read(4)
-    if head in (b"\xd4\xc3\xb2\xa1", b"\xa1\xb2\xc3\xd4"):
-        return pk.read_pcap(p)
-    return pk.read_packet_csv(p)
+        is_csv = f.read(len(header)) == header
+    return pk.read_packet_csv(p) if is_csv else pk.read_pcap(p)
 
 
 def cmd_extract(args) -> int:
@@ -103,117 +91,20 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_build(args) -> int:
-    pool = fl.read_features_csv(_input(args.features, "feature file"))
-    attacks = pool.x[pool.y == fl.ATTACK]
-    normals = pool.x[pool.y == fl.NORMAL]
-    n_attack = args.n_attack if args.n_attack is not None else len(attacks)
-    data = ds.build_imbalanced(attacks, normals, n_attack, args.ratio, args.seed)
-    ds.save_dataset(data, args.out, ratio=args.ratio, seed=args.seed)
-    print(
-        f"{data.n_attack} attack + {data.n_normal} normal rows "
-        f"(ratio {args.ratio:g}) -> {args.out}"
-    )
-    return 0
+def _experiment_config(path) -> ExperimentConfig:
+    if not path:
+        return ExperimentConfig()
+    return config_from_json(ExperimentConfig, _input(path, "config file").read_text())
 
 
-def cmd_smote(args) -> int:
-    data = fl.read_features_csv(_input(args.data, "dataset"))
-    mino = minority_class(data.y)
-    rows = np.flatnonzero(data.y == mino)
-    if args.target_count is not None:
-        target = args.target_count
-    else:
-        target = rows.size + synthetic_count(
-            int(rows.size), len(data), args.target_ratio
-        )
-    # Neighbour geometry runs in z-scored space; synthetic rows are then
-    # rebuilt in raw feature space from the provenance log.
-    stats = ds.normalize_fit(data.x)
-    z = ds.normalize_apply(data.x, stats)
-    result = smote(z[rows], target, k=args.k, seed=args.seed)
-    raw_synth = replay(data.x[rows], result)
-    x_out = np.concatenate([data.x, raw_synth])
-    y_out = np.concatenate(
-        [data.y, np.full(result.n_synthetic, mino, dtype=np.int64)]
-    )
-    fl.write_features_csv(fl.LabeledDataset(x_out, y_out), args.out)
-    if args.provenance:
-        write_provenance_csv(result, args.provenance)
-    print(
-        f"{result.n_synthetic} synthetic rows (minority {rows.size} -> {target}) "
-        f"-> {args.out}"
-    )
-    return 0
-
-
-def check_layer_sizes(layer_sizes) -> None:
-    """ConfigInvalid naming layer_sizes unless they describe a binary
-    classifier whose input layer takes the FEATURE_NAMES features."""
-    try:
-        n_in, n_features = mlp.check_architecture(layer_sizes)[0], len(fl.FEATURE_NAMES)
-        if n_in != n_features:
-            raise mlp.BadArchitecture(f"input layer of {n_in}, not {n_features} features")
-    except mlp.BadArchitecture as exc:
-        raise ConfigInvalid(f"layer_sizes: {exc}") from None
-
-
-def _train_options(args):
-    layer_sizes = LAYER_SIZES
-    cfg = mlp.TrainConfig()
-    if args.config:
-        obj = load_json(_input(args.config, "config file").read_text())
-        if isinstance(obj, dict) and "layer_sizes" in obj:
-            layer_sizes = json_value(Tuple[int, ...], obj.pop("layer_sizes"), "layer_sizes")
-            check_layer_sizes(layer_sizes)
-        cfg = config_from_json(mlp.TrainConfig, obj)
-    return layer_sizes, cfg
-
-
-def cmd_train(args) -> int:
-    layer_sizes, cfg = _train_options(args)
-    data = fl.read_features_csv(_input(args.data, "dataset"))
-    stats = ds.normalize_fit(data.x)
-    z = fl.LabeledDataset(ds.normalize_apply(data.x, stats), data.y)
-    init_seed, shuffle_seed = (None, None) if args.seed is None else (
-        np.random.SeedSequence([args.seed, stage]) for stage in (0, 1))
-    model = mlp.init_model(layer_sizes, init_seed)
-    _, history = mlp.train(model, z, cfg, shuffle_seed)
-    mlp.save_model(model, args.out)
-    ds.save_stats(stats, str(args.out) + ".stats.json")
-    print(
-        f"trained {list(layer_sizes)} for {cfg.epochs} epochs, "
-        f"final loss {history[-1]:.6f} -> {args.out}"
-    )
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    model = mlp.load_model(_input(args.model, "model"))
-    stats_path = Path(str(args.model) + ".stats.json")
-    if not stats_path.is_file():
-        raise ValueError(
-            f"normalization stats not found at {stats_path}; "
-            "evaluate needs the stats saved at training time"
-        )
-    stats = ds.load_stats(stats_path)
-    data = fl.read_features_csv(_input(args.data, "dataset"))
-    z = ds.normalize_apply(data.x, stats)
-    preds = mlp.predict(model, z, args.threshold)
-    report = MetricsReport.from_confusion(confusion(preds, data.y))
-    text = report.to_json()
-    print(text)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+def cmd_cell(args) -> int:
+    cfg = _experiment_config(args.config)
+    print(detail_csv([run_cell(cfg, args.ratio, args.seed, args.smote)]), end="")
     return 0
 
 
 def cmd_experiment(args) -> int:
-    if args.config:
-        cfg = config_from_json(ExperimentConfig, _input(args.config, "config file").read_text())
-    else:
-        cfg = ExperimentConfig()
+    cfg = _experiment_config(args.config)
     start = time.perf_counter()
     result = run_experiment(cfg)
     elapsed = time.perf_counter() - start
@@ -250,52 +141,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="flow features from a capture")
     p.add_argument("--in", dest="input", required=True,
-                   help="pcap or packet CSV (sniffed by magic bytes)")
+                   help="pcap, or packet CSV (told apart by its header line)")
     p.add_argument("--labels", help="label window CSV; omit to label all Normal")
     p.add_argument("--idle-timeout", type=float, default=fl.DEFAULT_IDLE_TIMEOUT,
                    help="flow cut after this many idle seconds, > 0 (default 5)")
     p.add_argument("--out", required=True, help="feature CSV path")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("build", help="sample an imbalanced dataset from a pool")
-    p.add_argument("--features", required=True, help="labeled feature CSV pool")
+    p = sub.add_parser("cell", help="run one cell of the sweep; print its detail row")
+    p.add_argument("--config", help="ExperimentConfig JSON (default: built-ins)")
     p.add_argument("--ratio", type=float, required=True,
-                   help="attack share of the total, in (0, 1]")
-    p.add_argument("--n-attack", type=int,
-                   help="attack rows to draw (default: all in the pool)")
-    p.add_argument("--seed", type=_seed_arg)
-    p.add_argument("--out", required=True, help="dataset CSV path")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("smote", help="oversample the minority class of a dataset")
-    p.add_argument("--data", required=True, help="dataset CSV (a training split)")
-    p.add_argument("--target-ratio", type=float, default=SMOTE_TARGET_RATIO,
-                   help="minority share after growth (default %(default)s)")
-    p.add_argument("--target-count", type=int,
-                   help="exact minority size after growth (overrides ratio)")
-    p.add_argument("--k", type=int, default=SMOTE_K,
-                   help="neighbours per base row; must be below the minority row count")
-    p.add_argument("--seed", type=_seed_arg)
-    p.add_argument("--provenance", help="also write base,neighbor,gap CSV here")
-    p.add_argument("--out", required=True, help="augmented dataset CSV path")
-    p.set_defaults(func=cmd_smote)
-
-    p = sub.add_parser("train", help="fit the classifier on a dataset")
-    p.add_argument("--data", required=True, help="training dataset CSV")
-    p.add_argument("--config",
-                   help="JSON with TrainConfig fields and optional layer_sizes")
-    p.add_argument("--seed", type=_seed_arg,
-                   help="drives both weight init and epoch shuffling")
-    p.add_argument("--out", required=True,
-                   help="model JSON path; stats saved at OUT.stats.json")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score a model on a labeled dataset")
-    p.add_argument("--model", required=True, help="model JSON from train")
-    p.add_argument("--data", required=True, help="dataset CSV to score")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", help="also write the metrics JSON here")
-    p.set_defaults(func=cmd_evaluate)
+                   help="attack share of the cell; must be one of the config's ratios")
+    p.add_argument("--seed", type=_seed_arg, required=True,
+                   help="the sweep seed whose pool and streams the cell draws from")
+    p.add_argument("--smote", action="store_true",
+                   help="the SMOTE cell; the ratio must be one of smote_ratios")
+    p.set_defaults(func=cmd_cell)
 
     p = sub.add_parser("experiment", help="run the full ratio sweep")
     p.add_argument("--config", help="ExperimentConfig JSON (default: built-ins)")

@@ -2,7 +2,8 @@
 
 The imbalance ratio is attacks over total samples. A built dataset holds
 exactly the requested number of attack rows plus however many normal rows
-the target ratio demands, both sampled without replacement.
+the target ratio demands, both sampled without replacement. Datasets live
+only in memory: the sweep builds, splits and scales one per cell.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .flows import ATTACK, NORMAL, LabeledDataset, write_features_csv
+from .flows import ATTACK, NORMAL, LabeledDataset
 from .textio import json_value
 
 
@@ -175,17 +176,3 @@ def save_stats(stats: NormalizationStats, path) -> None:
 def load_stats(path) -> NormalizationStats:
     with open(path, "r") as f:
         return NormalizationStats.from_json(f.read())
-
-
-def save_dataset(data: LabeledDataset, csv_path, ratio=None, seed=None) -> None:
-    """Feature CSV plus a .meta.json sidecar recording how it was built."""
-    write_features_csv(data, csv_path)
-    meta = {
-        "ratio": ratio,
-        "seed": seed,
-        "n_attack": data.n_attack,
-        "n_normal": data.n_normal,
-    }
-    with open(str(csv_path) + ".meta.json", "w") as f:
-        json.dump(meta, f, sort_keys=True)
-        f.write("\n")

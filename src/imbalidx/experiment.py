@@ -22,6 +22,10 @@ per usable CPU and at most one per cell. The pool's initializer hands each
 worker the seed's feature matrices, copy-on-write, so the parent keeps no
 sweep state. The largest training sets go first, and the report sorts the
 cells, so no output byte depends on the worker count.
+
+run_cell runs one cell alone, in the calling process, through the same
+_seed_rows and _run_cell, and detail_csv formats its row as write_report
+does; so `imbalidx cell` prints the sweep's own detail row.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import json
 import os
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,13 +162,28 @@ def _share_rows(attack_rows: np.ndarray, normal_rows: np.ndarray) -> None:
     _ROWS = attack_rows, normal_rows
 
 
-def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> CellResult:
-    """Build, split and normalize ratio r_idx's dataset from _ROWS,
-    optionally SMOTE the training split, then train and score one model.
-    Every draw comes from (seed, stage, cell), so a cell gives the same
-    result in whichever process runs it; a plain cell and its SMOTE twin
-    build the same dataset."""
-    attack_rows, normal_rows = _ROWS
+def _seed_rows(cfg: ExperimentConfig, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Simulate seed's pool and return its (attack_rows, normal_rows)
+    feature matrices; with a workdir, its feature CSV is kept there too."""
+    packets, rules = simulate(cfg.pool_sim(), np.random.SeedSequence([seed, _SIM]))
+    feats = features_from_packets(packets, rules)
+    del packets
+    if cfg.workdir is not None:
+        out = Path(cfg.workdir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_features_csv(feats, out / f"features_seed{seed}.csv")
+    x, y = to_arrays(feats)
+    del feats
+    return x[y == ATTACK], x[y != ATTACK]
+
+
+def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool,
+              attack_rows: np.ndarray, normal_rows: np.ndarray) -> CellResult:
+    """Build, split and normalize ratio r_idx's dataset from the seed's
+    rows, optionally SMOTE the training split, then train and score one
+    model. Every draw comes from (seed, stage, cell), so a cell gives the
+    same result in whichever process runs it; a plain cell and its SMOTE
+    twin build the same dataset."""
     ratio = cfg.ratios[r_idx]
     data = build_imbalanced(
         attack_rows, normal_rows, cfg.n_attack, ratio,
@@ -197,6 +216,11 @@ def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> 
     return CellResult(ratio, seed, use_smote, MetricsReport.from_confusion(confusion(preds, yte)))
 
 
+def _pooled_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> CellResult:
+    """A cell pool task: _run_cell on this worker's _ROWS."""
+    return _run_cell(cfg, seed, r_idx, use_smote, *_ROWS)
+
+
 def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     """Simulate one pool, then run every (ratio, smote) cell for this seed
     on a pool of forked workers. Cells come back in the order they finish."""
@@ -205,18 +229,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
 
-    packets, rules = simulate(cfg.pool_sim(), np.random.SeedSequence([seed, _SIM]))
-    feats = features_from_packets(packets, rules)
-    del packets
-    if cfg.workdir is not None:
-        out = Path(cfg.workdir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_features_csv(feats, out / f"features_seed{seed}.csv")
-    x, y = to_arrays(feats)
-    del feats
-    attack_rows = x[y == ATTACK]
-    normal_rows = x[y != ATTACK]
-    del x, y
+    attack_rows, normal_rows = _seed_rows(cfg, seed)
 
     # Largest training set first (smallest ratio, SMOTE before plain), so
     # the small cells fill in around the large ones.
@@ -237,7 +250,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
             if len(running) == workers:
                 done, running = wait(running, return_when=FIRST_COMPLETED)
                 results.extend(f.result() for f in done)
-            running.add(pool.submit(_run_cell, cfg, seed, *c))
+            running.add(pool.submit(_pooled_cell, cfg, seed, *c))
         results.extend(f.result() for f in as_completed(running))
     return results
 
@@ -276,8 +289,29 @@ def run_experiment(
     return ExperimentResult(cfg, tuple(cells), tuple(summarize(cells)))
 
 
+def run_cell(cfg: ExperimentConfig, ratio: float, seed: int, use_smote: bool) -> CellResult:
+    """The sweep's (ratio, seed, smote) cell, run alone in this process on
+    seed's pool, so it is the cell a sweep over seed writes. ConfigInvalid
+    unless the grid holds the cell: the ratio's index in cfg.ratios is part
+    of every seed path, and SMOTE is checked only for cfg.smote_ratios."""
+    if ratio not in cfg.ratios:
+        raise ConfigInvalid(f"ratio {ratio:g} is not in ratios {list(cfg.ratios)}")
+    if use_smote and ratio not in cfg.smote_ratios:
+        raise ConfigInvalid(f"ratio {ratio:g} is not in smote_ratios {list(cfg.smote_ratios)}")
+    return _run_cell(cfg, seed, cfg.ratios.index(ratio), use_smote, *_seed_rows(cfg, seed))
+
+
+_METRIC_NAMES = ",".join(f.name for f in fields(MetricsReport))
+
+
 def _metric_fields(r: MetricsReport) -> str:
     return ",".join(f"{v:.6f}" for v in astuple(r))
+
+
+def detail_csv(cells: Sequence[CellResult]) -> str:
+    """The detail CSV: its header, then one row per cell, in order."""
+    return f"ratio,seed,smote,{_METRIC_NAMES}\n" + "".join(
+        f"{c.ratio:g},{c.seed},{int(c.smote)},{_metric_fields(c.report)}\n" for c in cells)
 
 
 def config_checksum(cfg: ExperimentConfig) -> str:
@@ -294,12 +328,9 @@ def write_report(result: ExperimentResult, report_path) -> Dict[str, str]:
     report_path.parent.mkdir(parents=True, exist_ok=True)
     summary_path = report_path.with_name(report_path.stem + ".summary.csv")
     manifest_path = report_path.with_name(report_path.stem + ".manifest.json")
-    names = ",".join(f.name for f in fields(MetricsReport))
     texts = {
-        report_path: f"ratio,seed,smote,{names}\n" + "".join(
-            f"{c.ratio:g},{c.seed},{int(c.smote)},{_metric_fields(c.report)}\n"
-            for c in result.cells),
-        summary_path: f"ratio,smote,{names}\n" + "".join(
+        report_path: detail_csv(result.cells),
+        summary_path: f"ratio,smote,{_METRIC_NAMES}\n" + "".join(
             f"{r.ratio:g},{int(r.smote)},{_metric_fields(r.report)}\n"
             for r in result.summary),
     }

@@ -38,7 +38,6 @@ sharing one result would move the loss by ulps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -46,9 +45,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .dataset import LabeledDataset
-from .textio import ConfigInvalid, check_fields, json_value
-
-FORMAT_VERSION = 1
+from .textio import ConfigInvalid, check_fields
 
 
 class BadArchitecture(ValueError):
@@ -61,10 +58,6 @@ class SingleClassTrainingSet(ValueError):
 
 class NonFiniteLoss(FloatingPointError):
     """Training produced a NaN or infinite loss instead of converging."""
-
-
-class ModelFormatError(ValueError):
-    """Serialized model is malformed or from an unknown format."""
 
 
 @dataclass
@@ -173,11 +166,9 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _sigmoid(_logits(model, _as_matrix(model, x)))
 
 
-def predict(model: MlpModel, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Hard labels: attack when the probability reaches the threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    return (forward(model, x) >= threshold).astype(np.int64)
+def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Hard labels: attack when the probability reaches 0.5."""
+    return (forward(model, x) >= 0.5).astype(np.int64)
 
 
 def _bce_into(logits: np.ndarray, y: np.ndarray, sp: np.ndarray, yz: np.ndarray) -> float:
@@ -378,49 +369,3 @@ def gradient_check(
                 worst = max(worst, abs(analytic - numeric) / denom)
     return worst
 
-
-def save_model(model: MlpModel, path) -> None:
-    obj = {
-        "version": FORMAT_VERSION,
-        "layer_sizes": list(model.layer_sizes),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "hidden_activation": "relu",
-        "output_activation": "sigmoid",
-    }
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True)
-        f.write("\n")
-
-
-def load_model(path) -> MlpModel:
-    """The model save_model wrote. ModelFormatError unless the file is a
-    JSON object in this format, its layer sizes are integers, and its
-    weights and biases are finite JSON numbers in the shapes those imply."""
-    with open(path, "r") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"model file must be a JSON object, got {obj!r:.40}")
-    if obj.get("version") != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format: {obj.get('version')!r}")
-    if obj.get("hidden_activation") != "relu" or obj.get("output_activation") != "sigmoid":
-        raise ModelFormatError("unknown activation names")
-    try:
-        sizes = check_architecture(json_value(Tuple[int, ...], obj["layer_sizes"], "layer_sizes"))
-        weights = [np.asarray(w, dtype=np.float64) for w in json_value(
-            Tuple[Tuple[Tuple[float, ...], ...], ...], obj["weights"], "weights")]
-        biases = [np.asarray(b, dtype=np.float64) for b in json_value(
-            Tuple[Tuple[float, ...], ...], obj["biases"], "biases")]
-    except (KeyError, ValueError) as exc:  # ragged rows fail in asarray
-        raise ModelFormatError(f"malformed model payload: {exc}") from None
-    if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
-        raise ModelFormatError("layer count does not match weight count")
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.shape != (sizes[i + 1], sizes[i]) or b.shape != (sizes[i + 1],):
-            raise ModelFormatError(
-                f"layer {i} shapes {w.shape}/{b.shape} do not match sizes {sizes}"
-            )
-    return MlpModel(layer_sizes=sizes, weights=weights, biases=biases)

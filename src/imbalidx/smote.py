@@ -13,12 +13,11 @@ swamp the geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .flows import ATTACK
-from .textio import ParseError, csv_rows
 
 
 class TooFewMinority(ValueError):
@@ -130,10 +129,9 @@ def smote(minority: np.ndarray, target_count: int, k: int = 5, seed=None) -> Smo
 
 
 def replay(minority: np.ndarray, result: SmoteResult) -> np.ndarray:
-    """Rebuild the synthetic rows from provenance; equality with the stored
-    rows proves the log is faithful. Works against any matrix with the same
-    row indexing, which is how raw-space rows are materialized after a
-    normalized-space neighbour search."""
+    """The synthetic rows that result's log describes, rebuilt from the
+    minority matrix it indexes. smote() builds its rows with it, so the log
+    is by construction the recipe of every row it returns."""
     minority = np.asarray(minority, dtype=np.float64)
     base = minority[result.base_idx]
     neigh = minority[result.neighbor_idx]
@@ -163,22 +161,3 @@ def augment_training_set(
     y_out = np.concatenate([y, np.full(result.n_synthetic, mino, dtype=np.int64)])
     return x_out, y_out, result
 
-
-PROVENANCE_CSV_HEADER = "base_idx,neighbor_idx,gap"
-
-
-def write_provenance_csv(result: SmoteResult, path) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(PROVENANCE_CSV_HEADER + "\n")
-        for b, n, g in zip(result.base_idx, result.neighbor_idx, result.gap):
-            f.write(f"{int(b)},{int(n)},{float(g)!r}\n")
-
-
-def read_provenance_csv(path) -> List[Tuple[int, int, float]]:
-    out: List[Tuple[int, int, float]] = []
-    for line_no, fields in csv_rows(path, PROVENANCE_CSV_HEADER):
-        try:
-            out.append((int(fields[0]), int(fields[1]), float(fields[2])))
-        except ValueError:
-            raise ParseError(line_no, f"bad numeric field in {','.join(fields)!r}") from None
-    return out

@@ -1,4 +1,5 @@
-"""Command-line interface: pipeline wiring, file outputs, exit codes."""
+"""Command-line interface: the capture path, the sweep and its cells,
+file outputs, exit codes."""
 
 import concurrent.futures
 import hashlib
@@ -32,39 +33,25 @@ SIM_JSON = json.dumps({"n_normal_flows": 60, "n_attack_flows": 12})
 
 
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Run every stage once; tests pick over the outputs."""
+def capture(tmp_path_factory):
+    """Run simulate and extract once; tests pick over the outputs."""
     root = tmp_path_factory.mktemp("cli")
     paths = {
         "config": root / "sim.json",
         "pcap": root / "run.pcap",
         "labels": root / "run.labels.csv",
+        "packets_csv": root / "run.packets.csv",
         "features": root / "features.csv",
-        "dataset": root / "dataset.csv",
-        "augmented": root / "augmented.csv",
-        "provenance": root / "prov.csv",
-        "train_cfg": root / "train.json",
-        "model": root / "model.json",
-        "metrics": root / "metrics.json",
+        "csv_features": root / "csv_features.csv",
     }
     paths["config"].write_text(SIM_JSON)
-    paths["train_cfg"].write_text(
-        json.dumps({"epochs": 25, "batch_size": 16, "layer_sizes": [23, 8, 1]})
-    )
     steps = [
-        ["simulate", "--config", str(paths["config"]), "--seed", "5",
+        ["simulate", "--config", str(paths["config"]), "--seed", "5", "--packets-csv",
          "--out", str(root / "run")],
         ["extract", "--in", str(paths["pcap"]), "--labels", str(paths["labels"]),
          "--idle-timeout", "60", "--out", str(paths["features"])],
-        ["build", "--features", str(paths["features"]), "--ratio", "0.2",
-         "--seed", "3", "--out", str(paths["dataset"])],
-        ["smote", "--data", str(paths["dataset"]), "--target-count", "32",
-         "--seed", "4", "--provenance", str(paths["provenance"]),
-         "--out", str(paths["augmented"])],
-        ["train", "--data", str(paths["augmented"]), "--config",
-         str(paths["train_cfg"]), "--seed", "7", "--out", str(paths["model"])],
-        ["evaluate", "--model", str(paths["model"]), "--data", str(paths["dataset"]),
-         "--out", str(paths["metrics"])],
+        ["extract", "--in", str(paths["packets_csv"]), "--labels", str(paths["labels"]),
+         "--idle-timeout", "60", "--out", str(paths["csv_features"])],
     ]
     for argv in steps:
         code = main(argv)
@@ -72,52 +59,35 @@ def pipeline(tmp_path_factory):
     return paths
 
 
-def test_simulate_outputs(pipeline):
-    assert pipeline["pcap"].is_file()
-    assert pipeline["labels"].is_file()
-    rules = fl.read_label_csv(pipeline["labels"])
+def test_simulate_outputs(capture):
+    assert capture["pcap"].is_file()
+    assert capture["labels"].is_file()
+    rules = fl.read_label_csv(capture["labels"])
     assert len(rules) == 12
 
 
-def test_extract_outputs(pipeline):
-    feats = fl.read_features_csv(pipeline["features"])
+def test_extract_outputs(capture):
+    feats = fl.read_features_csv(capture["features"])
     assert len(feats) == 72
     assert feats.n_attack == 12
+    # The packet CSV of the same capture is told apart by its header line.
+    assert capture["csv_features"].read_bytes() == capture["features"].read_bytes()
 
 
-def test_build_outputs(pipeline):
-    data = fl.read_features_csv(pipeline["dataset"])
-    assert len(data) == 60
-    assert data.n_attack == 12
-    meta = json.loads(
-        pipeline["dataset"].with_suffix(".csv.meta.json").read_text()
-    )
-    assert meta["ratio"] == 0.2
-    assert meta["seed"] == 3
-
-
-def test_smote_outputs(pipeline):
-    before = fl.read_features_csv(pipeline["dataset"])
-    after = fl.read_features_csv(pipeline["augmented"])
-    assert len(after) == len(before) + 20  # minority 12 grown to 32
-    assert after.n_attack == 32
-    prov = pipeline["provenance"].read_text().splitlines()
-    assert prov[0] == "base_idx,neighbor_idx,gap"
-    assert len(prov) == 21
-
-
-def test_train_outputs(pipeline):
-    model = mlp.load_model(pipeline["model"])
-    assert model.layer_sizes == [23, 8, 1]
-    stats_path = pipeline["model"].with_name(pipeline["model"].name + ".stats.json")
-    assert stats_path.is_file()
-
-
-def test_evaluate_outputs(pipeline):
-    report = json.loads(pipeline["metrics"].read_text())
-    assert set(report) == {"accuracy", "far", "ur", "mcc", "sensitivity"}
-    assert report["ur"] == pytest.approx(100.0 - report["sensitivity"])
-    assert 0.0 <= report["accuracy"] <= 100.0
+@pytest.mark.parametrize(
+    "magic,name",
+    [(bytes.fromhex("4d3cb2a1"), "A1B23C4D"),  # nanosecond pcap, little-endian
+     (bytes.fromhex("0a0d0d0a"), "0A0D0D0A")],  # pcapng section header block
+    ids=["pcap-ns", "pcapng"],
+)
+def test_extract_names_the_magic_of_a_capture_it_cannot_read(tmp_path, capsys, magic, name):
+    capture = tmp_path / "capture"
+    capture.write_bytes(magic + bytes(20))  # a whole 24-byte global header
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--in", str(capture), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"magic 0x{name} is not a classic pcap" in err
+    assert not out.exists()
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -155,7 +125,7 @@ def test_packets_csv_flag(tmp_path):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    assert "simulate" in capsys.readouterr().out
+    assert "{simulate,extract,cell,experiment}" in capsys.readouterr().out
 
 
 def _fresh_import(code):
@@ -190,12 +160,20 @@ def test_bare_import_loads_no_submodule():
         ["frobnicate"],
         ["simulate", "--out", "x"],  # missing --config
         ["simulate", "--config", "c.json", "--out", "x", "--seed", "-1"],
-        ["build", "--features", "f.csv", "--out", "x"],  # missing --ratio
+        ["cell", "--seed", "0"],  # missing --ratio
+        ["train", "--data", "d.csv", "--out", "m.json"],  # not a command
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
     assert main(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "smote", "train", "evaluate"])
+def test_the_stage_commands_are_gone(command, capsys):
+    # `cell` runs one cell of the sweep by the sweep's own method instead.
+    assert main([command, "--help"]) == 1
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -219,13 +197,6 @@ def test_bad_config_key_exits_two(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_missing_model_exits_one(tmp_path, capsys):
-    code = main(["evaluate", "--model", str(tmp_path / "nope.json"),
-                 "--data", str(tmp_path / "d.csv")])
-    assert code == 1
-    assert "model not found" in capsys.readouterr().err
-
-
 def _run_cli(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(imbalidx.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "imbalidx.cli", *argv],
@@ -235,148 +206,27 @@ def _run_cli(argv):
 @pytest.mark.parametrize(
     "command,flag,others",
     [
-        ("extract", "--labels", ["--in", "pcap"]),
-        ("build", "--features", ["--ratio", "0.2"]),
-        ("smote", "--data", []),
-        ("train", "--data", []),
-        ("evaluate", "--model", ["--data", "dataset"]),
-        ("evaluate", "--data", ["--model", "model"]),
+        ("extract", "--labels", ["--in", "pcap", "--out", "out"]),
+        ("cell", "--config", ["--ratio", "0.5", "--seed", "0"]),
+        ("experiment", "--config", ["--out", "out"]),
     ],
-    ids=["extract-labels", "build-features", "smote-data", "train-data",
-         "evaluate-model", "evaluate-data"],
+    ids=["extract-labels", "cell-config", "experiment-config"],
 )
-def test_missing_input_file_exits_one(pipeline, tmp_path, command, flag, others):
+def test_missing_input_file_exits_one(capture, tmp_path, command, flag, others):
     missing = tmp_path / "missing.csv"
-    argv = [command, flag, str(missing), "--out", str(tmp_path / "out")]
-    for name, key in zip(others[::2], others[1::2]):
-        argv += [name, str(pipeline[key]) if key in pipeline else key]
-    proc = _run_cli(argv)
+    paths = {"pcap": capture["pcap"], "out": tmp_path / "out"}
+    proc = _run_cli([command, flag, str(missing), *(str(paths.get(v, v)) for v in others)])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert f"not found: {missing}" in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize(
-    "stats",
-    ['{"std": [1.0]}', "[1, 2]",
-     json.dumps({"mean": [0.0] * 23, "std": [0.0] * 23})],
-    ids=["no-mean", "array", "zero-std"],
-)
-def test_bad_stats_sidecar_exits_two(pipeline, tmp_path, stats):
-    import shutil
-
-    model = tmp_path / "model.json"
-    shutil.copy(pipeline["model"], model)
-    (tmp_path / "model.json.stats.json").write_text(stats)
-    proc = _run_cli(["evaluate", "--model", str(model), "--data", str(pipeline["dataset"])])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "stats" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_malformed_model_exits_two(pipeline, tmp_path):
-    model = tmp_path / "model.json"
-    model.write_text("[1, 2]")
-    proc = _run_cli(["evaluate", "--model", str(model), "--data", str(pipeline["dataset"])])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "JSON object" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
-def test_train_seed_flag_pins_the_model(pipeline, tmp_path):
-    cfg = tmp_path / "train.json"
-    cfg.write_text('{"epochs": 3, "batch_size": 16}')
-    models = [tmp_path / "a.json", tmp_path / "b.json"]
-    for out in models:
-        assert main(["train", "--data", str(pipeline["augmented"]), "--config", str(cfg),
-                     "--seed", "3", "--out", str(out)]) == 0
-    assert models[0].read_bytes() == models[1].read_bytes()
-    # Without --seed, init and shuffling are unseeded.
-    for out in models:
-        assert main(["train", "--data", str(pipeline["augmented"]), "--config", str(cfg),
-                     "--out", str(out)]) == 0
-    assert models[0].read_bytes() != models[1].read_bytes()
-
-
-def test_missing_stats_sidecar_exits_two(pipeline, tmp_path, capsys):
-    import shutil
-
-    lone = tmp_path / "model.json"
-    shutil.copy(pipeline["model"], lone)
-    code = main(["evaluate", "--model", str(lone),
-                 "--data", str(pipeline["dataset"])])
-    assert code == 2
-    assert "stats" in capsys.readouterr().err
-
-
-def test_overdrawn_pool_exits_two(pipeline, tmp_path, capsys):
-    code = main(["build", "--features", str(pipeline["features"]),
-                 "--ratio", "0.001", "--seed", "0",
-                 "--out", str(tmp_path / "d.csv")])
-    assert code == 2
-    assert "pool" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("k", ["12", "13"])
-def test_smote_k_at_or_above_the_minority_count_exits_two(pipeline, tmp_path, capsys, k):
-    # The dataset's minority class is its 12 attack rows.
-    out = tmp_path / "augmented.csv"
-    code = main(["smote", "--data", str(pipeline["dataset"]), "--target-count", "32",
-                 "--k", k, "--seed", "4", "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"k={k}" in err
-    assert not out.exists()
-
-
-def test_unknown_train_key_exits_two(pipeline, tmp_path, capsys):
-    bad = tmp_path / "train.json"
-    bad.write_text('{"epohcs": 3}')
-    code = main(["train", "--data", str(pipeline["dataset"]),
-                 "--config", str(bad), "--out", str(tmp_path / "m.json")])
-    assert code == 2
-
-
-def test_train_checks_its_config_before_the_data(pipeline, tmp_path, capsys):
-    header, first, *rest = pipeline["dataset"].read_text().splitlines()
-    bad_data = tmp_path / "bad.csv"
-    bad_data.write_text("\n".join([header, "nan" + first[first.index(","):], *rest]) + "\n")
-    good_cfg = tmp_path / "good.json"
-    good_cfg.write_text('{"epochs": 1}')
-    bad_cfg = tmp_path / "bad.json"
-    bad_cfg.write_text('{"epochs": "3"}')
-    out = str(tmp_path / "m.json")
-    assert main(["train", "--data", str(bad_data), "--config", str(good_cfg),
-                 "--out", out]) == 2
-    assert "non-finite" in capsys.readouterr().err
-    assert main(["train", "--data", str(bad_data), "--config", str(bad_cfg),
-                 "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "epochs" in err
-
-
-@pytest.mark.parametrize(
-    "config,fragment",
-    [
-        ('{"layer_sizes": [23, 8, 2]}', "layer_sizes"),
-        ('{"layer_sizes": [10, 1]}', "layer_sizes"),
-        ('{"epochs": 3', "config is not valid JSON"),
-    ],
-)
-def test_train_checks_layer_sizes_before_the_data(tmp_path, capsys, config, fragment):
-    cfg = tmp_path / "train.json"
-    cfg.write_text(config)
-    assert main(["train", "--data", str(tmp_path / "missing.csv"), "--config", str(cfg),
-                 "--out", str(tmp_path / "m.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and fragment in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
-def test_extract_rejects_meaningless_idle_timeouts(pipeline, tmp_path, capsys, timeout):
+def test_extract_rejects_meaningless_idle_timeouts(capture, tmp_path, capsys, timeout):
     out = tmp_path / "features.csv"
-    assert main(["extract", "--in", str(pipeline["pcap"]), "--idle-timeout", timeout,
+    assert main(["extract", "--in", str(capture["pcap"]), "--idle-timeout", timeout,
                  "--out", str(out)]) == 2
     assert "--idle-timeout" in capsys.readouterr().err
     assert not out.exists()
@@ -397,10 +247,8 @@ def test_extract_rejects_meaningless_idle_timeouts(pipeline, tmp_path, capsys, t
         ("experiment", '{"smote_k": 5}', "unknown config keys: smote_k"),
         ("experiment", '{"smote_target_ratio": 0.1}', "unknown config keys: smote_target_ratio"),
         ("experiment", '{"pool_margin": 1000}', "unknown config keys: pool_margin"),
-        ("train", '{"epochs": "3"}', "epochs"),
-        ("train", '{"layer_sizes": 5}', "layer_sizes"),
-        ("train", '{"threshold": 0.7}', "threshold"),  # evaluate --threshold sets it
-        ("train", '{"seed": 5}', "seed"),
+        ("cell", '{"n_attack": "5"}', "n_attack"),
+        ("cell", '{"train": {"epochs": 2.5}}', "train.epochs"),
         ("simulate", '{"seed": 5}', "seed"),
         ("simulate", '{"attacker_addr": "010.0.0.66"}', "attacker_addr"),
         # Its SMOTE cell trains on 4 attacks, too few for SMOTE's k of 5.
@@ -408,12 +256,12 @@ def test_extract_rejects_meaningless_idle_timeouts(pipeline, tmp_path, capsys, t
                        '"seeds": [0]}', "over k=5 training attacks"),
     ],
 )
-def test_wrongly_typed_config_exits_two(pipeline, tmp_path, command, config, key):
+def test_wrongly_typed_config_exits_two(tmp_path, command, config, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
-    if command == "train":
-        argv += ["--data", str(pipeline["dataset"])]
+    argv = [command, "--config", str(cfg)]
+    argv += ["--ratio", "0.5", "--seed", "0"] if command == "cell" else [
+        "--out", str(tmp_path / "out.csv")]
     proc = _run_cli(argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
@@ -471,6 +319,37 @@ def test_experiment_summary_and_manifest(sweep):
     assert manifest["detail_rows"] == 6
     assert set(manifest["outputs"]) == {"report.csv", "report.summary.csv"}
     assert manifest["config"]["n_attack"] == 40
+
+
+def test_cell_prints_the_sweeps_own_detail_row(sweep, capsys):
+    # Each of the grid's cells, a ratio past the first and the SMOTE cell
+    # among them, run alone in this process: no pool, no rows left behind.
+    cfg, out = sweep
+    header, *rows = out.read_text().splitlines(keepends=True)
+    assert len(rows) == 6
+    for row in rows:
+        ratio, seed, smote = row.split(",")[:3]
+        argv = ["cell", "--config", str(cfg), "--ratio", ratio, "--seed", seed]
+        assert main(argv + ["--smote"] * int(smote)) == 0
+        assert capsys.readouterr().out == header + row
+        assert experiment._ROWS is None
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "cell,fragment",
+    [(["--ratio", "0.1"], "ratio 0.1 is not in ratios [0.5, 0.05]"),
+     (["--ratio", "0.5", "--smote"], "ratio 0.5 is not in smote_ratios [0.05]")],
+    ids=["ratio", "smote"],
+)
+def test_cell_refuses_a_cell_outside_the_grid(sweep, capsys, cell, fragment):
+    # The ratio's index is part of every seed path, and only smote_ratios
+    # are checked to be fit for SMOTE.
+    cfg, _ = sweep
+    assert main(["cell", "--config", str(cfg), "--seed", "0", *cell]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and fragment in captured.err
+    assert captured.out == ""
 
 
 def test_experiment_rerun_is_byte_identical(sweep, tmp_path, capsys):
@@ -652,11 +531,14 @@ def test_a_sweep_cell_draws_every_stage_from_seed_stage_and_cell(tmp_path, monke
     assert exp.ratios[r_idx] in exp.smote_ratios
 
     def model_path(x):
-        return tmp_path / f"{hashlib.sha256(x.tobytes()).hexdigest()}.json"
+        return tmp_path / f"{hashlib.sha256(x.tobytes()).hexdigest()}.bin"
+
+    def parameters(model):
+        return b"".join(a.tobytes() for a in model.weights + model.biases)
 
     def saving_train(model, train_set, *rest):
         out = mlp.train(model, train_set, *rest)
-        mlp.save_model(model, model_path(train_set.x))  # workers fork it
+        model_path(train_set.x).write_bytes(parameters(model))  # workers fork it
         return out
 
     monkeypatch.setattr(experiment, "train", saving_train)
@@ -677,8 +559,7 @@ def test_a_sweep_cell_draws_every_stage_from_seed_stage_and_cell(tmp_path, monke
         seed=seeded(SMOTE, r_idx))
     model = mlp.init_model(experiment.LAYER_SIZES, seeded(INIT, r_idx, 1))
     mlp.train(model, fl.LabeledDataset(xtr, ytr), exp.train, seeded(TRAIN, r_idx, 1))
-    mlp.save_model(model, tmp_path / "by_hand.json")
-    assert (tmp_path / "by_hand.json").read_bytes() == model_path(xtr).read_bytes()
+    assert parameters(model) == model_path(xtr).read_bytes()
     preds = mlp.predict(model, ds.normalize_apply(test_set.x, stats))
     by_hand = experiment.CellResult(exp.ratios[r_idx], seed, True,
                                     MetricsReport.from_confusion(confusion(preds, test_set.y)))

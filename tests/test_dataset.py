@@ -17,7 +17,6 @@ from imbalidx.dataset import (
     normalize_apply,
     normalize_fit,
     required_normals,
-    save_dataset,
     save_stats,
     split_train_test,
 )
@@ -67,7 +66,7 @@ def test_build_imbalanced_counts_and_uniqueness():
     data = build_imbalanced(tagged_pool(50), tagged_pool(2000, offset=10_000),
                             n_attack=20, ratio=0.10, seed=5)
     assert data.n_attack == 20
-    assert data.n_normal == 180
+    assert len(data) - data.n_attack == 180
     assert len(data) == 200
     # Without replacement: every drawn row id appears once.
     ids = data.x[:, 0]
@@ -110,7 +109,7 @@ def test_build_imbalanced_hits_the_ratio(n_attack, ratio, seed):
         n_attack, ratio, seed,
     )
     assert data.n_attack == n_attack
-    assert data.n_normal == need
+    assert len(data) - data.n_attack == need
     assert abs(data.n_attack - ratio * len(data)) <= 1.0
 
 
@@ -118,8 +117,8 @@ def test_split_preserves_class_counts():
     data = build_imbalanced(tagged_pool(100), tagged_pool(900, offset=10_000),
                             100, 0.1, seed=1)
     train, test = split_train_test(data, train_frac=0.8, seed=2)
-    assert train.n_attack == 80 and train.n_normal == 720
-    assert test.n_attack == 20 and test.n_normal == 180
+    assert train.n_attack == 80 and len(train) == 800
+    assert test.n_attack == 20 and len(test) == 200
     # Disjoint and exhaustive on the traced row ids.
     all_ids = sorted(np.concatenate([train.x[:, 0], test.x[:, 0]]).tolist())
     assert all_ids == sorted(data.x[:, 0].tolist())
@@ -250,15 +249,6 @@ def test_dataset_csv_empty_round_trip(tmp_path):
     assert back.x.shape == (0, 23)
 
 
-def test_save_dataset_writes_meta_sidecar(tmp_path):
-    data = build_imbalanced(tagged_pool(10), tagged_pool(90, offset=100),
-                            10, 0.1, seed=3)
-    path = tmp_path / "ds.csv"
-    save_dataset(data, path, ratio=0.1, seed=3)
-    meta = json.loads((tmp_path / "ds.csv.meta.json").read_text())
-    assert meta == {"ratio": 0.1, "seed": 3, "n_attack": 10, "n_normal": 90}
-
-
 def test_labeled_dataset_validation():
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((3, 2)), np.array([0, 1, 3]))
@@ -267,4 +257,4 @@ def test_labeled_dataset_validation():
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros(3), np.array([0, 1, 0]))
     data = LabeledDataset(np.zeros((4, 2)), np.array([0, 1, 1, 1]))
-    assert data.ratio == 0.75
+    assert data.n_attack == 3

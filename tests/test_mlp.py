@@ -1,8 +1,6 @@
 """Classifier: init/forward/backprop/train against hand and finite
-difference oracles and the per-array reference trainer, plus model
-persistence."""
+difference oracles and the per-array reference trainer."""
 
-import json
 import math
 
 import numpy as np
@@ -15,17 +13,14 @@ from imbalidx.dataset import LabeledDataset
 from imbalidx.mlp import (
     BadArchitecture,
     MlpModel,
-    ModelFormatError,
     NonFiniteLoss,
     SingleClassTrainingSet,
     TrainConfig,
     forward,
     gradient_check,
     init_model,
-    load_model,
     loss,
     predict,
-    save_model,
     train,
 )
 
@@ -121,22 +116,21 @@ def test_output_strictly_inside_unit_interval():
 
 
 def test_predict_threshold_boundary():
+    # predict cuts at 0.5: exactly 0.5 is an attack, just below is normal.
     m = zero_model([23, 1])
     x = np.zeros((1, 23))
-    assert predict(m, x, threshold=0.5).tolist() == [1]  # 0.5 >= 0.5
-    m.biases[-1][0] = -0.1
-    assert forward(m, x)[0] < 0.5
-    assert predict(m, x, threshold=0.5).tolist() == [0]
-    with pytest.raises(ValueError):
-        predict(m, x, threshold=0.0)
+    assert forward(m, x)[0] == 0.5
+    assert predict(m, x).tolist() == [1]
+    m.biases[-1][0] = -2e-16  # the largest double below 0.5
+    assert forward(m, x)[0] == np.nextafter(0.5, 0.0)
+    assert predict(m, x).tolist() == [0]
 
 
 def test_predict_agrees_with_forward_everywhere():
     m = init_model([23, 8, 1], seed=9)
     x = np.random.default_rng(10).normal(size=(50, 23))
-    for t in (0.1, 0.5, 0.9):
-        want = (forward(m, x) >= t).astype(int)
-        assert np.array_equal(predict(m, x, t), want)
+    want = (forward(m, x) >= 0.5).astype(int)
+    assert np.array_equal(predict(m, x), want)
 
 
 def test_gradient_check_on_fresh_models():
@@ -255,76 +249,6 @@ def test_input_width_is_checked():
     m = init_model([23, 8, 1], seed=0)
     with pytest.raises(ValueError):
         forward(m, np.zeros((2, 5)))
-
-
-def test_model_json_round_trip(tmp_path):
-    data = toy_set(n=40, seed=6)
-    model, _ = train(init_model([23, 8, 1], seed=2), data, TrainConfig(epochs=3), seed=3)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.layer_sizes == model.layer_sizes
-    for w1, w2 in zip(back.weights, model.weights):
-        assert np.array_equal(w1, w2)
-    for b1, b2 in zip(back.biases, model.biases):
-        assert np.array_equal(b1, b2)
-    x = np.random.default_rng(7).normal(size=(5, 23))
-    assert np.array_equal(forward(back, x), forward(model, x))
-
-
-def test_load_model_rejects_malformed_files(tmp_path):
-    good = tmp_path / "good.json"
-    save_model(init_model([23, 8, 1], seed=0), good)
-    obj = json.loads(good.read_text())
-
-    def dump(payload):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(payload))
-        return p
-
-    with pytest.raises(ModelFormatError):
-        load_model(dump({**obj, "version": 99}))
-    with pytest.raises(ModelFormatError):
-        load_model(dump({**obj, "hidden_activation": "tanh"}))
-    with pytest.raises(ModelFormatError):
-        load_model(dump({**obj, "weights": obj["weights"][:1]}))
-    poisoned = json.loads(good.read_text())
-    poisoned["weights"][0][0][0] = 1e999  # json turns this into Infinity
-    with pytest.raises(ModelFormatError):
-        load_model(dump(poisoned))
-    truncated = tmp_path / "trunc.json"
-    truncated.write_text(good.read_text()[:50])
-    with pytest.raises(ModelFormatError):
-        load_model(truncated)
-
-
-# Each bad value keeps the shapes a lax int() or float() reading accepts.
-@pytest.mark.parametrize(
-    "where,value",
-    [
-        ((), [1, 2]),  # not an object
-        (("layer_sizes", 0), 23.5),
-        (("layer_sizes", 2), True),
-        (("layer_sizes", 0), "23"),
-        (("weights", 0, 0, 0), True),
-        (("biases", 0, 0), "0.5"),
-    ],
-    ids=["array", "float-size", "bool-size", "string-size", "bool-weight", "string-bias"],
-)
-def test_load_model_rejects_values_of_the_wrong_json_type(tmp_path, where, value):
-    path = tmp_path / "model.json"
-    save_model(init_model([23, 8, 1], seed=0), path)
-    obj = json.loads(path.read_text())
-    if where:
-        parent = obj
-        for key in where[:-1]:
-            parent = parent[key]
-        parent[where[-1]] = value
-    else:
-        obj = value
-    path.write_text(json.dumps(obj))
-    with pytest.raises(ModelFormatError):
-        load_model(path)
 
 
 ODD = st.sampled_from([1, 3, 5, 7, 9])

@@ -7,18 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbalidx.smote import (
-    PROVENANCE_CSV_HEADER,
     TooFewMinority,
     _nearest_neighbors,
     augment_training_set,
     minority_class,
-    read_provenance_csv,
     replay,
     smote,
     synthetic_count,
-    write_provenance_csv,
 )
-from imbalidx.textio import ParseError
 
 
 def brute_force_knn(m, k):
@@ -239,32 +235,3 @@ def test_augment_passes_through_when_already_balanced():
     assert result.n_synthetic == 0
     assert x_aug is x and y_aug is y
 
-
-def test_provenance_csv_round_trip(tmp_path):
-    minority = np.random.default_rng(9).normal(size=(12, 3))
-    result = smote(minority, 30, k=4, seed=7)
-    path = tmp_path / "prov.csv"
-    write_provenance_csv(result, path)
-    assert path.read_text().splitlines()[0] == PROVENANCE_CSV_HEADER
-    back = read_provenance_csv(path)
-    assert len(back) == result.n_synthetic
-    for (b, n, g), bb, nn, gg in zip(
-        back, result.base_idx, result.neighbor_idx, result.gap
-    ):
-        assert (b, n) == (int(bb), int(nn))
-        assert g == gg  # repr round trip is exact
-
-
-@pytest.mark.parametrize(
-    "row",
-    [
-        "3,4",      # short row
-        "3,4,x",    # non-numeric gap
-    ],
-)
-def test_provenance_csv_rejects_bad_rows(tmp_path, row):
-    path = tmp_path / "prov.csv"
-    path.write_text(PROVENANCE_CSV_HEADER + "\n" + row + "\n")
-    with pytest.raises(ParseError) as err:
-        read_provenance_csv(path)
-    assert err.value.line == 2
