@@ -318,37 +318,85 @@ def features_from_packets(
     return LabeledDataset(feature_matrix(flows), label_flows(flows, rules))
 
 
-# Rows formatted per % call, which bounds the writer's buffers.
-_WRITE_CHUNK = 4096
+# Rows written per chunk, which bounds the writer's buffers.
+_WRITE_CHUNK = 1024
+
+# A cell is printed into two little-endian 8-byte words: its integer part,
+# right-aligned in the first, then '.', 6 fraction digits and the
+# separator. Bytes left 0 are dropped. _DIGITS2[k] is k as 2 ASCII digits
+# and _DIGITS3[k] as 3, in the low bytes of a word.
+_DIGITS2 = (48 + np.arange(100) // 10 | (48 + np.arange(100) % 10) << 8).astype(np.uint64)
+_DIGITS3 = _DIGITS2[np.arange(1000) // 10] | (48 + np.arange(1000) % 10).astype(np.uint64) << 16
+# _LAST_BYTES[n] keeps the last n bytes of the integer word.
+_LAST_BYTES = np.array([2**64 - 2**(64 - 8 * n) for n in range(9)], dtype=np.uint64)
+_POW10 = 10 ** np.arange(1, 8)
+_DOT = np.uint64(ord("."))
+# The separator after each feature cell and after the label.
+_SEPARATORS = np.array([ord(",")] * len(FEATURE_NAMES) + [ord("\n")], dtype=np.uint64) << 56
+# Count columns, and the label, print as "%d" when whole.
+_COUNT_CELLS = np.array([name in _INT_FEATURES for name in FEATURE_NAMES] + [True])
+# Cells whose x * 1e6 reaches this print by themselves, so that the
+# rounded value has at most 8 integer digits.
+_M_LIMIT = 1e14 - 0.5
+
+
+def _chunk_text(cells: np.ndarray) -> bytes:
+    """The lines of a block of rows (features, then the label), each cell
+    as "%.6f" prints it, or "%d" for a whole count cell or label.
+
+    A cell x is printed from the digits of rint(m), m = x * 1e6 in floating
+    point, when x has no sign bit, m < _M_LIMIT and m is not a half-integer.
+    That is exact: "%.6f" prints x correctly rounded to 6 places, ties to
+    even, so its digits are those of round(E) for the exact E = x * 10**6.
+    The product m is E rounded to nearest, and below 2**52 every
+    half-integer h is a double; rounding to nearest is monotone, so m < h
+    implies E < h and m > h implies E > h. So E lies strictly between the
+    same two half-integers as m, neither of them a tie, and round(E) =
+    rint(m). (m - floor(m) is exact, so the test for a half is too.) A whole
+    count cell below 1e8 passes the same guard and drops its fraction, as
+    "%d" prints it. Every other cell (a sign bit, NaN, infinity, m from
+    _M_LIMIT up, or m on a half) is printed by Python's own "%.6f" or "%d".
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = cells * 1e6
+        fast = ~np.signbit(cells) & (m < _M_LIMIT) & (m - np.floor(m) != 0.5)
+        whole = _COUNT_CELLS & np.isfinite(cells) & (np.floor(cells) == cells)
+    whole_part, frac = np.divmod(np.rint(np.where(fast, m, 0.0)).astype(np.int64), 10**6)
+    n_digits = np.where(fast, np.searchsorted(_POW10, whole_part, side="right") + 1, 0)
+    has_frac = fast & ~whole
+    a, rest = np.divmod(whole_part, 10**6)
+    b, c = np.divmod(rest, 1000)
+    p, q = np.divmod(frac, 1000)
+    words = np.empty(cells.shape + (2,), dtype="<u8")
+    words[..., 0] = ((_DIGITS2[a] | _DIGITS3[b] << 16 | _DIGITS3[c] << 40)
+                     & _LAST_BYTES[n_digits])
+    words[..., 1] = (np.where(has_frac, _DIGITS3[p] << 8 | _DIGITS3[q] << 32 | _DOT, 0)
+                     | _SEPARATORS)
+    text = words.tobytes().translate(None, b"\0")
+    slow = np.flatnonzero(~fast)
+    if slow.size == 0:
+        return text
+    # A slow cell printed only its separator; its own text goes before it.
+    ends = np.cumsum(n_digits + 7 * has_frac + 1)
+    parts, done = [], 0
+    for end, v, as_int in zip((ends.flat[slow] - 1).tolist(), cells.flat[slow].tolist(),
+                              whole.flat[slow].tolist()):
+        parts += [text[done:end], (("%d" if as_int else "%.6f") % v).encode()]
+        done = end
+    parts.append(text[done:])
+    return b"".join(parts)
 
 
 def write_features_csv(data: LabeledDataset, path) -> None:
-    """Feature CSV, for flow pools and built datasets alike: 6-decimal
-    floats, count columns as bare integers when they hold whole numbers,
-    label 0/1 last."""
-    count_cols = [j for j, name in enumerate(FEATURE_NAMES) if name in _INT_FEATURES]
-    bits = 1 << np.arange(len(count_cols))
-    # A row's format depends on which of its count cells are whole: `%d`
-    # prints a whole float as str(int(v)) does, and `%.6f` as f"{v:.6f}".
-    formats = {}
-
-    def row_format(pattern: int) -> str:
-        cells = ["%.6f"] * len(FEATURE_NAMES)
-        for bit, j in enumerate(count_cols):
-            if pattern >> bit & 1:
-                cells[j] = "%d"
-        return ",".join(cells) + ",%d\n"
-
-    with open(path, "w", newline="") as f:
-        f.write(FEATURE_CSV_HEADER + "\n")
+    """Feature CSV, for flow pools and built datasets alike: each cell as
+    "%.6f" prints it, a count column as "%d" when it holds a whole number,
+    and the label 0/1 last. The bytes come from digit words (_chunk_text),
+    with Python formatting any cell those cannot be proved exact for."""
+    with open(path, "wb") as f:
+        f.write(FEATURE_CSV_HEADER.encode() + b"\n")
         for lo in range(0, len(data), _WRITE_CHUNK):
-            x = data.x[lo:lo + _WRITE_CHUNK]
-            c = x[:, count_cols]
-            patterns = (np.isfinite(c) & (np.floor(c) == c)) @ bits
-            fmt = "".join([formats.get(p) or formats.setdefault(p, row_format(p))
-                           for p in patterns.tolist()])
-            cells = np.column_stack([x, data.y[lo:lo + _WRITE_CHUNK]]).ravel()
-            f.write(fmt % tuple(cells.tolist()))
+            rows = slice(lo, lo + _WRITE_CHUNK)
+            f.write(_chunk_text(np.column_stack([data.x[rows], data.y[rows]])))
 
 
 def read_features_csv(path) -> LabeledDataset:

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .textio import json_value
 
 
 class LengthMismatch(ValueError):
@@ -118,16 +115,3 @@ class MetricsReport:
             mcc=mcc(cm),
             sensitivity=sensitivity(cm),
         )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        """The report to_json writes. JSON that is anything but an object
-        of exactly the five metrics, each a finite number, raises
-        ConfigInvalid naming the key."""
-        return json_value(cls, json.loads(text), "report")

@@ -328,12 +328,18 @@ def write_pcap(packets: PacketTable, path) -> None:
 
     Each timestamp is written as quantize_us rounds it, so times on the
     microsecond grid round trip exactly (see quantize_timestamp). The table
-    is checked before any bytes go out, so a bad row, or a time past the
-    pcap's 32-bit seconds field, never leaves a partially written file
-    behind.
+    is checked, one write chunk at a time, before any bytes go out, so a
+    bad row, or a time past the pcap's 32-bit seconds field, never leaves a
+    partially written file behind.
     """
-    _check_rows(packets.ts, packets.src, packets.dst, packets.sport,
-                packets.dport, packets.proto, packets.wire_len)
+    for lo in range(0, len(packets), _WRITE_CHUNK):
+        rows = slice(lo, lo + _WRITE_CHUNK)
+        try:
+            _check_rows(packets.ts[rows], packets.src[rows], packets.dst[rows],
+                        packets.sport[rows], packets.dport[rows], packets.proto[rows],
+                        packets.wire_len[rows])
+        except BadRow as exc:
+            raise BadRow(lo + exc.row, str(exc)) from None
     # Capped first, so that no time past the epoch can overflow quantize_us.
     if len(packets) and quantize_us(min(packets.ts.max(), 2.0**32)) // 1_000_000 > _MAX_U32:
         raise ValueError(

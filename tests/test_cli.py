@@ -18,11 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import feature_csv_oracle
 import imbalidx
 from imbalidx import dataset as ds
 from imbalidx import experiment
 from imbalidx import flows as fl
 from imbalidx import mlp
+from imbalidx import packets as pk
 from imbalidx.cli import main
 from imbalidx.metrics import MetricsReport, confusion
 from imbalidx.simulate import simulate
@@ -72,6 +74,13 @@ def test_extract_outputs(capture):
     assert feats.n_attack == 12
     # The packet CSV of the same capture is told apart by its header line.
     assert capture["csv_features"].read_bytes() == capture["features"].read_bytes()
+
+
+def test_extract_writes_the_oracle_writers_bytes(capture, tmp_path):
+    feats = fl.features_from_packets(pk.read_pcap(capture["pcap"]),
+                                     fl.read_label_csv(capture["labels"]), idle_timeout=60)
+    feature_csv_oracle.write_features_csv(feats, tmp_path / "oracle.csv")
+    assert capture["features"].read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -622,6 +631,12 @@ def test_experiment_workdir_keeps_each_seeds_features(sweep, tmp_path):
         feats = fl.read_features_csv(work / f"features_seed{seed}.csv")
         assert len(feats) == exp.pool_sim().n_normal_flows + exp.n_attack
         assert feats.n_attack == exp.n_attack
+        # The bytes are those of the reference writer for the seed's pool.
+        packets, rules = simulate(exp.pool_sim(), np.random.SeedSequence([seed, experiment._SIM]))
+        feature_csv_oracle.write_features_csv(fl.features_from_packets(packets, rules),
+                                              tmp_path / "oracle.csv")
+        assert (work / f"features_seed{seed}.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes()
     assert redo.read_bytes() == out.read_bytes()
     assert redo.with_name("report.summary.csv").read_bytes() == \
         out.with_name("report.summary.csv").read_bytes()

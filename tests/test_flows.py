@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import feature_csv_oracle
 import flow_oracle
+from imbalidx import flows
 from imbalidx.flows import (
     ATTACK,
     FEATURE_CSV_HEADER,
@@ -375,6 +377,59 @@ def test_features_csv_prints_each_cell_as_formatted_alone(tmp_path):
                   for v, name in zip(row, FEATURE_NAMES)] + [str(label)])
         for row, label in zip(x.tolist(), y.tolist())]
     assert path.read_text() == "\n".join(want) + "\n"
+
+
+def _and_neighbours(v):
+    return st.sampled_from([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
+
+
+# Cells at the edges of the word writer's guard (see flows._chunk_text).
+feature_cells = st.one_of(
+    st.floats(),  # NaN, infinities, signed zeros and subnormals included
+    st.floats(0, 1e8),
+    st.integers(-10**9, 10**9).map(float),  # whole, in any column
+    # x * 10**6 exactly on a half (odd multiples of 1/128), or the double
+    # nearest one ((k + 0.5) / 1e6), and their neighbours.
+    st.integers(0, 2**35).map(lambda j: (2 * j + 1) / 128).flatmap(_and_neighbours),
+    st.integers(0, 10**8).map(lambda k: (k + 0.5) / 1e6).flatmap(_and_neighbours),
+    # Integer parts at 10**8 - 1 and 10**8; products near 1e14 and 2**52.
+    st.sampled_from([10**8 - 1, 10**8, 1e8 - 5e-7, 1e8 - 1e-6, 2**52 / 1e6, 2**53 / 1e6])
+    .flatmap(_and_neighbours),
+    st.sampled_from([-0.0, -1.5, -(10**8), 1e300, -1e300]),
+)
+
+
+@given(st.lists(st.tuples(st.lists(feature_cells, min_size=23, max_size=23),
+                          st.integers(0, 1)), max_size=8),
+       st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_features_csv_matches_the_per_cell_oracle(tmp_path_factory, rows, chunk):
+    x = np.array([r for r, _ in rows], dtype=np.float64).reshape(len(rows), 23)
+    data = LabeledDataset(x, [label for _, label in rows])
+    work = tmp_path_factory.mktemp("features")
+    feature_csv_oracle.write_features_csv(data, work / "oracle.csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "_WRITE_CHUNK", chunk)
+        write_features_csv(data, work / "words.csv")
+    assert (work / "words.csv").read_bytes() == (work / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, flows._WRITE_CHUNK - 1, flows._WRITE_CHUNK,
+                                    flows._WRITE_CHUNK + 1])
+def test_features_csv_matches_the_oracle_across_chunks(tmp_path, n_rows):
+    # Positive fractions, whole values in every column, fractions in the
+    # count columns, ties and a few cells only Python prints.
+    rng = np.random.default_rng(n_rows)
+    shape = (n_rows, len(FEATURE_NAMES))
+    x = rng.random(shape) * 10.0 ** rng.integers(-7, 9, size=shape)
+    pick = rng.random(shape)
+    x[pick < 0.3] = np.floor(x[pick < 0.3])
+    x[pick > 0.95] = rng.integers(0, 2**20, size=shape)[pick > 0.95] / 128
+    x[pick > 0.99] = rng.choice([-0.0, -2.0, np.nan, np.inf, 1e300], size=shape)[pick > 0.99]
+    data = LabeledDataset(x, rng.integers(0, 2, size=n_rows))
+    feature_csv_oracle.write_features_csv(data, tmp_path / "oracle.csv")
+    write_features_csv(data, tmp_path / "words.csv")
+    assert (tmp_path / "words.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

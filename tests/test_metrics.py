@@ -1,8 +1,7 @@
 """Metric formulas against an independent high-precision oracle."""
 
-import json
 import math
-import re
+from dataclasses import asdict
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -21,7 +20,6 @@ from imbalidx.metrics import (
     sensitivity,
     undetected_rate,
 )
-from imbalidx.textio import ConfigInvalid
 
 getcontext().prec = 50
 
@@ -44,7 +42,7 @@ def oracle(tp, tn, fp, fn):
 
 def assert_close_to_oracle(cm, rel=1e-9):
     want = oracle(cm.tp, cm.tn, cm.fp, cm.fn)
-    got = MetricsReport.from_confusion(cm).to_dict()
+    got = asdict(MetricsReport.from_confusion(cm))
     for name, expected in want.items():
         e = float(expected)
         assert abs(got[name] - e) <= rel * max(1.0, abs(e)), (
@@ -187,27 +185,3 @@ def test_confusion_partitions_every_sample(pairs):
     assert cm.total == len(pairs)
     assert cm.tp + cm.fn == sum(truth)
     assert cm.fp + cm.tn == len(pairs) - sum(truth)
-
-
-def test_report_json_round_trip():
-    report = MetricsReport.from_confusion(ConfusionMatrix(tp=7, tn=85, fp=5, fn=3))
-    again = MetricsReport.from_json(report.to_json())
-    assert again == report
-    assert set(json.loads(report.to_json())) == {
-        "accuracy", "far", "ur", "mcc", "sensitivity",
-    }
-
-
-_REPORT = {"accuracy": 92.0, "far": 5.5, "ur": 30.0, "mcc": 55.1, "sensitivity": 70.0}
-
-
-@pytest.mark.parametrize("text, key", [
-    (json.dumps({**_REPORT, "accuracy": "x"}), "report.accuracy"),
-    (json.dumps({**_REPORT, "far": True}), "report.far"),
-    (json.dumps({**_REPORT, "mcc": float("nan")}), "report.mcc"),
-    ("[1, 2]", "report"),
-    (json.dumps({k: v for k, v in _REPORT.items() if k != "ur"}), "'ur'"),
-])
-def test_report_from_json_rejects_bad_values(text, key):
-    with pytest.raises(ConfigInvalid, match=re.escape(key)):
-        MetricsReport.from_json(text)

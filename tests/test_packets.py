@@ -171,6 +171,18 @@ def test_writer_rejects_corrupted_wire_len_before_writing(tmp_path):
     assert not path.exists()
 
 
+def test_writer_names_a_bad_row_past_the_first_chunk(tmp_path):
+    packets = table([PacketRecord(float(i), "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)
+                     for i in range(10)])
+    packets.wire_len[7] = 12  # in the third chunk of three rows
+    path = tmp_path / "never.pcap"
+    with small_blocks(None, write_chunk=3), pytest.raises(BadRow) as err:
+        write_pcap(packets, path)
+    assert err.value.row == 7
+    assert "below minimum 40 for TCP" in str(err.value)
+    assert not path.exists()
+
+
 def test_writer_rejects_timestamp_past_the_epoch_range(tmp_path):
     # 1e13 and 1e300 are past quantize_us's int64 range too.
     for t in (2.0**32, 2.0**33, 1e13, 1e300):
