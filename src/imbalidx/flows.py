@@ -9,14 +9,13 @@ feature matrix row per flow, in flow creation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .packets import PacketTable, format_addr, parse_addr, parse_timestamp
-from .textio import ParseError, csv_rows
+from .textio import ParseError, csv_rows, number_cells, write_csv
 
 NORMAL = 0
 ATTACK = 1
@@ -318,105 +317,18 @@ def features_from_packets(
     return LabeledDataset(feature_matrix(flows), label_flows(flows, rules))
 
 
-# Rows written per chunk, which bounds the writer's buffers.
-_WRITE_CHUNK = 1024
-
-# A cell is printed into two little-endian 8-byte words: its integer part,
-# right-aligned in the first, then '.', 6 fraction digits and the
-# separator. Bytes left 0 are dropped. _DIGITS2[k] is k as 2 ASCII digits
-# and _DIGITS3[k] as 3, in the low bytes of a word.
-_DIGITS2 = (48 + np.arange(100) // 10 | (48 + np.arange(100) % 10) << 8).astype(np.uint64)
-_DIGITS3 = _DIGITS2[np.arange(1000) // 10] | (48 + np.arange(1000) % 10).astype(np.uint64) << 16
-# _LAST_BYTES[n] keeps the last n bytes of the integer word.
-_LAST_BYTES = np.array([2**64 - 2**(64 - 8 * n) for n in range(9)], dtype=np.uint64)
-_POW10 = 10 ** np.arange(1, 8)
-_DOT = np.uint64(ord("."))
 # The separator after each feature cell and after the label.
-_SEPARATORS = np.array([ord(",")] * len(FEATURE_NAMES) + [ord("\n")], dtype=np.uint64) << 56
+_SEPARATORS = b"," * len(FEATURE_NAMES) + b"\n"
 # Count columns, and the label, print as "%d" when whole.
 _COUNT_CELLS = np.array([name in _INT_FEATURES for name in FEATURE_NAMES] + [True])
-# Cells whose x * 1e6 reaches this print by themselves, so that the
-# rounded value has at most 8 integer digits.
-_M_LIMIT = 1e14 - 0.5
-
-
-def _chunk_text(cells: np.ndarray) -> bytes:
-    """The lines of a block of rows (features, then the label), each cell
-    as "%.6f" prints it, or "%d" for a whole count cell or label.
-
-    A cell x is printed from the digits of rint(m), m = x * 1e6 in floating
-    point, when x has no sign bit, m < _M_LIMIT and m is not a half-integer.
-    That is exact: "%.6f" prints x correctly rounded to 6 places, ties to
-    even, so its digits are those of round(E) for the exact E = x * 10**6.
-    The product m is E rounded to nearest, and below 2**52 every
-    half-integer h is a double; rounding to nearest is monotone, so m < h
-    implies E < h and m > h implies E > h. So E lies strictly between the
-    same two half-integers as m, neither of them a tie, and round(E) =
-    rint(m). (m - floor(m) is exact, so the test for a half is too.) A whole
-    count cell below 1e8 passes the same guard and drops its fraction, as
-    "%d" prints it. Every other cell (a sign bit, NaN, infinity, m from
-    _M_LIMIT up, or m on a half) is printed by Python's own "%.6f" or "%d".
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = cells * 1e6
-        fast = ~np.signbit(cells) & (m < _M_LIMIT) & (m - np.floor(m) != 0.5)
-        whole = _COUNT_CELLS & np.isfinite(cells) & (np.floor(cells) == cells)
-    whole_part, frac = np.divmod(np.rint(np.where(fast, m, 0.0)).astype(np.int64), 10**6)
-    n_digits = np.where(fast, np.searchsorted(_POW10, whole_part, side="right") + 1, 0)
-    has_frac = fast & ~whole
-    a, rest = np.divmod(whole_part, 10**6)
-    b, c = np.divmod(rest, 1000)
-    p, q = np.divmod(frac, 1000)
-    words = np.empty(cells.shape + (2,), dtype="<u8")
-    words[..., 0] = ((_DIGITS2[a] | _DIGITS3[b] << 16 | _DIGITS3[c] << 40)
-                     & _LAST_BYTES[n_digits])
-    words[..., 1] = (np.where(has_frac, _DIGITS3[p] << 8 | _DIGITS3[q] << 32 | _DOT, 0)
-                     | _SEPARATORS)
-    text = words.tobytes().translate(None, b"\0")
-    slow = np.flatnonzero(~fast)
-    if slow.size == 0:
-        return text
-    # A slow cell printed only its separator; its own text goes before it.
-    ends = np.cumsum(n_digits + 7 * has_frac + 1)
-    parts, done = [], 0
-    for end, v, as_int in zip((ends.flat[slow] - 1).tolist(), cells.flat[slow].tolist(),
-                              whole.flat[slow].tolist()):
-        parts += [text[done:end], (("%d" if as_int else "%.6f") % v).encode()]
-        done = end
-    parts.append(text[done:])
-    return b"".join(parts)
 
 
 def write_features_csv(data: LabeledDataset, path) -> None:
     """Feature CSV, for flow pools and built datasets alike: each cell as
     "%.6f" prints it, a count column as "%d" when it holds a whole number,
-    and the label 0/1 last. The bytes come from digit words (_chunk_text),
-    with Python formatting any cell those cannot be proved exact for."""
-    with open(path, "wb") as f:
-        f.write(FEATURE_CSV_HEADER.encode() + b"\n")
-        for lo in range(0, len(data), _WRITE_CHUNK):
-            rows = slice(lo, lo + _WRITE_CHUNK)
-            f.write(_chunk_text(np.column_stack([data.x[rows], data.y[rows]])))
-
-
-def read_features_csv(path) -> LabeledDataset:
-    """Read a feature CSV back as a float matrix and 0/1 labels. A feature
-    is any finite float() text; the label is the text 0 or 1."""
-    rows: List[List[float]] = []
-    labels: List[int] = []
-    for line_no, fields in csv_rows(path, FEATURE_CSV_HEADER):
-        try:
-            values = [float(v) for v in fields[:-1]]
-        except ValueError:
-            raise ParseError(line_no, f"bad numeric field in {','.join(fields)!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise ParseError(line_no, f"non-finite feature in {','.join(fields)!r}")
-        if fields[-1] not in ("0", "1"):
-            raise ParseError(line_no, f"label must be 0 or 1, got {fields[-1]!r}")
-        rows.append(values)
-        labels.append(int(fields[-1]))
-    x = np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
-    return LabeledDataset(x, np.array(labels, dtype=np.int64))
+    and the label 0/1 last (see textio.number_cells)."""
+    write_csv(path, FEATURE_CSV_HEADER, len(data), lambda rows: number_cells(
+        np.column_stack([data.x[rows], data.y[rows]]), _COUNT_CELLS, _SEPARATORS))
 
 
 def to_arrays(data: LabeledDataset) -> Tuple[np.ndarray, np.ndarray]:

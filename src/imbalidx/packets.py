@@ -21,7 +21,7 @@ from typing import BinaryIO, Iterable, List, NamedTuple
 
 import numpy as np
 
-from .textio import CsvFields, ParseError, csv_fields
+from .textio import CsvFields, ParseError, csv_fields, number_cells, write_csv
 
 
 class Protocol(IntEnum):
@@ -307,19 +307,13 @@ def _records(packets: PacketTable, rows: slice) -> np.ndarray:
             hdr["offset"], hdr["tcp_flags"], hdr["window"] = 0x50, 0x18, 8192
         elif p is Protocol.UDP:
             hdr["udp_len"] = np.minimum(frame_len[sel] - _ETH_HDR - _IP_HDR, 0xFFFF)
-        # The output alternates runs of other bytes and these headers; mark
-        # the header runs, then fill them in order.
-        at = starts[sel]
-        runs = np.empty(2 * sel.size + 1, dtype=np.int64)
-        runs[0:-1:2] = np.diff(at, prepend=-dtype.itemsize) - dtype.itemsize
-        runs[1::2] = dtype.itemsize
-        runs[-1] = out.size - at[-1] - dtype.itemsize
-        covered = np.repeat(np.arange(runs.size) % 2 == 1, runs)
-        out[covered] = hdr.view(np.uint8)
+        # Records never overlap, so neither do the windows of their headers.
+        windows = np.lib.stride_tricks.sliding_window_view(out, dtype.itemsize, writeable=True)
+        windows[starts[sel]] = hdr.view(np.uint8).reshape(-1, dtype.itemsize)
     return out
 
 
-# Rows encoded per write, which bounds the writers' buffers.
+# Rows encoded per write, which bounds write_pcap's buffers.
 _WRITE_CHUNK = 1 << 12
 
 
@@ -481,97 +475,36 @@ def read_pcap(path) -> PacketTable:
 CSV_HEADER = "timestamp,src_addr,src_port,dst_addr,dst_port,protocol,wire_len,is_retransmission"
 
 
-def _digit_text(values: np.ndarray, width: int):
-    """Decimal digits of non-negative integers below 10**width, one row per
-    value, right-aligned in `width` bytes, and the mask of the bytes that
-    are the number's own (no leading zeros, but at least one digit)."""
-    rest = values.astype(np.uint64)
-    text = np.empty((rest.size, width), dtype=np.uint8)
-    for k in range(width - 1, -1, -1):
-        text[:, k] = rest % 10
-        rest //= 10
-    text += ord("0")
-    n_digits = np.searchsorted(_POW10[1:width].astype(np.uint64), values, side="right") + 1
-    return text, np.arange(width) >= width - n_digits[:, None]
+# The number cells of a packet CSV row: the timestamp, the ports, wire_len
+# and the retransmission flag, all but the first printed as "%d".
+_NUMBER_COUNT = np.array([False, True, True, True, True])
 
 
-def _table_text(codes: np.ndarray, names: List[bytes]):
-    """names[code] per row, left-aligned in the longest name's width, and
-    the mask of each row's own bytes."""
-    width = max(map(len, names), default=0)
-    table = np.array(names, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(names), -1)
-    lengths = np.array([len(n) for n in names], dtype=np.int64)
-    return table[codes, :width], np.arange(width) < lengths[codes][:, None]
-
-
-def _lookup_text(col: np.ndarray, name):
-    """name(value) per row, formatting each distinct value once."""
-    uniq, inverse = np.unique(col, return_inverse=True)
-    return _table_text(inverse, [name(v).encode() for v in uniq.tolist()])
-
-
-# A timestamp below 2**32 s is a 1-10 digit second and 6 microsecond digits.
-_SEC_DIGITS = 10
-
-
-def _timestamp_text(ts: np.ndarray):
-    """f"{t:.6f}" per row, but 0.000000 for -0.0. For a grid time t below 2**32 s that is
-    f"{sec}.{usec:06d}" with (sec, usec) as quantize_us splits it: the
-    float sum sec + usec/1e6 is within half a microsecond of the decimal,
-    so rounding it to 6 places gives those digits back. Every other time
-    is formatted by itself."""
-    sec = np.zeros(ts.shape, dtype=np.int64)
-    usec = np.zeros(ts.shape, dtype=np.int64)
-    grid = np.zeros(ts.shape, dtype=bool)
-    # -0.0 is the grid time 0 and prints as 0.000000; NaN fails both tests.
-    near = np.flatnonzero((ts >= 0) & (ts < 2.0**32))
-    sec[near], usec[near] = np.divmod(quantize_us(ts[near]), 1_000_000)
-    grid[near] = grid_seconds(sec[near], usec[near]) == ts[near]
-    sec_text, sec_keep = _digit_text(sec, _SEC_DIGITS)
-    usec_text, _ = _digit_text(usec, 6)
-    dot = np.full((ts.size, 1), ord("."), dtype=np.uint8)
-    text = np.hstack([sec_text, dot, usec_text])
-    keep = np.hstack([sec_keep, np.ones((ts.size, 7), dtype=bool)]) & grid[:, None]
-    # Each other row's own text, and none on grid rows.
-    other = np.flatnonzero(~grid)
-    codes = np.zeros(ts.size, dtype=np.int64)
-    codes[other] = np.arange(1, other.size + 1)
-    own, own_keep = _table_text(codes, [b""] + [f"{t:.6f}".encode() for t in ts[other].tolist()])
-    return np.hstack([own, text]), np.hstack([own_keep, keep])
-
-
-def _csv_chunk(packets: PacketTable, rows: slice) -> bytes:
-    """The packet CSV lines of a slice of rows. Each field is a byte matrix
-    with a mask of the bytes each row keeps; the masked bytes of the fields
-    side by side, read row by row, are the lines."""
-    proto_names = {p.value: p.name for p in Protocol}
-    fields = [
-        _timestamp_text(packets.ts[rows]),
-        _lookup_text(packets.src[rows], format_addr),
-        _digit_text(packets.sport[rows], 5),
-        _lookup_text(packets.dst[rows], format_addr),
-        _digit_text(packets.dport[rows], 5),
-        _lookup_text(packets.proto[rows], proto_names.__getitem__),
-        _digit_text(packets.wire_len[rows], 10),
-        _digit_text(packets.retx[rows].view(np.uint8), 1),
-    ]
-    n = len(fields[0][0])
-    parts, masks = [], []
-    for j, (text, keep) in enumerate(fields):
-        end = b"\n" if j == len(fields) - 1 else b","
-        parts += [text, np.full((n, 1), end[0], dtype=np.uint8)]
-        masks += [keep, np.ones((n, 1), dtype=bool)]
-    return np.hstack(parts)[np.hstack(masks)].tobytes()
+def _csv_words(packets: PacketTable, rows: slice):
+    """The packet CSV words of a slice of rows and the texts Python prints,
+    as textio.write_csv takes them."""
+    # + 0.0 turns -0.0 into the grid time 0, which prints as 0.000000.
+    numbers, own = number_cells(np.column_stack([
+        packets.ts[rows] + 0.0, packets.sport[rows], packets.dport[rows],
+        packets.wire_len[rows], packets.retx[rows]]), _NUMBER_COUNT, b",,,,\n")
+    # Addresses, then protocols numbered past them, as 16-byte cells with
+    # their commas, each distinct one printed once; "255.255.255.255,"
+    # fills a cell.
+    keys = np.concatenate([packets.src[rows], packets.dst[rows],
+                           packets.proto[rows] + np.int64(_MAX_U32 + 1)])
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    names = np.array([(format_addr(k) if k <= _MAX_U32 else Protocol(k - _MAX_U32 - 1).name)
+                      .encode() + b"," for k in uniq.tolist()], dtype="S16")
+    src, dst, proto = names.view("<u8").reshape(-1, 2)[inverse].reshape(3, -1, 2)
+    ts, sport, dport, wire_len, retx = numbers.transpose(1, 0, 2)
+    return np.stack([ts, src, sport, dst, dport, proto, wire_len, retx], axis=1), own
 
 
 def write_packet_csv(packets: PacketTable, path) -> None:
     """Write a packet table as CSV (header CSV_HEADER): one line per row,
     the timestamp as f"{t:.6f}" (-0.0 as 0.000000), addresses dotted-quad,
     the protocol by name and the retransmission flag as 0 or 1."""
-    with open(path, "wb") as f:
-        f.write(CSV_HEADER.encode() + b"\n")
-        for lo in range(0, len(packets), _WRITE_CHUNK):
-            f.write(_csv_chunk(packets, slice(lo, lo + _WRITE_CHUNK)))
+    write_csv(path, CSV_HEADER, len(packets), lambda rows: _csv_words(packets, rows))
 
 
 # Digit strings up to this long always fit an int64; longer ones are

@@ -1,12 +1,22 @@
-"""Reading outside text: every CSV reader takes its rows from csv_fields
-(whole columns of byte offsets, one block of lines at a time) or csv_rows
-(one row of strings at a time, built on csv_fields), so the header,
-blank-line, field-count and line-number rules have this one owner, and a
-bad row is reported as ParseError with its line number. A line ends at
-LF, CRLF or a lone CR, as in text mode. Every config dataclass is loaded
-by config_from_json, which checks the JSON against the dataclass's type
-annotations and reports ConfigInvalid naming the key; a config built in
-Python gets the same check from check_fields.
+"""CSV text both ways, and config JSON.
+
+Reading: every CSV reader takes its rows from csv_fields (whole columns of
+byte offsets, one block of lines at a time) or csv_rows (one row of
+strings at a time, built on csv_fields), so the header, blank-line,
+field-count and line-number rules have this one owner, and a bad row is
+reported as ParseError with its line number. A line ends at LF, CRLF or a
+lone CR, as in text mode.
+
+Writing: the packet and feature CSV writers print their rows through
+write_csv, a block of rows at a time, and their numbers through
+number_cells, so a cell reads as "%.6f" or "%d" prints it: from digit words
+where that is provably exact, and from Python's own formatting everywhere
+else.
+
+Every config dataclass is loaded by config_from_json, which checks the
+JSON against the dataclass's type annotations and reports ConfigInvalid
+naming the key; a config built in Python gets the same check from
+check_fields.
 """
 
 from __future__ import annotations
@@ -135,6 +145,90 @@ def csv_rows(path, header: str) -> Iterator[Tuple[int, List[str]]]:
             yield line, text.split(",")
         if rows.error is not None:
             raise rows.error
+
+
+# Rows write_csv prints per chunk, which bounds the writers' buffers.
+_WRITE_CHUNK = 1024
+
+# A cell is printed into two little-endian 8-byte words: its integer part,
+# right-aligned in the first, then '.', 6 fraction digits and the
+# separator. Bytes left 0 are dropped. _DIGITS2[k] is k as 2 ASCII digits
+# and _DIGITS3[k] as 3, in the low bytes of a word.
+_DIGITS2 = (48 + np.arange(100) // 10 | (48 + np.arange(100) % 10) << 8).astype(np.uint64)
+_DIGITS3 = _DIGITS2[np.arange(1000) // 10] | (48 + np.arange(1000) % 10).astype(np.uint64) << 16
+# _LAST_BYTES[n] keeps the last n bytes of the integer word.
+_LAST_BYTES = np.array([2**64 - 2**(64 - 8 * n) for n in range(9)], dtype=np.uint64)
+_POW10 = 10 ** np.arange(1, 8)
+_DOT = np.uint64(ord("."))
+# Cells whose x * 1e6 reaches this print by themselves, so that the
+# rounded value has at most 8 integer digits.
+_M_LIMIT = 1e14 - 0.5
+# The byte a cell printed by Python leaves in its words, in place of its
+# text; no CSV text holds it.
+_OWN = b"\x01"
+
+
+def number_cells(cells: np.ndarray, count: np.ndarray,
+                 seps: bytes) -> Tuple[np.ndarray, List[bytes]]:
+    """The words of a block of number cells (rows by columns), each cell
+    as "%.6f" prints it, or "%d" for a whole cell of a `count` column, and
+    followed by its column's byte of `seps`; and, in row-major order, the
+    texts of the cells Python prints, which csv_text splices in.
+
+    A cell x is printed from the digits of rint(m), m = x * 1e6 in floating
+    point, when x has no sign bit, m < _M_LIMIT and m is not a half-integer.
+    That is exact: "%.6f" prints x correctly rounded to 6 places, ties to
+    even, so its digits are those of round(E) for the exact E = x * 10**6.
+    The product m is E rounded to nearest, and below 2**52 every
+    half-integer h is a double; rounding to nearest is monotone, so m < h
+    implies E < h and m > h implies E > h. So E lies strictly between the
+    same two half-integers as m, neither of them a tie, and round(E) =
+    rint(m). (m - floor(m) is exact, so the test for a half is too.) A whole
+    count cell below 1e8 passes the same guard and drops its fraction, as
+    "%d" prints it. Every other cell (a sign bit, NaN, infinity, m from
+    _M_LIMIT up, or m on a half) is printed by Python's own "%.6f" or "%d".
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = cells * 1e6
+        fast = ~np.signbit(cells) & (m < _M_LIMIT) & (m - np.floor(m) != 0.5)
+        whole = count & np.isfinite(cells) & (np.floor(cells) == cells)
+    slow = ~fast
+    whole_part, frac = np.divmod(np.rint(np.where(fast, m, 0.0)).astype(np.int64), 10**6)
+    n_digits = np.where(fast, np.searchsorted(_POW10, whole_part, side="right") + 1, 0)
+    has_frac = fast & ~whole
+    a, rest = np.divmod(whole_part, 10**6)
+    b, c = np.divmod(rest, 1000)
+    p, q = np.divmod(frac, 1000)
+    words = np.empty(cells.shape + (2,), dtype="<u8")
+    # A cell Python prints keeps only its separator and the byte 1, _OWN.
+    words[..., 0] = ((_DIGITS2[a] | _DIGITS3[b] << 16 | _DIGITS3[c] << 40)
+                     & _LAST_BYTES[n_digits] | slow)
+    words[..., 1] = (np.where(has_frac, _DIGITS3[p] << 8 | _DIGITS3[q] << 32 | _DOT, 0)
+                     | np.frombuffer(seps, dtype=np.uint8).astype(np.uint64) << 56)
+    own = [(b"%d" if as_int else b"%.6f") % v
+           for v, as_int in zip(cells[slow].tolist(), whole[slow].tolist())]
+    return words, own
+
+
+def csv_text(words: np.ndarray, own: List[bytes]) -> bytes:
+    """The text of a block of words in row-major order (number_cells'
+    words, with each text cell in NUL-padded 8-byte words among them) and
+    number_cells' texts: the NUL bytes dropped, and each text put where its
+    cell left the _OWN byte."""
+    parts = [b""] * (2 * len(own) + 1)
+    parts[::2] = words.tobytes().translate(None, b"\0").split(_OWN)
+    parts[1::2] = own
+    return b"".join(parts)
+
+
+def write_csv(path, header: str, n_rows: int, chunk_words) -> None:
+    """A CSV file of `header` and n_rows rows, printed _WRITE_CHUNK rows at
+    a time: chunk_words(rows), for a slice of rows, returns the words and
+    texts of csv_text."""
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
+        for lo in range(0, n_rows, _WRITE_CHUNK):
+            f.write(csv_text(*chunk_words(slice(lo, lo + _WRITE_CHUNK))))
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string"}

@@ -69,9 +69,9 @@ def test_simulate_outputs(capture):
 
 
 def test_extract_outputs(capture):
-    feats = fl.read_features_csv(capture["features"])
-    assert len(feats) == 72
-    assert feats.n_attack == 12
+    rows = np.loadtxt(capture["features"], delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (72, len(fl.FEATURE_NAMES) + 1)
+    assert np.count_nonzero(rows[:, -1] == fl.ATTACK) == 12
     # The packet CSV of the same capture is told apart by its header line.
     assert capture["csv_features"].read_bytes() == capture["features"].read_bytes()
 
@@ -628,9 +628,10 @@ def test_experiment_workdir_keeps_each_seeds_features(sweep, tmp_path):
     assert main(["experiment", "--config", str(cfg), "--out", str(redo)]) == 0
     exp = config_from_json(experiment.ExperimentConfig, cfg.read_text())
     for seed in exp.seeds:
-        feats = fl.read_features_csv(work / f"features_seed{seed}.csv")
-        assert len(feats) == exp.pool_sim().n_normal_flows + exp.n_attack
-        assert feats.n_attack == exp.n_attack
+        rows = np.loadtxt(work / f"features_seed{seed}.csv", delimiter=",", skiprows=1,
+                          ndmin=2)
+        assert len(rows) == exp.pool_sim().n_normal_flows + exp.n_attack
+        assert np.count_nonzero(rows[:, -1] == fl.ATTACK) == exp.n_attack
         # The bytes are those of the reference writer for the seed's pool.
         packets, rules = simulate(exp.pool_sim(), np.random.SeedSequence([seed, experiment._SIM]))
         feature_csv_oracle.write_features_csv(fl.features_from_packets(packets, rules),

@@ -58,6 +58,7 @@ def small_blocks(read_block, write_chunk=None):
             mp.setattr(textio, "_READ_BLOCK", read_block)
         if write_chunk is not None:
             mp.setattr(packets, "_WRITE_CHUNK", write_chunk)
+            mp.setattr(textio, "_WRITE_CHUNK", write_chunk)
         yield
 
 
@@ -689,6 +690,33 @@ def test_csv_writer_matches_the_per_row_oracle(tmp_path_factory, rows, chunk):
     assert (work / "columns.csv").read_bytes() == (work / "oracle.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, textio._WRITE_CHUNK - 1, textio._WRITE_CHUNK,
+                                    textio._WRITE_CHUNK + 1])
+def test_csv_writer_matches_the_oracle_across_chunks(tmp_path, n_rows):
+    # Cells the digit words print, but in the first and last row of each
+    # chunk a time and a wire_len from 1e8, which Python prints, and the
+    # widest address; -0.0 times next to those rows.
+    chunk = textio._WRITE_CHUNK
+    rng = np.random.default_rng(n_rows)
+    proto = rng.choice([p.value for p in Protocol], n_rows)
+    ports = rng.integers(0, 65536, (2, n_rows)) * (proto != Protocol.OTHER)
+    ts = grid_seconds(rng.integers(0, 10**7, n_rows), rng.integers(0, 10**6, n_rows))
+    wire_len = rng.integers(40, 10**6, n_rows)
+    addrs = rng.integers(0, 2**32, (2, n_rows))
+    row = np.arange(n_rows)
+    edges = np.flatnonzero((row % chunk == 0) | (row % chunk == chunk - 1) | (row == n_rows - 1))
+    ts[edges] = grid_seconds(rng.integers(10**8, 2**32, edges.size),
+                             rng.integers(0, 10**6, edges.size))
+    wire_len[edges] = rng.integers(10**8, 2**32, edges.size)
+    addrs[:, edges] = 2**32 - 1
+    near = np.setdiff1d(np.concatenate([edges - 1, edges + 1]), edges)
+    ts[near[(near >= 0) & (near < n_rows)]] = -0.0
+    packets_ = PacketTable(ts, *addrs, *ports, proto, wire_len, rng.random(n_rows) < 0.5)
+    packet_csv_oracle.write_packet_csv(packets_, tmp_path / "oracle.csv")
+    write_packet_csv(packets_, tmp_path / "columns.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def pinned_capture(tmp_path_factory):
     """The simulated capture of 5,000 normal and 100 attack sessions (seed
@@ -701,8 +729,8 @@ def pinned_capture(tmp_path_factory):
 
 
 # tracemalloc peaks in MiB at 64 KiB read blocks and the default write
-# chunk. Measured: write_pcap 4.67, write_packet_csv 1.25, read_pcap 3.19,
-# read_packet_csv 4.35; the whole-file codecs peaked at 19.5, 6.44, 15.75
+# chunks. Measured: write_pcap 2.52, write_packet_csv 0.66, read_pcap 2.02,
+# read_packet_csv 2.87; the whole-file codecs peaked at 19.5, 6.44, 15.75
 # and 10.16. The table is 1.08 MiB, the pcap 6.08 MiB, the CSV 2.01 MiB.
 CODEC_PEAK_MIB = {"write_pcap": 6, "write_packet_csv": 2, "read_pcap": 4.5,
                   "read_packet_csv": 6}
