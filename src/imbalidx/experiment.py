@@ -49,7 +49,7 @@ from .dataset import (
     train_count,
 )
 from .dataset import split_train_test
-from .flows import ATTACK, features_from_packets, to_arrays, write_features_csv
+from .flows import ATTACK, FEATURE_NAMES, features_from_packets, to_arrays, write_features_csv
 from .metrics import MetricsReport, confusion
 from .mlp import TrainConfig, init_model, predict, train
 from .simulate import SimConfig, simulate
@@ -63,7 +63,7 @@ _SIM, _BUILD, _SPLIT, _SMOTE, _INIT, _TRAIN = range(6)
 # classifier's layers, SMOTE's neighbours (k as in Chawla et al. 2002) and
 # target attack share, and the normal sessions a pool holds beyond need.
 TRAIN_FRAC = 0.8
-LAYER_SIZES = (23, 16, 8, 1)
+LAYER_SIZES = (len(FEATURE_NAMES), 16, 8, 1)
 SMOTE_K = 5
 SMOTE_TARGET_RATIO = 0.10
 POOL_MARGIN = 1000

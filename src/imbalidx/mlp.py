@@ -7,9 +7,10 @@ Everything is float64 numpy; no training framework behind it.
 
 Weight matrices are stored (fan_out, fan_in), one row per output unit.
 
-Training keeps every parameter in one flat float64 buffer laid out
-W0, b0, W1, b1, ..., with the per-layer matrices and vectors as views into
-it; gradients and velocities are flat buffers of the same layout. The
+The model keeps every parameter in one flat float64 buffer of its own,
+`params`, laid out W0, b0, W1, b1, ..., with the per-layer matrices and
+vectors as views into it; training updates that buffer in place, and its
+gradients and velocities are flat buffers of the same layout. The
 momentum step is then four whole-buffer operations whatever the depth:
 v *= momentum; g*lr into a scratch buffer; v -= scratch; theta += v. Every
 element goes through the same roundings as the per-array form
@@ -17,10 +18,10 @@ v = momentum*v - lr*g; theta += v (each product rounded once, then the
 difference, then the sum), so both give the same bits.
 
 A training step writes every array into buffers allocated once per
-train() call; the views of a full batch and of the short last one are
-made there too. Each step runs the same floating-point operations in
-the same order as a pass that allocates its arrays, so both give the
-same bits:
+train() call, one workspace per batch shape: the full batch and, when
+the rows do not divide evenly, the short last one. Each step runs the
+same floating-point operations in the same order as a pass that
+allocates its arrays, so both give the same bits:
 - the BCE goes through two scratch buffers (logaddexp, y*z, their
   difference) and is summed with the pairwise add.reduce and divided
   once, as np.mean does;
@@ -39,7 +40,7 @@ sharing one result would move the loss by ulps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -60,11 +61,49 @@ class NonFiniteLoss(FloatingPointError):
     """Training produced a NaN or infinite loss instead of converging."""
 
 
+def _layer_views(
+    flat: np.ndarray, sizes: Sequence[int]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per-layer (fan_out, fan_in) weight and (fan_out,) bias views into a
+    flat buffer laid out W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
+    """A classifier's layers and parameters. The given weights and biases
+    are copied into `params`, one flat float64 buffer laid out W0, b0,
+    W1, b1, ..., and `weights`/`biases` become views of it.
+    BadArchitecture unless each layer has exactly one (fan_out, fan_in)
+    weight and one (fan_out,) bias."""
+
     layer_sizes: List[int]
     weights: List[np.ndarray]
     biases: List[np.ndarray]
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sizes = self.layer_sizes = check_architecture(self.layer_sizes)
+        self.params = np.empty(sum(o * (i + 1) for i, o in zip(sizes[:-1], sizes[1:])))
+        weights, biases = _layer_views(self.params, sizes)
+        if len(self.weights) != len(weights) or len(self.biases) != len(biases):
+            raise BadArchitecture(
+                f"{len(weights)} layers need as many weights and biases, "
+                f"got {len(self.weights)} and {len(self.biases)}")
+        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            for dst, src in ((weights[k], w), (biases[k], b)):
+                if np.shape(src) != dst.shape:
+                    raise BadArchitecture(
+                        f"layer {k} needs shape {dst.shape}, got {np.shape(src)}")
+                dst[...] = src
+        self.weights, self.biases = weights, biases
 
     @property
     def n_inputs(self) -> int:
@@ -188,95 +227,57 @@ def loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 class _Workspace:
-    """Flat parameter and gradient buffers for one model, plus the batch
-    buffers of a forward and backward pass over up to `rows` rows.
+    """The batch buffers of a forward and backward pass over exactly
+    `rows` rows. The pass reads the model's parameters where they live
+    and writes their gradient into `grads`, a flat buffer laid out like
+    model.params.
 
     Buffers are allocated once; each pass writes into them with out=
     arguments, so no array is allocated per step."""
 
-    def __init__(self, model: MlpModel, rows: int):
+    def __init__(self, model: MlpModel, rows: int, grads: np.ndarray):
         sizes = model.layer_sizes
-        layers = list(zip(sizes[:-1], sizes[1:]))
-        self.params = np.empty(sum(o * (i + 1) for i, o in layers))
-        self.grads = np.empty_like(self.params)
-        self.w, self.b = _layer_views(self.params, layers)
-        self.gw, self.gb = _layer_views(self.grads, layers)
+        self.w, self.b = model.weights, model.biases
         self.wt = [w.T for w in self.w]
-        for dst, src in zip(self.w + self.b, model.weights + model.biases):
-            dst[...] = src
+        self.grads = grads
+        self.gw, self.gb = _layer_views(grads, sizes)
         self.rows = rows
         self.x = np.empty((rows, sizes[0]))
         self.y = np.empty(rows)
         self.z = [np.empty((rows, o)) for o in sizes[1:]]
-        self.act = [np.empty((rows, o)) for o in sizes[1:-1]]
+        self.acts = [self.x] + [np.empty((rows, o)) for o in sizes[1:-1]]
         self.delta = [np.empty((rows, o)) for o in sizes[1:]]
+        self.delta_t = [d.T for d in self.delta]
         self.mask = [np.empty((rows, o), dtype=bool) for o in sizes[1:-1]]
+        self.last = len(self.z) - 1
+        self.logits = self.z[-1][:, 0]
+        self.dlogits = self.delta[-1][:, 0]
         self.scratch = np.empty((2, rows))
         self.pos = np.empty(rows, dtype=bool)
 
-    def backprop(self, bt: "_Batch") -> float:
-        """Mean BCE over the rows of bt.x and bt.y; its gradient lands in
-        self.grads."""
-        for i, (a, wt, b, z) in enumerate(zip(bt.acts, self.wt, self.b, bt.zs)):
+    def backprop(self) -> float:
+        """Mean BCE over the rows of self.x and self.y; its gradient lands
+        in self.grads."""
+        for i, (a, wt, b, z) in enumerate(zip(self.acts, self.wt, self.b, self.z)):
             np.matmul(a, wt, out=z)
             z += b
-            if i < bt.last:
-                np.maximum(z, 0.0, out=bt.acts[i + 1])
-        t, e = bt.scratch
-        batch_loss = _bce_into(bt.logits, bt.y, t, e)
-        _sigmoid_into(bt.logits, bt.dlogits, t, e, bt.pos)
-        np.subtract(bt.dlogits, bt.y, out=bt.dlogits)
-        np.divide(bt.dlogits, bt.m, out=bt.dlogits)
-        for i in range(bt.last, -1, -1):
-            delta = bt.deltas[i]
-            np.matmul(bt.deltas_t[i], bt.acts[i], out=self.gw[i])
+            if i < self.last:
+                np.maximum(z, 0.0, out=self.acts[i + 1])
+        t, e = self.scratch
+        batch_loss = _bce_into(self.logits, self.y, t, e)
+        _sigmoid_into(self.logits, self.dlogits, t, e, self.pos)
+        np.subtract(self.dlogits, self.y, out=self.dlogits)
+        np.divide(self.dlogits, self.rows, out=self.dlogits)
+        for i in range(self.last, -1, -1):
+            delta = self.delta[i]
+            np.matmul(self.delta_t[i], self.acts[i], out=self.gw[i])
             np.add.reduce(delta, axis=0, out=self.gb[i])
             if i > 0:
-                below = bt.deltas[i - 1]
+                below = self.delta[i - 1]
                 np.matmul(delta, self.w[i], out=below)
-                np.greater(bt.zs[i - 1], 0.0, out=bt.masks[i - 1])
-                np.multiply(below, bt.masks[i - 1], out=below)
+                np.greater(self.z[i - 1], 0.0, out=self.mask[i - 1])
+                np.multiply(below, self.mask[i - 1], out=below)
         return batch_loss
-
-    def store(self, model: MlpModel) -> None:
-        """Copy the parameters into the model's own arrays."""
-        for dst, src in zip(model.weights + model.biases, self.w + self.b):
-            dst[...] = src
-
-
-class _Batch:
-    """Views of the first m rows of every batch buffer of a workspace,
-    built once per batch size so a step makes no slices."""
-
-    def __init__(self, ws: _Workspace, m: int):
-        self.m = m
-        self.x = ws.x[:m]
-        self.y = ws.y[:m]
-        self.zs = [z[:m] for z in ws.z]
-        self.acts = [self.x] + [a[:m] for a in ws.act]
-        self.deltas = [d[:m] for d in ws.delta]
-        self.deltas_t = [d.T for d in self.deltas]
-        self.masks = [k[:m] for k in ws.mask]
-        self.last = len(self.zs) - 1
-        self.logits = self.zs[-1][:, 0]
-        self.dlogits = self.deltas[-1][:, 0]
-        self.scratch = ws.scratch[:, :m]
-        self.pos = ws.pos[:m]
-
-
-def _layer_views(
-    flat: np.ndarray, layers: List[Tuple[int, int]]
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Per-layer (fan_out, fan_in) weight and (fan_out,) bias views into a
-    flat buffer laid out W0, b0, W1, b1, ..."""
-    weights, biases = [], []
-    at = 0
-    for fan_in, fan_out in layers:
-        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
-        at += fan_out * fan_in
-        biases.append(flat[at : at + fan_out])
-        at += fan_out
-    return weights, biases
 
 
 def train(
@@ -290,9 +291,9 @@ def train(
     Velocity update per parameter: v = momentum*v - lr*grad; theta += v.
     Epoch shuffling comes from seed (anything np.random.default_rng
     takes), so a (seed, data, config) triple fully determines the fitted
-    parameters. The arrays in model.weights and model.biases are updated
-    in place, and hold the parameters of the last completed step also
-    when NonFiniteLoss is raised.
+    parameters. model.params, and so the weights and biases that view it,
+    is updated in place, and holds the parameters of the last completed
+    step also when NonFiniteLoss is raised.
     """
     x = _as_matrix(model, train_set.x)
     y = train_set.y.astype(np.float64)
@@ -305,34 +306,31 @@ def train(
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     batch_size = config.batch_size
-    ws = _Workspace(model, min(batch_size, n))
-    full = _Batch(ws, ws.rows)
-    tail = _Batch(ws, n % ws.rows) if n % ws.rows else full
-    vel = np.zeros_like(ws.params)
-    step = np.empty_like(ws.params)
+    grads = np.empty_like(model.params)
+    full = _Workspace(model, min(batch_size, n), grads)
+    tail = _Workspace(model, n % full.rows, grads) if n % full.rows else full
+    vel = np.zeros_like(model.params)
+    step = np.empty_like(model.params)
     history: List[float] = []
-    try:
-        for _ in range(config.epochs):
-            order = rng.permutation(n)
-            total = 0.0
-            for lo in range(0, n, batch_size):
-                sel = order[lo : lo + batch_size]
-                bt = full if sel.size == ws.rows else tail
-                # mode="clip" skips the bounds pass (sel is a permutation),
-                # which would otherwise make take() gather through a copy.
-                np.take(x, sel, axis=0, out=bt.x, mode="clip")
-                np.take(y, sel, out=bt.y, mode="clip")
-                batch_loss = ws.backprop(bt)
-                if not math.isfinite(batch_loss):
-                    raise NonFiniteLoss(f"loss became {batch_loss}")
-                total += batch_loss * bt.m
-                vel *= config.momentum
-                np.multiply(ws.grads, config.learning_rate, out=step)
-                vel -= step
-                ws.params += vel
-            history.append(total / n)
-    finally:
-        ws.store(model)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, batch_size):
+            sel = order[lo : lo + batch_size]
+            ws = full if sel.size == full.rows else tail
+            # mode="clip" skips the bounds pass (sel is a permutation),
+            # which would otherwise make take() gather through a copy.
+            np.take(x, sel, axis=0, out=ws.x, mode="clip")
+            np.take(y, sel, out=ws.y, mode="clip")
+            batch_loss = ws.backprop()
+            if not math.isfinite(batch_loss):
+                raise NonFiniteLoss(f"loss became {batch_loss}")
+            total += batch_loss * ws.rows
+            vel *= config.momentum
+            np.multiply(grads, config.learning_rate, out=step)
+            vel -= step
+            model.params += vel
+        history.append(total / n)
     return model, history
 
 
@@ -346,26 +344,21 @@ def gradient_check(
     differences (f(p+eps)-f(p-eps))/2eps over every parameter, with the
     relative error floored at 1e-12."""
     x = _as_matrix(model, x)
-    ws = _Workspace(model, x.shape[0])
+    ws = _Workspace(model, x.shape[0], np.empty_like(model.params))
     ws.x[...] = x
     ws.y[...] = y
-    ws.backprop(_Batch(ws, ws.rows))
-    gw, gb = ws.gw, ws.gb
+    ws.backprop()
+    params = model.params
     worst = 0.0
-    for params, grads in ((model.weights, gw), (model.biases, gb)):
-        for p, g in zip(params, grads):
-            flat_p = p.ravel()
-            flat_g = g.ravel()
-            for j in range(flat_p.size):
-                orig = flat_p[j]
-                flat_p[j] = orig + epsilon
-                hi = loss(model, x, y)
-                flat_p[j] = orig - epsilon
-                lo = loss(model, x, y)
-                flat_p[j] = orig
-                numeric = (hi - lo) / (2.0 * epsilon)
-                analytic = flat_g[j]
-                denom = max(abs(analytic) + abs(numeric), 1e-12)
-                worst = max(worst, abs(analytic - numeric) / denom)
+    for j in range(params.size):
+        orig = params[j]
+        params[j] = orig + epsilon
+        hi = loss(model, x, y)
+        params[j] = orig - epsilon
+        lo = loss(model, x, y)
+        params[j] = orig
+        numeric = (hi - lo) / (2.0 * epsilon)
+        analytic = ws.grads[j]
+        denom = max(abs(analytic) + abs(numeric), 1e-12)
+        worst = max(worst, abs(analytic - numeric) / denom)
     return worst
-

@@ -13,6 +13,7 @@ of the IPv4 flags field so a capture round-trips every field.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import os
 import struct
@@ -129,7 +130,8 @@ def _check_rows(ts, src, dst, sport, dport, proto, wire_len) -> None:
         ((proto == Protocol.OTHER) & ((sport != 0) | (dport != 0)),
          lambda i: "OTHER records must have zero ports"),
     )
-    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    # Folded pairwise: stacking the masks first would hold them all twice.
+    bad = functools.reduce(np.logical_or, [mask for mask, _ in rules])
     if bad.any():
         i = int(np.argmax(bad))
         message = next(msg for mask, msg in rules if mask[i])
@@ -348,17 +350,10 @@ def write_pcap(packets: PacketTable, path) -> None:
 _PREFIX = _ETH_HDR + 60 + 4
 
 
-def _big_endian(cols: np.ndarray) -> np.ndarray:
-    value = np.zeros(cols.shape[0], dtype=np.int64)
-    for j in range(cols.shape[1]):
-        value = (value << 8) | cols[:, j]
-    return value
-
-
 def _decode_frames(frames: np.ndarray, incl_len: np.ndarray, wire_len: np.ndarray):
     """Best-effort decode of frame prefixes, one per row; anything that is
     not clean IPv4 TCP/UDP is OTHER. Returns src, dst, sport, dport, proto
-    and retx columns."""
+    and retx columns in PacketTable dtypes."""
     ihl = (frames[:, 14] & 0x0F).astype(np.int64) * 4
     ip = ((incl_len >= _ETH_HDR + _IP_HDR) & (frames[:, 12] == 0x08)
           & (frames[:, 13] == 0x00) & (frames[:, 14] >> 4 == 4)
@@ -367,13 +362,14 @@ def _decode_frames(frames: np.ndarray, incl_len: np.ndarray, wire_len: np.ndarra
     has_ports = ip & (incl_len >= l4 + 4)
     tcp = has_ports & (frames[:, 23] == 6) & (wire_len >= MIN_WIRE_LEN[Protocol.TCP])
     udp = has_ports & (frames[:, 23] == 17) & (wire_len >= MIN_WIRE_LEN[Protocol.UDP])
-    ports = np.take_along_axis(frames, l4[:, None] + np.arange(4), axis=1)
+    addrs = np.ascontiguousarray(frames[:, 26:34]).view(">u4")
+    ports = np.take_along_axis(frames, l4[:, None] + np.arange(4), axis=1).view(">u2")
     return (
-        _big_endian(frames[:, 26:30]) * ip,
-        _big_endian(frames[:, 30:34]) * ip,
-        _big_endian(ports[:, :2]) * (tcp | udp),
-        _big_endian(ports[:, 2:]) * (tcp | udp),
-        np.select([tcp, udp], [Protocol.TCP, Protocol.UDP], Protocol.OTHER),
+        addrs[:, 0] * ip,
+        addrs[:, 1] * ip,
+        ports[:, 0] * (tcp | udp),
+        ports[:, 1] * (tcp | udp),
+        np.select([tcp, udp], [Protocol.TCP, Protocol.UDP], Protocol.OTHER).astype(np.uint8),
         ip & (frames[:, 20] & 0x80 != 0),
     )
 
@@ -383,8 +379,9 @@ def _decode_frames(frames: np.ndarray, incl_len: np.ndarray, wire_len: np.ndarra
 _READ_BLOCK = 1 << 20
 
 
-def _decode_block(buf: np.ndarray, starts: List[int], fmt: str) -> PacketTable:
-    """Decode the records that start at `starts` in `buf`."""
+def _decode_block(buf: np.ndarray, starts: List[int], fmt: str) -> tuple:
+    """The columns, in PacketTable order and dtypes, of the records that
+    start at `starts` in `buf`."""
     # Each record's header and frame prefix as one row. Bytes past a short
     # frame belong to the next record (or padding); the decoder checks the
     # frame length before it trusts any byte.
@@ -392,17 +389,16 @@ def _decode_block(buf: np.ndarray, starts: List[int], fmt: str) -> PacketTable:
     hdr = np.ascontiguousarray(rows[:, :16]).view(np.dtype([
         ("sec", fmt + "u4"), ("usec", fmt + "u4"),
         ("incl_len", fmt + "u4"), ("orig_len", fmt + "u4")]))[:, 0]
-    wire_len = hdr["orig_len"].astype(np.int64)
+    wire_len = hdr["orig_len"].astype(np.uint32)
     src, dst, sport, dport, proto, retx = _decode_frames(
         rows[:, 16:], hdr["incl_len"].astype(np.int64), wire_len)
     ts = grid_seconds(hdr["sec"], hdr["usec"])
-    return PacketTable(ts, src, dst, sport, dport, proto, wire_len, retx)
+    return ts, src, dst, sport, dport, proto, wire_len, retx
 
 
 def _read_records(f: BinaryIO, fmt: str) -> PacketTable:
-    """Walk the record headers one block at a time, decoding each block's
-    whole records at once; a record cut by the block's end starts the next
-    block."""
+    """Read a block, walk its record headers and decode its whole records
+    at once, then seek back to the record the block's end cut."""
     width = 16 + _PREFIX
     block = max(_READ_BLOCK, width)  # holds the prefix of a longer record
     size = os.fstat(f.fileno()).st_size - f.tell()
@@ -411,11 +407,9 @@ def _read_records(f: BinaryIO, fmt: str) -> PacketTable:
     incl_field = struct.Struct(fmt + "I")
     parts = []
     done = 0  # file bytes (past the global header) before buf[0]
-    have = 0  # bytes of buf that hold the file from there
     while True:
-        have += f.readinto(memoryview(buf)[have:block])
+        have = f.readinto(memoryview(buf)[:block])
         buf[have:have + width] = 0
-        at_end = have < block
         starts: List[int] = []
         pos = 0
         while pos + 16 <= have:
@@ -424,21 +418,16 @@ def _read_records(f: BinaryIO, fmt: str) -> PacketTable:
                 break
             starts.append(pos)
             pos += 16 + incl_len
-        if pos == 0 and not at_end:
+        if pos == 0 and have == block:
             # A record longer than the block: decode its prefix, skip the rest.
             if done + 16 + incl_len > size:
                 raise Truncated(f"record claims {incl_len} bytes, {size - done - 16} remain")
-            f.seek(16 + incl_len - have, os.SEEK_CUR)
             starts, pos = [0], 16 + incl_len
-        part = _decode_block(buf, starts, fmt)
-        parts.append(tuple(getattr(part, c) for c in PacketTable.COLUMNS))
-        if at_end:
+        parts.append(_decode_block(buf, starts, fmt))
+        if have < block:
             break
-        # Carry the cut record to the front of the buffer.
-        keep = max(have - pos, 0)
-        buf[:keep] = buf[pos:have]
+        f.seek(pos - have, os.SEEK_CUR)
         done += pos
-        have = keep
     if pos + 16 <= have:
         raise Truncated(f"record claims {incl_len} bytes, {have - pos - 16} remain")
     if pos < have:

@@ -76,6 +76,19 @@ def test_bad_architectures_rejected(sizes):
         init_model(sizes, seed=0)
 
 
+def test_model_refuses_arrays_that_do_not_match_its_layers():
+    for weights, biases in (
+        ([np.zeros((8, 23))], [np.zeros(8)]),  # no output layer
+        ([np.zeros((1, 23)), np.zeros((1, 8))], [np.zeros(8), np.zeros(1)]),  # broadcasts
+        ([np.zeros((8, 23)), np.zeros((1, 8))], [np.zeros(7), np.zeros(1)]),  # short bias
+    ):
+        with pytest.raises(BadArchitecture, match="layer"):
+            MlpModel([23, 8, 1], weights, biases)
+    m = init_model([23, 8, 1], seed=0)
+    assert m.params.shape == (8 * 24 + 1 * 9,)
+    assert all(np.shares_memory(p, m.params) for p in m.weights + m.biases)
+
+
 def test_zero_model_outputs_exactly_half():
     m = zero_model([23, 4, 1])
     x = np.random.default_rng(1).normal(size=(5, 23))

@@ -729,8 +729,8 @@ def pinned_capture(tmp_path_factory):
 
 
 # tracemalloc peaks in MiB at 64 KiB read blocks and the default write
-# chunks. Measured: write_pcap 2.52, write_packet_csv 0.66, read_pcap 2.02,
-# read_packet_csv 2.87; the whole-file codecs peaked at 19.5, 6.44, 15.75
+# chunks. Measured: write_pcap 2.52, write_packet_csv 0.65, read_pcap 1.72,
+# read_packet_csv 2.60; the whole-file codecs peaked at 19.5, 6.44, 15.75
 # and 10.16. The table is 1.08 MiB, the pcap 6.08 MiB, the CSV 2.01 MiB.
 CODEC_PEAK_MIB = {"write_pcap": 6, "write_packet_csv": 2, "read_pcap": 4.5,
                   "read_packet_csv": 6}
