@@ -4,7 +4,9 @@ Packets sharing a canonical 5-tuple form one flow until an idle gap longer
 than the timeout closes it. The endpoint that sent the flow's first packet
 is the source for every directional feature. Assembly, features and
 labelling all work on the columns of a PacketTable; the result is one
-feature matrix row per flow, in flow creation order.
+feature matrix row per flow, in flow creation order. Each per-packet
+temporary is built in place where it can be and dropped once it is used,
+so assembly and features hold few per-packet arrays at once.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ def assemble_flows(
     of one key closes the flow; the next packet opens a fresh one. Flows
     are numbered in creation order, the order of their first packets.
     ValueError unless idle_timeout > 0 (NaN included).
+
+    Besides the packets and the result (`order` and `flow`, 8 bytes per
+    packet each, and `forward`), it holds at most four 8-byte arrays per
+    packet at once: the two keys, the sort order and one sorted key.
     """
     if not idle_timeout > 0:
         raise ValueError(f"idle_timeout must be > 0, got {idle_timeout!r}")
@@ -74,37 +80,59 @@ def assemble_flows(
         raise UnorderedInput(
             f"packet at {ts[i + 1].item()} follows one at {ts[i].item()}"
         )
-    src_ep = (packets.src.astype(np.uint64) << 16) | packets.sport
-    dst_ep = (packets.dst.astype(np.uint64) << 16) | packets.dport
-    lo = np.minimum(src_ep, dst_ep)
-    hi = (np.maximum(src_ep, dst_ep) << 8) | packets.proto
+    # Each endpoint packed as address << 16 | port; the larger one takes
+    # the protocol in its low byte. Both keys are built in place.
+    ep = packets.src.astype(np.uint64)
+    ep <<= 16
+    ep |= packets.sport
+    hi = packets.dst.astype(np.uint64)
+    hi <<= 16
+    hi |= packets.dport
+    lo = np.minimum(ep, hi)
+    np.maximum(ep, hi, out=hi)
+    del ep
+    hi <<= 8
+    hi |= packets.proto
     # lexsort is stable, so packets of one key stay in time order.
     order = np.lexsort((hi, lo))
-    lo, hi, t = lo[order], hi[order], ts[order]
 
+    # A packet opens a flow when its key differs from the one before it in
+    # key order, or when it follows that packet by more than idle_timeout.
+    # Each sorted key is made, compared and dropped in turn.
     new = np.ones(len(packets), dtype=bool)
-    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) | (t[1:] - t[:-1] > idle_timeout)
-    segment = np.cumsum(new) - 1
-    heads = order[new]
-    closes = np.empty_like(new)
-    closes[:-1] = new[1:]
-    closes[-1:] = True
-    tails = order[closes]
-    by_creation = np.argsort(heads)
+    key = lo[order]
+    del lo
+    new[1:] = key[1:] != key[:-1]
+    key = hi[order]
+    del hi
+    new[1:] |= key[1:] != key[:-1]
+    key = ts[order]
+    new[1:] |= np.diff(key) > idle_timeout
+    del key
+    # Flows as runs of key order: where each starts, and its packet count.
+    heads = np.flatnonzero(new)
+    del new
+    sizes = np.diff(heads, append=len(packets))
+    by_creation = np.argsort(order[heads])
     rank = np.empty_like(by_creation)
     rank[by_creation] = np.arange(by_creation.size)
     flow = np.empty(len(packets), dtype=np.int64)
-    flow[order] = rank[segment]
+    flow[order] = np.repeat(rank, sizes)
 
-    first, last = heads[by_creation], tails[by_creation]
+    first = order[heads[by_creation]]
+    last = order[(heads + sizes - 1)[by_creation]]
+    src, sport = packets.src[first], packets.sport[first]
+    # Sent by the initiator: the same address and port as its first packet.
+    forward = src[flow] == packets.src
+    forward &= sport[flow] == packets.sport
     return FlowTable(
         packets=packets,
         order=order,
         flow=flow,
-        forward=src_ep == src_ep[first][flow],
-        src=packets.src[first],
+        forward=forward,
+        src=src,
         dst=packets.dst[first],
-        sport=packets.sport[first],
+        sport=sport,
         dport=packets.dport[first],
         start=ts[first],
         end=ts[last],
@@ -154,23 +182,32 @@ def _gap_stats_ms(flows: FlowTable, direction: np.ndarray) -> Tuple[np.ndarray, 
     taken left to right in time order.
     """
     idx = flows.order[direction[flows.order]]
-    owner, t = flows.flow[idx], flows.packets.ts[idx]
+    owner = flows.flow[idx]
     same = owner[1:] == owner[:-1]
-    gaps = (t[1:][same] - t[:-1][same]) * 1000.0
     owner = owner[1:][same]
+    gaps = np.diff(flows.packets.ts[idx])[same]
+    del idx, same
+    gaps *= 1000.0
     count = np.maximum(np.bincount(owner, minlength=len(flows)), 1)
     mean = np.bincount(owner, weights=gaps, minlength=len(flows)) / count
-    dev = gaps - mean[owner]
-    var = np.bincount(owner, weights=dev * dev, minlength=len(flows)) / count
+    # The gaps become their squared deviations, in place.
+    gaps -= mean[owner]
+    gaps *= gaps
+    var = np.bincount(owner, weights=gaps, minlength=len(flows)) / count
     return mean, np.sqrt(var)
 
 
 def feature_matrix(flows: FlowTable) -> np.ndarray:
     """The (n_flows, 23) feature matrix, columns in FEATURE_NAMES order.
-    Zero-duration flows get zero rates and loads."""
+    Zero-duration flows get zero rates and loads.
+
+    The per-packet reductions come first; the matrix is then filled one
+    column at a time, each derived column made only as it is written.
+    """
     n = len(flows)
     fid, fwd, retx = flows.flow, flows.forward, flows.packets.retx
-    wire_len = flows.packets.wire_len.astype(np.float64)
+    # bincount takes the uint32 lengths as float64 weights, exactly.
+    wire_len = flows.packets.wire_len
     tpkts = np.bincount(fid, minlength=n)
     spkts = np.bincount(fid[fwd], minlength=n)
     dpkts = tpkts - spkts
@@ -180,6 +217,8 @@ def feature_matrix(flows: FlowTable) -> np.ndarray:
     sloss = np.bincount(fid[fwd & retx], minlength=n)
     dloss = np.bincount(fid[~fwd & retx], minlength=n)
     tloss = sloss + dloss
+    s_intpkt, src_jitter = _gap_stats_ms(flows, fwd)
+    d_intpkt, dst_jitter = _gap_stats_ms(flows, ~fwd)
     dur = flows.end - flows.start
     moving = dur > 0
 
@@ -187,16 +226,18 @@ def feature_matrix(flows: FlowTable) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(moving, v / dur, 0.0)
 
-    s_intpkt, src_jitter = _gap_stats_ms(flows, fwd)
-    d_intpkt, dst_jitter = _gap_stats_ms(flows, ~fwd)
-    return np.column_stack([
-        dur, flows.sport, flows.dport, spkts, dpkts, tpkts,
-        sbytes, dbytes, tbytes,
-        per_second(8.0 * sbytes), per_second(8.0 * dbytes), per_second(8.0 * tbytes),
-        per_second(spkts), per_second(dpkts), per_second(tpkts),
-        sloss, dloss, tloss, 100.0 * tloss / tpkts,
-        src_jitter, dst_jitter, s_intpkt, d_intpkt,
-    ])
+    def columns():
+        yield from (dur, flows.sport, flows.dport, spkts, dpkts, tpkts,
+                    sbytes, dbytes, tbytes)
+        yield from (per_second(8.0 * v) for v in (sbytes, dbytes, tbytes))
+        yield from (per_second(v) for v in (spkts, dpkts, tpkts))
+        yield from (sloss, dloss, tloss, 100.0 * tloss / tpkts)
+        yield from (src_jitter, dst_jitter, s_intpkt, d_intpkt)
+
+    x = np.empty((n, len(FEATURE_NAMES)))
+    for j, column in enumerate(columns()):
+        x[:, j] = column
+    return x
 
 
 class LabelRule(NamedTuple):

@@ -13,7 +13,6 @@ of the IPv4 flags field so a capture round-trips every field.
 
 from __future__ import annotations
 
-import functools
 import ipaddress
 import os
 import struct
@@ -106,36 +105,46 @@ def _int_column(values, name: str) -> np.ndarray:
         raise BadRow(row, f"{name} out of range: {values[row]!r}") from None
 
 
-def _check_rows(ts, src, dst, sport, dport, proto, wire_len) -> None:
-    """Raise BadRow for the first row that breaks a field rule."""
-    known = np.isin(proto, list(Protocol))
+def _rules(ts, src, dst, sport, dport, proto, wire_len):
+    """Each field rule in turn, as (mask of the rows that break it, message
+    for row i); a mask is made only when its rule is reached."""
+    yield (~(np.isfinite(ts) & (ts >= 0)),
+           lambda i: f"timestamp must be finite and >= 0, got {ts[i].item()!r}")
+    yield (src < 0) | (src > _MAX_U32), lambda i: f"src_addr out of range: {src[i]}"
+    yield (dst < 0) | (dst > _MAX_U32), lambda i: f"dst_addr out of range: {dst[i]}"
+    yield (sport < 0) | (sport > 65535), lambda i: f"src_port out of range: {sport[i]}"
+    yield (dport < 0) | (dport > 65535), lambda i: f"dst_port out of range: {dport[i]}"
+    unknown = np.ones(len(ts), dtype=bool)
+    for p in Protocol:
+        unknown &= proto != p
+    yield unknown, lambda i: f"unknown protocol number {proto[i]}"
+    del unknown
     too_short = np.zeros(len(ts), dtype=bool)
     for p, min_len in MIN_WIRE_LEN.items():
         too_short |= (proto == p) & (wire_len < min_len)
-    rules = (
-        (~(np.isfinite(ts) & (ts >= 0)),
-         lambda i: f"timestamp must be finite and >= 0, got {ts[i].item()!r}"),
-        ((src < 0) | (src > _MAX_U32), lambda i: f"src_addr out of range: {src[i]}"),
-        ((dst < 0) | (dst > _MAX_U32), lambda i: f"dst_addr out of range: {dst[i]}"),
-        ((sport < 0) | (sport > 65535), lambda i: f"src_port out of range: {sport[i]}"),
-        ((dport < 0) | (dport > 65535), lambda i: f"dst_port out of range: {dport[i]}"),
-        (~known, lambda i: f"unknown protocol number {proto[i]}"),
-        (too_short,
-         lambda i: f"wire_len {wire_len[i]} below minimum "
-                   f"{MIN_WIRE_LEN[Protocol(proto[i])]} for {Protocol(proto[i]).name}"),
-        (wire_len > _MAX_U32,
-         lambda i: f"wire_len {wire_len[i]} exceeds the pcap field range"),
-        # OTHER frames carry no transport header, so ports cannot survive a
-        # pcap round trip; forbid them up front.
-        ((proto == Protocol.OTHER) & ((sport != 0) | (dport != 0)),
-         lambda i: "OTHER records must have zero ports"),
-    )
-    # Folded pairwise: stacking the masks first would hold them all twice.
-    bad = functools.reduce(np.logical_or, [mask for mask, _ in rules])
+    yield (too_short,
+           lambda i: f"wire_len {wire_len[i]} below minimum "
+                     f"{MIN_WIRE_LEN[Protocol(proto[i])]} for {Protocol(proto[i]).name}")
+    del too_short
+    yield wire_len > _MAX_U32, lambda i: f"wire_len {wire_len[i]} exceeds the pcap field range"
+    # OTHER frames carry no transport header, so ports cannot survive a
+    # pcap round trip; forbid them up front.
+    yield ((proto == Protocol.OTHER) & ((sport != 0) | (dport != 0)),
+           lambda i: "OTHER records must have zero ports")
+
+
+def _check_rows(*columns) -> None:
+    """Raise BadRow for the first row that breaks a field rule. Each rule's
+    mask is folded into one as it is made; the first bad row is then
+    checked alone to name the first rule it breaks."""
+    bad = np.zeros(len(columns[0]), dtype=bool)
+    for mask, _ in _rules(*columns):
+        bad |= mask
     if bad.any():
         i = int(np.argmax(bad))
-        message = next(msg for mask, msg in rules if mask[i])
-        raise BadRow(i, message(i))
+        row = [column[i:i + 1] for column in columns]
+        message = next(msg for mask, msg in _rules(*row) if mask[0])
+        raise BadRow(i, message(0))
 
 
 class PacketTable:

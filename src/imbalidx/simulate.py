@@ -26,6 +26,9 @@ All randomness flows through one numpy Generator and every draw happens in
 a fixed order, so a seed fully determines the output. Timestamps are
 quantized to the microsecond grid the capture formats carry, and the
 merged stream is sorted by time (stable, so ties keep generation order).
+Each block keeps its ports and lengths in the table's dtypes (uint16,
+uint32), and the merge concatenates and gathers one column at a time,
+freeing each block's column as it goes.
 
 Mimic flows reuse the normal cycle-count range on purpose; packet counts
 alone must never give them away.
@@ -125,26 +128,36 @@ def _polling_columns(rng, n, t0, period, jitter_std, req_len, resp_len,
     first_c = np.concatenate([[0], np.cumsum(cycles)[:-1]])
     idx_c = np.arange(total_c) - np.repeat(first_c, cycles)
     base = t0[flow_of_c] + idx_c * period[flow_of_c]
-    base = base + rng.normal(0.0, 1.0, total_c) * jitter_std[flow_of_c]
+    del idx_c
+    base += rng.normal(0.0, 1.0, total_c) * jitter_std[flow_of_c]
     delay = rng.uniform(*RESPONSE_DELAY, total_c)
-    delay = delay * delay_mult[flow_of_c]
-    retx = rng.random(2 * total_c) < np.repeat(retx_prob[flow_of_c], 2)
+    delay *= delay_mult[flow_of_c]
+    retx = rng.random(2 * total_c) < np.repeat(retx_prob, 2 * cycles)
 
+    # Per-packet columns in their final dtypes; each per-cycle array goes
+    # once it is used.
     times = np.empty(2 * total_c)
     times[0::2] = base
-    times[1::2] = base + delay
+    np.add(base, delay, out=times[1::2])
+    del base, delay
     code = np.empty(2 * total_c, dtype=np.uint8)
     code[0::2] = code_fwd
     code[1::2] = code_bwd
-    length = np.empty(2 * total_c, dtype=np.int64)
+    length = np.empty(2 * total_c, dtype=np.uint32)
     length[0::2] = req_len[flow_of_c]
     length[1::2] = resp_len[flow_of_c]
+    del flow_of_c
     flow_map = np.repeat(np.arange(n), 2 * cycles)
     return times, code, flow_map, length, retx, 2 * cycles
 
 
+def _ephemeral_ports(n: int) -> np.ndarray:
+    """The client ports of n sessions, in session order."""
+    return (_EPHEMERAL_BASE + np.arange(n) % _EPHEMERAL_SPAN).astype(np.uint16)
+
+
 def _normal_columns(rng: np.random.Generator, n: int):
-    ports = _EPHEMERAL_BASE + np.arange(n) % _EPHEMERAL_SPAN
+    ports = _ephemeral_ports(n)
     t0 = BASE_TIME + FLOW_STAGGER * np.arange(n)
     period = np.clip(rng.normal(POLL_PERIOD, PERIOD_STDDEV, n), 0.05, None)
     req_len = rng.integers(REQUEST_LEN[0], REQUEST_LEN[1] + 1, size=n)
@@ -196,7 +209,7 @@ def _burst_columns(rng: np.random.Generator, n: int):
     times = cum - np.repeat(cum[first], counts)
     len_lo = rng.integers(ATTACK_LEN[0], ATTACK_LEN[1] + 1, size=n)
     len_hi = rng.integers(len_lo, ATTACK_LEN[1] + 1)
-    length = rng.integers(len_lo[flow_of], len_hi[flow_of] + 1)
+    length = rng.integers(len_lo[flow_of], len_hi[flow_of] + 1).astype(np.uint32)
     retx = rng.random(total) < ATTACK_RETX_PROB
     code = np.full(total, _ATK_TO_PLC, dtype=np.uint8)
     return times, code, flow_of, length, retx, counts
@@ -211,7 +224,7 @@ def simulate(config: SimConfig, seed=None) -> Tuple[PacketTable, List[LabelRule]
     # One block per source, each (times, endpoint code, ephemeral port,
     # length, retx); normal traffic first.
     n_n = config.n_normal_flows
-    blocks = [_normal_columns(rng, n_n)] if n_n > 0 else []
+    blocks = [list(_normal_columns(rng, n_n))] if n_n > 0 else []
     rules: List[LabelRule] = []
     n_a = config.n_attack_flows
     if n_a > 0:
@@ -229,11 +242,11 @@ def simulate(config: SimConfig, seed=None) -> Tuple[PacketTable, List[LabelRule]
         between = ATTACK_WINDOW_GAP + rng.uniform(0.0, 2.0, n_a)
         start = ATTACK_START + np.concatenate(
             [[0.0], np.cumsum(span[:-1] + between[:-1])])
-        eph_ports = _EPHEMERAL_BASE + np.arange(n_a) % _EPHEMERAL_SPAN
+        eph_ports = _ephemeral_ports(n_a)
         for ids, (rel, code, local, length, retx, _) in kinds:
             flow_of = ids[local]
             abs_t = start[flow_of] + (rel - rel_min[flow_of])
-            blocks.append((abs_t, code, eph_ports[flow_of], length, retx))
+            blocks.append([abs_t, code, eph_ports[flow_of], length, retx])
         # Label windows are the realized microsecond-grid extremes, so each
         # attack session overlaps exactly its own window. Float addition and
         # rounding are monotone, so those extremes are the grid times of
@@ -245,18 +258,25 @@ def simulate(config: SimConfig, seed=None) -> Tuple[PacketTable, List[LabelRule]
     if not blocks:
         return PacketTable.from_records([]), []
 
+    def merged(i):
+        """Column i of every block, concatenated; the blocks let go of it."""
+        column = np.concatenate([b[i] for b in blocks])
+        for b in blocks:
+            b[i] = None
+        return column
+
     # One stable time sort merges the blocks; normal packets win ties.
     # Attack sessions are placed in id order, at least ATTACK_WINDOW_GAP
     # apart, so packets of two attack sessions never tie; other ties are
     # within one session, which keeps its order.
-    us = quantize_us(np.concatenate([b[0] for b in blocks]))
+    us = quantize_us(merged(0))
     order = np.argsort(us, kind="stable")
-    ts = grid_seconds(*np.divmod(us[order], 1_000_000))
+    us = us[order]
+    sec, usec = np.divmod(us, 1_000_000)
     del us
-    code, eph, length, retx = (np.concatenate([b[i] for b in blocks])[order]
-                               for i in range(1, 5))
-    del blocks
-    eph = eph.astype(np.uint16)
+    ts = grid_seconds(sec, usec)
+    del sec, usec
+    code, eph, length, retx = (merged(i)[order] for i in range(1, 5))
     # Indexed by endpoint code: _HMI_TO_PLC, _PLC_TO_HMI, _ATK_TO_PLC, _PLC_TO_ATK.
     src_of = np.array([HMI, PLC, ATTACKER, PLC], dtype=np.uint32)
     dst_of = np.array([PLC, HMI, PLC, ATTACKER], dtype=np.uint32)
@@ -268,6 +288,6 @@ def simulate(config: SimConfig, seed=None) -> Tuple[PacketTable, List[LabelRule]
         sport=np.where(to_plc, eph, MODBUS_PORT),
         dport=np.where(to_plc, MODBUS_PORT, eph),
         proto=np.full(order.size, Protocol.TCP, dtype=np.uint8),
-        wire_len=length.astype(np.uint32),
+        wire_len=length,
         retx=retx,
     ), rules

@@ -3,6 +3,7 @@ computations, an independent statistics-library oracle, and the
 one-object-per-flow reference in flow_oracle.py."""
 
 import statistics
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -467,6 +468,39 @@ def test_flow_key_is_direction_independent():
         assert flows.forward.tolist() == [True, False]
 
 
+@st.composite
+def shared_endpoint_streams(draw):
+    """Packets among two addresses and two ports, so endpoints often share
+    an address or a port, and a packet may go from a host to itself."""
+    addrs, ports = st.sampled_from((A, B)), st.sampled_from((502, 1024))
+    stream, us = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        us += draw(st.sampled_from((0, 1, 400_000, 2_000_000)))
+        proto = draw(st.sampled_from(list(Protocol)))
+        sport, dport = (0, 0) if proto is Protocol.OTHER else (draw(ports), draw(ports))
+        stream.append(PacketRecord(us / 1e6, draw(addrs), draw(addrs), sport, dport, proto, 60))
+    return stream
+
+
+@given(shared_endpoint_streams())
+@example([])
+@example([pkt(0.0, A, A, sport=502, dport=502)])
+@example([pkt(0.0, A, A, sport=1024, dport=502), pkt(0.1, A, A, sport=502, dport=1024)])
+@settings(max_examples=200, deadline=None)
+def test_forward_is_the_packed_endpoint_rule(stream):
+    # A packet is forward iff its (src << 16) | sport equals that of its
+    # flow's first packet.
+    packets = table(stream)
+    flows = assemble_flows(packets, idle_timeout=1.0)
+    endpoint = [(a << 16) | p for a, p in zip(packets.src.tolist(), packets.sport.tolist())]
+    initiator = {}
+    for i, f in enumerate(flows.flow.tolist()):
+        initiator.setdefault(f, endpoint[i])
+    assert flows.forward.dtype == bool
+    assert flows.forward.tolist() == [endpoint[i] == initiator[f]
+                                      for i, f in enumerate(flows.flow.tolist())]
+
+
 # --- the columnar path against the one-object-per-flow reference ----------
 
 TIMEOUT_US = 1_000_000
@@ -555,3 +589,30 @@ def test_flow_contract_on_simulated_pool(pool):
         same_pair = ((flows.src == a) & (flows.dst == b)) | ((flows.src == b) & (flows.dst == a))
         overlap = same_pair & (flows.start <= end) & (flows.end >= start)
         assert np.count_nonzero(overlap) == 1
+
+
+# tracemalloc peaks in MiB above the memory held on entry, on the pool of
+# 10,000 normal and 100 attack sessions (seed 0: 84,258 packets, 10,100
+# flows). Measured: simulate 4.34, assemble_flows 2.73, feature_matrix 3.18;
+# each bound is that plus about 15%. The stages' earlier versions, which
+# held their per-packet temporaries all at once, peaked at 5.51, 6.57 and
+# 4.05.
+DATA_STAGE_PEAK_MIB = {"simulate": 5.0, "assemble_flows": 3.15, "feature_matrix": 3.65}
+
+
+def test_data_stage_memory_stays_within_its_bounds():
+    stages = (("simulate", lambda _: simulate(SimConfig(10_000, 100), 0)[0]),
+              ("assemble_flows", assemble_flows),
+              ("feature_matrix", feature_matrix))
+    value, peaks = None, {}
+    tracemalloc.start()
+    try:
+        for name, stage in stages:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            value = stage(value)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - held) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert value.shape == (10_100, len(FEATURE_NAMES))
+    assert all(peaks[name] < bound for name, bound in DATA_STAGE_PEAK_MIB.items()), peaks

@@ -195,18 +195,29 @@ def test_writer_rejects_timestamp_past_the_epoch_range(tmp_path):
 
 def test_record_validation():
     good = PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)
-    for bad in [
-        PacketRecord(-1.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40),
-        PacketRecord(float("nan"), "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40),
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 70000, 2, Protocol.TCP, 40),
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 39),
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.UDP, 27),
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 5, 0, Protocol.OTHER, 100),
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, 99, 100),  # unknown protocol
-        PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 2**32),
+    for bad, message in [
+        (PacketRecord(-1.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40), "timestamp"),
+        (PacketRecord(float("nan"), "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40), "timestamp"),
+        (PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 70000, 2, Protocol.TCP, 40),
+         "src_port out of range: 70000"),
+        (PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 39),
+         "wire_len 39 below minimum 40 for TCP"),
+        (PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.UDP, 27),
+         "wire_len 27 below minimum 28 for UDP"),
+        (PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 5, 0, Protocol.OTHER, 100),
+         "OTHER records must have zero ports"),
+        (PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, 99, 100), "unknown protocol number 99"),
+        (PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 2**32),
+         "exceeds the pcap field range"),
+        # Several rules broken: the first rule names the row.
+        (PacketRecord(-1.0, "1.1.1.1", "2.2.2.2", 1, 70000, 99, 2**32), "timestamp"),
+        (PacketRecord(0.0, "1.1.1.1", "2.2.2.2", 1, 70000, Protocol.OTHER, 2**32),
+         "dst_port out of range: 70000"),
     ]:
-        with pytest.raises(BadRow) as err:
-            table([good, good, bad])
+        # A later row that breaks an earlier rule does not name the table.
+        late = PacketRecord(-2.0, "1.1.1.1", "2.2.2.2", 1, 2, Protocol.TCP, 40)
+        with pytest.raises(BadRow, match=message) as err:
+            table([good, good, bad, late])
         assert err.value.row == 2, bad
 
 
@@ -729,8 +740,8 @@ def pinned_capture(tmp_path_factory):
 
 
 # tracemalloc peaks in MiB at 64 KiB read blocks and the default write
-# chunks. Measured: write_pcap 2.52, write_packet_csv 0.65, read_pcap 1.72,
-# read_packet_csv 2.60; the whole-file codecs peaked at 19.5, 6.44, 15.75
+# chunks. Measured: write_pcap 2.52, write_packet_csv 0.65, read_pcap 1.65,
+# read_packet_csv 2.47; the whole-file codecs peaked at 19.5, 6.44, 15.75
 # and 10.16. The table is 1.08 MiB, the pcap 6.08 MiB, the CSV 2.01 MiB.
 CODEC_PEAK_MIB = {"write_pcap": 6, "write_packet_csv": 2, "read_pcap": 4.5,
                   "read_packet_csv": 6}

@@ -1,6 +1,7 @@
 """Traffic generator: determinism, stream structure, label windows, and
 the pipeline from synthetic packets to labeled flows."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -51,6 +52,33 @@ def test_timestamps_sorted_and_on_microsecond_grid():
     times = packets.ts.tolist()
     assert times == sorted(times)
     assert all(quantize_timestamp(t) == t for t in times)
+
+
+def stream_digest(packets, rules) -> str:
+    """SHA-256 over every column's name, dtype and bytes, then the label
+    windows' exact values."""
+    h = hashlib.sha256()
+    for name in PacketTable.COLUMNS:
+        column = getattr(packets, name)
+        h.update(f"{name}:{column.dtype.str}:".encode())
+        h.update(column.tobytes())
+    for r in rules:
+        h.update(repr(tuple(r)).encode())
+    return h.hexdigest()
+
+
+# The simulator's exact output for a few configs. Any change to the draws,
+# their order, the merge or a column's dtype changes one of these.
+@pytest.mark.parametrize("n_normal,n_attack,seed,digest", [
+    (200, 0, 5, "65024dd50a52888340aa77cd8f8fdbd9fe6c6582d50b6a3d0f4799c3aae629d9"),
+    (20, 7, 9, "585dc4494753725e7700cad22cfc989ac3c0ffecfbb7271fc719c6e78c51d7db"),
+    (0, 1, 3, "bafb7b44a231de21a799aa398ed08985ca1c6dc83ae1a9e98a33b773244f79a9"),
+    (30, 1, 4, "eab932a15ef803412d8564c79c64fe3b85281f802642e8252a73914c9dfbb864"),
+    (200, 20, 0, "d4c6cdff0418d6589d8fcaae9be05d1aa45d1950c26a1eb4bafc24d63994b9e9"),
+], ids=["normal-only", "mimics-and-bursts", "one-burst", "one-mimic-among-normals",
+        "default"])
+def test_stream_bytes_are_pinned(n_normal, n_attack, seed, digest):
+    assert stream_digest(*simulate(SimConfig(n_normal, n_attack), seed)) == digest
 
 
 def test_stream_shape_normal_only():
