@@ -2,8 +2,12 @@
 
 The imbalance ratio is attacks over total samples. A built dataset holds
 exactly the requested number of attack rows plus however many normal rows
-the target ratio demands, both sampled without replacement. Datasets live
-only in memory: the sweep builds, splits and scales one per cell.
+the target ratio demands, both sampled without replacement.
+
+A seed's pool is one feature matrix x with its labels y, and a dataset is
+a list of row ids into it: build and split draw on labels and ids only,
+and copy no feature row. The sweep gathers each split once from x and
+z-scores it in place.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .flows import ATTACK, NORMAL, LabeledDataset
+from .flows import ATTACK, NORMAL
 from .textio import json_value
 
 
@@ -46,63 +50,55 @@ def train_count(n: int, train_frac: float, what: str = "rows") -> int:
     return n_train
 
 
-def _pool_matrix(pool: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(pool, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} array must be 2-d, got shape {m.shape}")
-    return m
+def _labels(y: np.ndarray, name: str) -> np.ndarray:
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise ValueError(f"{name} must be 1-d, got shape {y.shape}")
+    return y
 
 
-def build_imbalanced(
-    attack_pool: np.ndarray,
-    normal_pool: np.ndarray,
-    n_attack: int,
-    ratio: float,
-    seed=None,
-) -> LabeledDataset:
-    """Sample a dataset at the target imbalance ratio.
+def build_imbalanced(y: np.ndarray, n_attack: int, ratio: float, seed=None) -> np.ndarray:
+    """Sample a dataset at the target imbalance ratio from a pool whose
+    labels are y, and return its rows as ids into the pool.
 
-    Draws n_attack attack rows and round(n_attack*(1-ratio)/ratio) normal
-    rows, each uniformly without replacement, then shuffles the combined
-    rows. Pools are feature matrices, one row per flow.
-    Attack rows are drawn before normal rows, then the shuffle; seed (an
-    int or a Generator) pins all three draws.
+    Draws n_attack of the pool's attack rows and
+    round(n_attack*(1-ratio)/ratio) of its normal rows, each uniformly
+    without replacement, then shuffles the combined ids. Attack rows are
+    drawn before normal rows, then the shuffle; seed (an int or a
+    Generator) pins all three draws.
     """
-    attacks = _pool_matrix(attack_pool, "attack_pool")
-    normals = _pool_matrix(normal_pool, "normal_pool")
+    y = _labels(y, "pool labels")
+    attacks = np.flatnonzero(y == ATTACK)
+    normals = np.flatnonzero(y != ATTACK)
     need_n = required_normals(n_attack, ratio)
-    if n_attack > attacks.shape[0]:
+    if n_attack > attacks.size:
+        raise InsufficientPool(f"attack pool has {attacks.size} rows, need {n_attack}")
+    if need_n > normals.size:
         raise InsufficientPool(
-            f"attack pool has {attacks.shape[0]} rows, need {n_attack}"
-        )
-    if need_n > normals.shape[0]:
-        raise InsufficientPool(
-            f"normal pool has {normals.shape[0]} rows, need {need_n} "
-            f"for ratio {ratio}"
+            f"normal pool has {normals.size} rows, need {need_n} for ratio {ratio}"
         )
     rng = np.random.default_rng(seed)
-    a_idx = rng.choice(attacks.shape[0], size=n_attack, replace=False)
-    n_idx = rng.choice(normals.shape[0], size=need_n, replace=False)
-    x = np.concatenate([attacks[a_idx], normals[n_idx]])
-    y = np.concatenate(
-        [np.full(n_attack, ATTACK, np.int64), np.full(need_n, NORMAL, np.int64)]
-    )
-    order = rng.permutation(x.shape[0])
-    return LabeledDataset(x[order], y[order])
+    a_idx = rng.choice(attacks.size, size=n_attack, replace=False)
+    n_idx = rng.choice(normals.size, size=need_n, replace=False)
+    rows = np.concatenate([attacks[a_idx], normals[n_idx]])
+    return rows[rng.permutation(rows.size)]
 
 
 def split_train_test(
-    data: LabeledDataset, train_frac: float = 0.8, seed=None
-) -> Tuple[LabeledDataset, LabeledDataset]:
-    """Stratified split: each class is shuffled and divided at train_frac
-    independently, so both partitions preserve the class ratio."""
+    y_rows: np.ndarray, train_frac: float = 0.8, seed=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stratified split of a dataset whose labels are y_rows: each class
+    is shuffled and divided at train_frac independently, so both
+    partitions preserve the class ratio. Returns the (train, test)
+    positions into y_rows, each in shuffled order."""
     if not 0.0 < train_frac < 1.0:
         raise ValueError(f"train_frac must be in (0, 1), got {train_frac}")
+    y_rows = _labels(y_rows, "dataset labels")
     rng = np.random.default_rng(seed)
     train_parts: List[np.ndarray] = []
     test_parts: List[np.ndarray] = []
     for cls in (NORMAL, ATTACK):
-        idx = np.flatnonzero(data.y == cls)
+        idx = np.flatnonzero(y_rows == cls)
         n_train = train_count(idx.size, train_frac, f"class-{cls} rows")
         shuffled = idx[rng.permutation(idx.size)]
         train_parts.append(shuffled[:n_train])
@@ -111,10 +107,7 @@ def split_train_test(
     test_idx = np.concatenate(test_parts)
     train_idx = train_idx[rng.permutation(train_idx.size)]
     test_idx = test_idx[rng.permutation(test_idx.size)]
-    return (
-        LabeledDataset(data.x[train_idx], data.y[train_idx]),
-        LabeledDataset(data.x[test_idx], data.y[test_idx]),
-    )
+    return train_idx, test_idx
 
 
 @dataclass(frozen=True)
@@ -124,16 +117,12 @@ class NormalizationStats:
     mean: np.ndarray
     std: np.ndarray
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"mean": self.mean.tolist(), "std": self.std.tolist()}, sort_keys=True
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "NormalizationStats":
-        """Stats from the text to_json writes. The text comes from outside,
-        so anything but an object whose mean and std are arrays of finite
-        numbers of one length, every std positive, raises ValueError."""
+        """Stats from a JSON object {"mean": [...], "std": [...]}. The text
+        comes from outside, so anything but an object whose mean and std
+        are arrays of finite numbers of one length, every std positive,
+        raises ValueError."""
         obj = json.loads(text)
         if not isinstance(obj, dict) or not {"mean", "std"} <= obj.keys():
             raise ValueError("normalization stats must be a JSON object with mean and std")
@@ -159,20 +148,12 @@ def normalize_fit(x: np.ndarray) -> NormalizationStats:
 
 
 def normalize_apply(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """A matrix z-scored with training stats."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != stats.mean.shape[0]:
-        raise ValueError(
-            f"matrix has {x.shape[-1]} columns, stats expect {stats.mean.shape[0]}"
-        )
-    return (x - stats.mean) / stats.std
-
-
-def save_stats(stats: NormalizationStats, path) -> None:
-    with open(path, "w") as f:
-        f.write(stats.to_json() + "\n")
-
-
-def load_stats(path) -> NormalizationStats:
-    with open(path, "r") as f:
-        return NormalizationStats.from_json(f.read())
+    """Z-score the float64 matrix x with training stats, in place, and
+    return x. Subtracting and then dividing in place gives the bits of
+    (x - mean) / std."""
+    if x.dtype != np.float64 or x.shape[-1] != stats.mean.shape[0]:
+        raise ValueError(f"need a float64 matrix of {stats.mean.shape[0]} columns, "
+                         f"got {x.dtype} with shape {x.shape}")
+    x -= stats.mean
+    x /= stats.std
+    return x

@@ -1,12 +1,14 @@
 """Ratio sweep: simulate once per seed, then build/train/evaluate per cell.
 
 One simulated traffic pool per seed feeds every ratio, so the sweep's cost
-is dominated by the largest ratio demand. Each (ratio, seed) cell builds
-an imbalanced dataset, splits it 80/20 stratified, z-scores with training
-stats, trains the classifier, and scores the held-out test split. For the
-configured subset of ratios the training set is additionally
-SMOTE-augmented and the cell is run again, so reports carry matched
-with/without rows.
+is dominated by the largest ratio demand. A seed's pool is one feature
+matrix x with its labels y, and a cell's dataset is a list of row ids into
+it. Each (ratio, seed) cell draws its dataset's ids at the imbalance ratio,
+splits them 80/20 stratified, gathers each split once from x, z-scores
+both in place with training stats, trains the classifier, and scores the
+held-out test split. For the configured subset of ratios the training set
+is additionally SMOTE-augmented and the cell is run again, so reports
+carry matched with/without rows.
 
 Every stage draws from default_rng(SeedSequence([seed, stage, *cell])),
 so cells are independent and the whole sweep is reproducible byte for
@@ -15,13 +17,13 @@ byte.
 The report columns after the cell keys are the fields of MetricsReport,
 in their order; this module names no metric itself.
 
-Seeds run one at a time, in config order, so only one seed's pool and
-feature matrix are alive at once. Cells do not: within a seed, each
-(ratio, smote) cell is one task on a pool of forked worker processes, one
-per usable CPU and at most one per cell. The pool's initializer hands each
-worker the seed's feature matrices, copy-on-write, so the parent keeps no
-sweep state. The largest training sets go first, and the report sorts the
-cells, so no output byte depends on the worker count.
+Seeds run one at a time, in config order, so only one seed's pool is
+alive at once. Cells do not: within a seed, each (ratio, smote) cell is
+one task on a pool of forked worker processes, one per usable CPU and at
+most one per cell. The pool's initializer hands each worker the seed's
+x and y, copy-on-write, so the parent keeps no sweep state. The largest
+training sets go first, and the report sorts the cells, so no output byte
+depends on the worker count.
 
 run_cell runs one cell alone, in the calling process, through the same
 _seed_rows and _run_cell, and detail_csv formats its row as write_report
@@ -41,15 +43,15 @@ import numpy as np
 
 from .dataset import (
     DegenerateSplit,
-    LabeledDataset,
     build_imbalanced,
     normalize_apply,
     normalize_fit,
     required_normals,
+    split_train_test,
     train_count,
 )
-from .dataset import split_train_test
-from .flows import ATTACK, FEATURE_NAMES, features_from_packets, to_arrays, write_features_csv
+from .flows import (FEATURE_NAMES, LabeledDataset, features_from_packets, to_arrays,
+                    write_features_csv)
 from .metrics import MetricsReport, confusion
 from .mlp import TrainConfig, init_model, predict, train
 from .simulate import SimConfig, simulate
@@ -152,19 +154,19 @@ class ExperimentResult:
     summary: Tuple[SummaryRow, ...]
 
 
-# A cell worker's seed rows, (attack_rows, normal_rows); unset in the parent.
+# A cell worker's seed pool, (x, y); unset in the parent.
 _ROWS: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
-def _share_rows(attack_rows: np.ndarray, normal_rows: np.ndarray) -> None:
-    """Cell pool initializer: keep the seed's rows for this worker's cells."""
+def _share_rows(x: np.ndarray, y: np.ndarray) -> None:
+    """Cell pool initializer: keep the seed's pool for this worker's cells."""
     global _ROWS
-    _ROWS = attack_rows, normal_rows
+    _ROWS = x, y
 
 
 def _seed_rows(cfg: ExperimentConfig, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Simulate seed's pool and return its (attack_rows, normal_rows)
-    feature matrices; with a workdir, its feature CSV is kept there too."""
+    """Simulate seed's pool and return its feature matrix x and labels y;
+    with a workdir, its feature CSV is kept there too."""
     packets, rules = simulate(cfg.pool_sim(), np.random.SeedSequence([seed, _SIM]))
     feats = features_from_packets(packets, rules)
     del packets
@@ -172,33 +174,27 @@ def _seed_rows(cfg: ExperimentConfig, seed: int) -> Tuple[np.ndarray, np.ndarray
         out = Path(cfg.workdir)
         out.mkdir(parents=True, exist_ok=True)
         write_features_csv(feats, out / f"features_seed{seed}.csv")
-    x, y = to_arrays(feats)
-    del feats
-    return x[y == ATTACK], x[y != ATTACK]
+    return to_arrays(feats)
 
 
 def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool,
-              attack_rows: np.ndarray, normal_rows: np.ndarray) -> CellResult:
-    """Build, split and normalize ratio r_idx's dataset from the seed's
-    rows, optionally SMOTE the training split, then train and score one
-    model. Every draw comes from (seed, stage, cell), so a cell gives the
-    same result in whichever process runs it; a plain cell and its SMOTE
-    twin build the same dataset."""
+              x: np.ndarray, y: np.ndarray) -> CellResult:
+    """Draw ratio r_idx's dataset as row ids into the seed's pool (x, y),
+    split them, gather each split from x and z-score it in place,
+    optionally SMOTE the training split, then train and score one model.
+    Every draw comes from (seed, stage, cell), so a cell gives the same
+    result in whichever process runs it; a plain cell and its SMOTE twin
+    build the same dataset."""
     ratio = cfg.ratios[r_idx]
-    data = build_imbalanced(
-        attack_rows, normal_rows, cfg.n_attack, ratio,
-        np.random.SeedSequence([seed, _BUILD, r_idx]),
-    )
-    train_set, test_set = split_train_test(
-        data, TRAIN_FRAC, np.random.SeedSequence([seed, _SPLIT, r_idx])
-    )
-    del data
-    stats = normalize_fit(train_set.x)
-    xtr = normalize_apply(train_set.x, stats)
-    ytr = train_set.y
-    xte = normalize_apply(test_set.x, stats)
-    yte = test_set.y
-    del train_set, test_set
+    rows = build_imbalanced(y, cfg.n_attack, ratio, np.random.SeedSequence([seed, _BUILD, r_idx]))
+    train_rows, test_rows = (rows[pos] for pos in split_train_test(
+        y[rows], TRAIN_FRAC, np.random.SeedSequence([seed, _SPLIT, r_idx])))
+    xtr, ytr, xte, yte = x[train_rows], y[train_rows], x[test_rows], y[test_rows]
+    # The ids are dead weight at the cell's peak, inside normalize_fit.
+    del rows, train_rows, test_rows
+    stats = normalize_fit(xtr)
+    normalize_apply(xtr, stats)
+    normalize_apply(xte, stats)
     if use_smote:
         xtr, ytr, _ = augment_training_set(
             xtr, ytr,
@@ -229,7 +225,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
 
-    attack_rows, normal_rows = _seed_rows(cfg, seed)
+    x, y = _seed_rows(cfg, seed)
 
     # Largest training set first (smallest ratio, SMOTE before plain), so
     # the small cells fill in around the large ones.
@@ -242,7 +238,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
     # fork, so that each worker inherits initargs copy-on-write; none is pickled.
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_share_rows,
-                             initargs=(attack_rows, normal_rows)) as pool:
+                             initargs=(x, y)) as pool:
         # A cell is submitted only when a worker is free, so none waits in
         # the pool's queue: after the first failure raises, no new cell
         # starts, and leaving the block waits only for those already running.

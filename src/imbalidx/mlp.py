@@ -45,7 +45,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .flows import LabeledDataset
 from .textio import ConfigInvalid, check_fields
 
 

@@ -11,7 +11,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from imbalidx.dataset import LabeledDataset
+from imbalidx.flows import LabeledDataset
 from imbalidx.mlp import (
     MlpModel,
     NonFiniteLoss,

@@ -10,8 +10,10 @@ sweeps dominate the suite's runtime; `-m "not slow"` leaves them out.
 """
 
 import decimal
+import re
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +279,30 @@ def test_oversampling_benefit(sweep):
     plain = _median_row(result, 0.003, False)
     grown = _median_row(result, 0.003, True)
     assert grown.ur < plain.ur
+
+
+# The sentence of README.md that quotes the default sweep's medians, with
+# each quoted number captured as printed.
+README_MEDIANS = re.compile(
+    r"the sweep medians come out: undetected rate ([\d.]+)% at a 10% training ratio "
+    r"vs ([\d.]+)% at 0\.1%, sensitivity ([\d.]+)% vs ([\d.]+)%, MCC ([\d.]+) vs "
+    r"([\d.]+), and oversampling at 0\.3% cuts the undetected rate from ([\d.]+)% to "
+    r"([\d.]+)%\.")
+
+
+@pytest.mark.slow
+def test_the_readme_quotes_the_sweep_medians(sweep):
+    result, _, _ = sweep
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quoted = README_MEDIANS.search(" ".join(readme.split()))
+    assert quoted, "README.md no longer quotes the sweep medians in the expected sentence"
+    rich, starved = _median_row(result, 0.10, False), _median_row(result, 0.001, False)
+    plain, grown = _median_row(result, 0.003, False), _median_row(result, 0.003, True)
+    measured = (rich.ur, starved.ur, rich.sensitivity, starved.sensitivity,
+                rich.mcc, starved.mcc, plain.ur, grown.ur)
+    # Each median printed with as many decimals as README gives it.
+    printed = tuple(f"{m:.{len(q.partition('.')[2])}f}" for m, q in zip(measured, quoted.groups()))
+    assert printed == quoted.groups()
 
 
 @pytest.mark.slow

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -557,22 +558,78 @@ def test_a_sweep_cell_draws_every_stage_from_seed_stage_and_cell(tmp_path, monke
         return np.random.SeedSequence([seed, *path])
 
     x, y = fl.to_arrays(fl.features_from_packets(*simulate(exp.pool_sim(), seeded(SIM))))
-    data = ds.build_imbalanced(x[y == fl.ATTACK], x[y != fl.ATTACK], exp.n_attack,
-                               exp.ratios[r_idx], seeded(BUILD, r_idx))
-    train_set, test_set = ds.split_train_test(data, experiment.TRAIN_FRAC,
+    rows = ds.build_imbalanced(y, exp.n_attack, exp.ratios[r_idx], seeded(BUILD, r_idx))
+    train_pos, test_pos = ds.split_train_test(y[rows], experiment.TRAIN_FRAC,
                                               seeded(SPLIT, r_idx))
-    stats = ds.normalize_fit(train_set.x)
+    train_rows, test_rows = rows[train_pos], rows[test_pos]
+    stats = ds.normalize_fit(x[train_rows])
     xtr, ytr, _ = augment_training_set(
-        ds.normalize_apply(train_set.x, stats), train_set.y,
+        ds.normalize_apply(x[train_rows], stats), y[train_rows],
         target_ratio=experiment.SMOTE_TARGET_RATIO, k=experiment.SMOTE_K,
         seed=seeded(SMOTE, r_idx))
     model = mlp.init_model(experiment.LAYER_SIZES, seeded(INIT, r_idx, 1))
     mlp.train(model, fl.LabeledDataset(xtr, ytr), exp.train, seeded(TRAIN, r_idx, 1))
     assert parameters(model) == model_path(xtr).read_bytes()
-    preds = mlp.predict(model, ds.normalize_apply(test_set.x, stats))
+    preds = mlp.predict(model, ds.normalize_apply(x[test_rows], stats))
     by_hand = experiment.CellResult(exp.ratios[r_idx], seed, True,
-                                    MetricsReport.from_confusion(confusion(preds, test_set.y)))
+                                    MetricsReport.from_confusion(confusion(preds, y[test_rows])))
     assert by_hand in cells
+
+
+# README's quick.json grid, and the SHA-256 of its detail and summary CSVs
+# as the sweep wrote them on numpy 2.4.6 with scipy-openblas 0.3.31. The
+# pins see the data stage, the cell's build, split and z-scoring, SMOTE,
+# training and the report's formatting at once: a change to any of them
+# moves at least one digest. Re-seeding `train` moves two of the three
+# detail rows, so the grid sees the training stream too.
+QUICK_JSON = json.dumps({"ratios": [0.10, 0.01], "smote_ratios": [0.01], "seeds": [0],
+                         "n_attack": 200})
+QUICK_SHA256 = {
+    "report.csv": "b9ba1fc1c3c9b2007a857701b25bb900d4a94a19dbe461bbb1287b3db068acba",
+    "report.summary.csv": "c2d9739e123f1cfef0daa187cb724f76998f98a942e5470c70f0c8f111fae4f9",
+}
+
+
+def test_the_quick_grids_report_bytes_are_pinned(tmp_path, monkeypatch):
+    exp = config_from_json(experiment.ExperimentConfig, QUICK_JSON)
+    hashes = experiment.write_report(experiment.run_experiment(exp), tmp_path / "report.csv")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert {name: hashes[name] for name in QUICK_SHA256} == QUICK_SHA256, (
+        "the quick grid's report bytes moved; training bits depend on the BLAS "
+        f"kernel, and this run used numpy {np.__version__} with "
+        f"{blas.get('name')} {blas.get('version')}")
+
+    _reseed_train(monkeypatch)
+    reseeded = experiment.run_experiment(exp)
+    assert experiment.detail_csv(reseeded.cells).encode() != \
+        (tmp_path / "report.csv").read_bytes()
+
+
+# tracemalloc peaks in MiB above the memory held on entry, of the quick
+# grid's largest cell (ratio 0.01: 20,000 rows of 23 float64 features,
+# 3.51 MiB) run on its seed's pool. Measured: plain 6.54, SMOTE 7.22, that
+# is 1.9 and 2.1 times the dataset, mostly the gathered splits plus the
+# temporary of np.std in normalize_fit. Each bound is that plus about 15%.
+# When build, split and z-scoring each made their own copy of the rows,
+# both cells peaked at 9.34.
+CELL_PEAK_MIB = {"plain": 7.5, "smote": 8.3}
+
+
+def test_the_largest_cell_holds_its_dataset_about_twice():
+    exp = config_from_json(experiment.ExperimentConfig, QUICK_JSON)
+    pool = experiment._seed_rows(exp, 0)
+    r_idx = exp.ratios.index(min(exp.ratios))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name in CELL_PEAK_MIB:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            experiment._run_cell(exp, 0, r_idx, name == "smote", *pool)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - held) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert all(peaks[name] < bound for name, bound in CELL_PEAK_MIB.items()), peaks
 
 
 def _perfbench_module(name):

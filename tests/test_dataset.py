@@ -10,25 +10,20 @@ from hypothesis import strategies as st
 from imbalidx.dataset import (
     DegenerateSplit,
     InsufficientPool,
-    LabeledDataset,
     NormalizationStats,
     build_imbalanced,
-    load_stats,
     normalize_apply,
     normalize_fit,
     required_normals,
-    save_stats,
     split_train_test,
 )
-from imbalidx.flows import ATTACK, FEATURE_CSV_HEADER, NORMAL, write_features_csv
+from imbalidx.flows import ATTACK, FEATURE_CSV_HEADER, NORMAL, LabeledDataset, write_features_csv
 
 
-def tagged_pool(n, offset=0.0, width=23):
-    """Rows whose first column is a unique id, so draws can be traced."""
-    x = np.zeros((n, width))
-    x[:, 0] = np.arange(n) + offset
-    x[:, 1] = 1.0
-    return x
+def pool_labels(n_attack, n_normal, seed=0):
+    """A pool's labels, its attack rows scattered among the normal ones."""
+    y = np.array([ATTACK] * n_attack + [NORMAL] * n_normal)
+    return y[np.random.default_rng(seed).permutation(y.size)]
 
 
 # Normal-row demand for 10,000 attacks at each ratio. The two awkward
@@ -63,35 +58,33 @@ def test_required_normals_rejects_bad_arguments():
 
 
 def test_build_imbalanced_counts_and_uniqueness():
-    data = build_imbalanced(tagged_pool(50), tagged_pool(2000, offset=10_000),
-                            n_attack=20, ratio=0.10, seed=5)
-    assert data.n_attack == 20
-    assert len(data) - data.n_attack == 180
-    assert len(data) == 200
-    # Without replacement: every drawn row id appears once.
-    ids = data.x[:, 0]
-    assert len(np.unique(ids)) == len(ids)
-    # Attack rows came from the attack pool, normals from the normal pool.
-    assert np.all(ids[data.y == ATTACK] < 10_000)
-    assert np.all(ids[data.y == NORMAL] >= 10_000)
+    y = pool_labels(50, 2000)
+    rows = build_imbalanced(y, n_attack=20, ratio=0.10, seed=5)
+    assert len(rows) == 20 + required_normals(20, 0.10) == 200
+    assert np.count_nonzero(y[rows] == ATTACK) == 20
+    assert np.count_nonzero(y[rows] == NORMAL) == 180
+    # Without replacement: every drawn row id appears once, and each is a
+    # row of the pool.
+    assert len(np.unique(rows)) == len(rows)
+    assert 0 <= rows.min() and rows.max() < len(y)
 
 
 def test_build_imbalanced_is_seed_deterministic():
-    pools = (tagged_pool(80), tagged_pool(500, offset=1000))
-    a = build_imbalanced(*pools, n_attack=30, ratio=0.25, seed=42)
-    b = build_imbalanced(*pools, n_attack=30, ratio=0.25, seed=42)
-    c = build_imbalanced(*pools, n_attack=30, ratio=0.25, seed=43)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-    assert not np.array_equal(a.x, c.x)
-    assert c.n_attack == 30 and len(c) == 120
+    y = pool_labels(80, 500)
+    a = build_imbalanced(y, n_attack=30, ratio=0.25, seed=42)
+    b = build_imbalanced(y, n_attack=30, ratio=0.25, seed=42)
+    c = build_imbalanced(y, n_attack=30, ratio=0.25, seed=43)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert np.count_nonzero(y[c] == ATTACK) == 30 and len(c) == 120
 
 
 def test_build_imbalanced_reports_which_pool_ran_dry():
     with pytest.raises(InsufficientPool) as err:
-        build_imbalanced(tagged_pool(5), tagged_pool(100), 10, 0.5, seed=0)
+        build_imbalanced(pool_labels(5, 100), 10, 0.5, seed=0)
     assert "attack pool has 5" in str(err.value)
     with pytest.raises(InsufficientPool) as err:
-        build_imbalanced(tagged_pool(10), tagged_pool(50), 10, 0.1, seed=0)
+        build_imbalanced(pool_labels(10, 50), 10, 0.1, seed=0)
     assert "normal pool has 50" in str(err.value)
     assert "need 90" in str(err.value)
 
@@ -104,47 +97,51 @@ def test_build_imbalanced_reports_which_pool_ran_dry():
 @settings(max_examples=100, deadline=None)
 def test_build_imbalanced_hits_the_ratio(n_attack, ratio, seed):
     need = required_normals(n_attack, ratio)
-    data = build_imbalanced(
-        tagged_pool(n_attack), tagged_pool(need + 1, offset=500),
-        n_attack, ratio, seed,
-    )
-    assert data.n_attack == n_attack
-    assert len(data) - data.n_attack == need
-    assert abs(data.n_attack - ratio * len(data)) <= 1.0
+    y = pool_labels(n_attack, need + 1, seed)
+    rows = build_imbalanced(y, n_attack, ratio, seed)
+    assert np.count_nonzero(y[rows] == ATTACK) == n_attack
+    assert np.count_nonzero(y[rows] == NORMAL) == need
+    assert abs(n_attack - ratio * len(rows)) <= 1.0
 
 
 def test_split_preserves_class_counts():
-    data = build_imbalanced(tagged_pool(100), tagged_pool(900, offset=10_000),
-                            100, 0.1, seed=1)
-    train, test = split_train_test(data, train_frac=0.8, seed=2)
-    assert train.n_attack == 80 and len(train) == 800
-    assert test.n_attack == 20 and len(test) == 200
-    # Disjoint and exhaustive on the traced row ids.
-    all_ids = sorted(np.concatenate([train.x[:, 0], test.x[:, 0]]).tolist())
-    assert all_ids == sorted(data.x[:, 0].tolist())
+    y_rows = pool_labels(100, 900)
+    train, test = split_train_test(y_rows, train_frac=0.8, seed=2)
+    assert np.count_nonzero(y_rows[train] == ATTACK) == 80 and len(train) == 800
+    assert np.count_nonzero(y_rows[test] == ATTACK) == 20 and len(test) == 200
+    # Disjoint and exhaustive on the dataset's positions.
+    assert sorted(np.concatenate([train, test]).tolist()) == list(range(len(y_rows)))
 
 
 def test_split_is_seed_deterministic():
-    data = build_imbalanced(tagged_pool(40), tagged_pool(360, offset=10_000),
-                            40, 0.1, seed=7)
-    t1, _ = split_train_test(data, seed=9)
-    t2, _ = split_train_test(data, seed=9)
-    t3, _ = split_train_test(data, seed=10)
-    assert np.array_equal(t1.x, t2.x)
-    assert not np.array_equal(t1.x, t3.x)
-    assert t3.n_attack == t1.n_attack
+    y_rows = pool_labels(40, 360)
+    t1, _ = split_train_test(y_rows, seed=9)
+    t2, _ = split_train_test(y_rows, seed=9)
+    t3, _ = split_train_test(y_rows, seed=10)
+    assert np.array_equal(t1, t2)
+    assert not np.array_equal(t1, t3)
+    assert np.count_nonzero(y_rows[t3] == ATTACK) == np.count_nonzero(y_rows[t1] == ATTACK)
 
 
 def test_split_rejects_degenerate_cases():
-    x = tagged_pool(10)
-    one_attack = LabeledDataset(x, np.array([1] + [0] * 9))
-    with pytest.raises(DegenerateSplit):
+    one_attack = np.array([ATTACK] + [NORMAL] * 9)
+    with pytest.raises(DegenerateSplit, match="of 1 class-1 rows leaves one side empty"):
         split_train_test(one_attack, train_frac=0.8, seed=0)
-    no_attack = LabeledDataset(x, np.zeros(10, dtype=np.int64))
-    with pytest.raises(DegenerateSplit):
+    no_attack = np.full(10, NORMAL)
+    with pytest.raises(DegenerateSplit, match="of 0 class-1 rows leaves one side empty"):
         split_train_test(no_attack, train_frac=0.8, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="train_frac must be in"):
         split_train_test(one_attack, train_frac=1.0, seed=0)
+
+
+def test_build_and_split_take_label_vectors():
+    # A feature matrix or a dataset object is refused as such, not read as
+    # a pool or a dataset with no rows of some class.
+    with pytest.raises(ValueError, match="pool labels must be 1-d"):
+        build_imbalanced(np.zeros((10, 2)), 1, 0.5, seed=0)
+    data = LabeledDataset(np.zeros((10, 2)), np.array([ATTACK] * 5 + [NORMAL] * 5))
+    with pytest.raises(ValueError, match="dataset labels must be 1-d"):
+        split_train_test(data, seed=0)
 
 
 def test_normalize_two_point_column():
@@ -182,19 +179,24 @@ def test_normalize_test_set_uses_train_stats_only():
     assert np.all(z.mean(axis=0) > 3.0)
 
 
+def test_normalize_apply_works_in_place_with_the_bits_of_the_formula():
+    rng = np.random.default_rng(5)
+    x = rng.normal(50, 12, size=(300, 23))
+    stats = normalize_fit(x[:200])
+    want = (x - stats.mean) / stats.std
+    assert normalize_apply(x, stats) is x
+    assert x.tobytes() == want.tobytes()
+
+
 def test_normalize_apply_checks_column_count():
     stats = normalize_fit(np.ones((3, 4)) * np.arange(4))
     with pytest.raises(ValueError):
         normalize_apply(np.zeros((2, 5)), stats)
-
-
-def test_stats_json_round_trip(tmp_path):
-    stats = normalize_fit(np.random.default_rng(0).normal(size=(20, 23)))
-    path = tmp_path / "stats.json"
-    save_stats(stats, path)
-    back = load_stats(path)
-    assert np.array_equal(back.mean, stats.mean)
-    assert np.array_equal(back.std, stats.std)
+    # In place, so the matrix must already be float64: a float32 one would
+    # be z-scored in float32.
+    for dtype in (np.float32, np.int64):
+        with pytest.raises(ValueError, match="need a float64 matrix"):
+            normalize_apply(np.zeros((2, 4), dtype), stats)
 
 
 def test_stats_from_json_validates_shapes():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mlp_oracle
-from imbalidx.dataset import LabeledDataset
+from imbalidx.flows import LabeledDataset
 from imbalidx.mlp import (
     BadArchitecture,
     MlpModel,
