@@ -46,10 +46,11 @@ def _input(path, what: str) -> Path:
 
 
 def _seed_arg(value: str) -> int:
-    n = int(value)
-    if not 0 <= n < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
-    return n
+    """A --seed value: plain ASCII digits below 2**64, the rule of every
+    integer the package reads from outside."""
+    if not (value.isascii() and value.isdigit() and int(value) < 2**64):
+        raise argparse.ArgumentTypeError(f"seed must be ASCII digits below 2**64, got {value!r}")
+    return int(value)
 
 
 def cmd_simulate(args) -> int:

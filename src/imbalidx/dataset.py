@@ -12,14 +12,12 @@ z-scores it in place.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .flows import ATTACK, NORMAL
-from .textio import json_value
 
 
 class InsufficientPool(ValueError):
@@ -85,7 +83,7 @@ def build_imbalanced(y: np.ndarray, n_attack: int, ratio: float, seed=None) -> n
 
 
 def split_train_test(
-    y_rows: np.ndarray, train_frac: float = 0.8, seed=None
+    y_rows: np.ndarray, train_frac: float, seed=None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stratified split of a dataset whose labels are y_rows: each class
     is shuffled and divided at train_frac independently, so both
@@ -116,23 +114,6 @@ class NormalizationStats:
 
     mean: np.ndarray
     std: np.ndarray
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormalizationStats":
-        """Stats from a JSON object {"mean": [...], "std": [...]}. The text
-        comes from outside, so anything but an object whose mean and std
-        are arrays of finite numbers of one length, every std positive,
-        raises ValueError."""
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or not {"mean", "std"} <= obj.keys():
-            raise ValueError("normalization stats must be a JSON object with mean and std")
-        mean, std = (np.array(json_value(Tuple[float, ...], obj[k], "stats " + k), np.float64)
-                     for k in ("mean", "std"))
-        if mean.shape != std.shape:
-            raise ValueError("stats mean and std must have equal length")
-        if not (std > 0).all():
-            raise ValueError("stats std must be positive")
-        return cls(mean=mean, std=std)
 
 
 def normalize_fit(x: np.ndarray) -> NormalizationStats:

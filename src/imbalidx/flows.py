@@ -365,7 +365,7 @@ _COUNT_CELLS = np.array([name in _INT_FEATURES for name in FEATURE_NAMES] + [Tru
 
 
 def write_features_csv(data: LabeledDataset, path) -> None:
-    """Feature CSV, for flow pools and built datasets alike: each cell as
+    """Feature CSV of a flow pool: each cell as
     "%.6f" prints it, a count column as "%d" when it holds a whole number,
     and the label 0/1 last (see textio.number_cells)."""
     write_csv(path, FEATURE_CSV_HEADER, len(data), lambda rows: number_cells(

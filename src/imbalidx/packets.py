@@ -226,12 +226,6 @@ def quantize_us(t):
         return us.astype(np.int64)
 
 
-def quantize_timestamp(t: float) -> float:
-    """Snap a timestamp to the microsecond grid pcap and CSV can represent,
-    by quantize_us's rule."""
-    return float(grid_seconds(*divmod(quantize_us(t), 1_000_000)))
-
-
 def parse_timestamp(text: str) -> float:
     """Grid seconds from text: ASCII digits, optionally followed by '.' and
     1-6 digits; no sign, exponent, underscore or space. Raises ValueError
@@ -332,7 +326,7 @@ def write_pcap(packets: PacketTable, path) -> None:
     """Write a packet table to a little-endian classic pcap file.
 
     Each timestamp is written as quantize_us rounds it, so times on the
-    microsecond grid round trip exactly (see quantize_timestamp). The table
+    microsecond grid round trip exactly through grid_seconds. The table
     is checked, one write chunk at a time, before any bytes go out, so a
     bad row, or a time past the pcap's 32-bit seconds field, never leaves a
     partially written file behind.

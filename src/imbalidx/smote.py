@@ -1,9 +1,9 @@
-"""Synthetic minority oversampling.
+"""Synthetic minority oversampling of the attack class.
 
 New minority rows are drawn on the segment between an existing minority
 row and one of its k nearest minority neighbours. Every synthetic row logs
-which pair produced it and where on the segment it sits, so a run can be
-replayed and audited after the fact.
+which pair produced it and where on the segment it sits, and the
+acceptance suite rebuilds every row from that log.
 
 Neighbour distance is plain Euclidean on the matrix as given; callers are
 expected to hand in normalized features so large-magnitude columns do not
@@ -44,13 +44,6 @@ class SmoteResult:
         return int(self.base_idx.size)
 
 
-def minority_class(y: np.ndarray) -> int:
-    """The rarer label; ties go to the attack class."""
-    y = np.asarray(y)
-    n_attack = int(np.count_nonzero(y == ATTACK))
-    return ATTACK if n_attack <= y.size - n_attack else 1 - ATTACK
-
-
 def synthetic_count(n_minority: int, n_total: int, target_ratio: float) -> int:
     """How many synthetic minority rows lift the minority share to
     target_ratio of the grown total. Never negative."""
@@ -85,7 +78,7 @@ def _nearest_neighbors(minority: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def smote(minority: np.ndarray, target_count: int, k: int = 5, seed=None) -> SmoteResult:
+def smote(minority: np.ndarray, target_count: int, k: int, seed=None) -> SmoteResult:
     """Grow a minority matrix of M rows to target_count rows, returning
     only the target_count - M synthetic ones. k is the neighbour pool per
     base row; growing needs k < M, else TooFewMinority, since every row
@@ -139,25 +132,24 @@ def replay(minority: np.ndarray, result: SmoteResult) -> np.ndarray:
 
 
 def augment_training_set(
-    x: np.ndarray,
-    y: np.ndarray,
-    target_ratio: float = 0.10,
-    k: int = 5,
-    seed=None,
+    x: np.ndarray, y: np.ndarray, target_ratio: float, k: int, seed=None
 ) -> Tuple[np.ndarray, np.ndarray, SmoteResult]:
-    """Oversample the minority class of a training set until it holds
-    target_ratio of the grown total; pass-through if already there."""
+    """Oversample the attack rows of a training set until they hold
+    target_ratio of the grown total; pass-through if already there.
+    ValueError if attacks outnumber normals, since SMOTE grows the rare
+    class."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError(f"shape mismatch: x {x.shape}, y {y.shape}")
-    mino = minority_class(y)
-    rows = np.flatnonzero(y == mino)
+    rows = np.flatnonzero(y == ATTACK)
+    if 2 * rows.size > y.size:
+        raise ValueError(f"SMOTE grows a minority attack class, but {rows.size} attack "
+                         f"rows outnumber {y.size - rows.size} normal rows")
     need = synthetic_count(int(rows.size), int(y.size), target_ratio)
-    result = smote(x[rows], int(rows.size) + need, k=k, seed=seed)
+    result = smote(x[rows], int(rows.size) + need, k, seed)
     if result.n_synthetic == 0:
         return x, y, result
     x_out = np.concatenate([x, result.synthetic])
-    y_out = np.concatenate([y, np.full(result.n_synthetic, mino, dtype=np.int64)])
+    y_out = np.concatenate([y, np.full(result.n_synthetic, ATTACK, dtype=np.int64)])
     return x_out, y_out, result
-

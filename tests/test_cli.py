@@ -179,6 +179,17 @@ def test_usage_errors_exit_one(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["1_0", " 7", "+3", "\u0663"])  # the last an Arabic-Indic 3
+@pytest.mark.parametrize("command", ["simulate", "cell"])
+def test_seed_takes_ascii_digits_only(command, seed, tmp_path, capsys):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text('{"n_normal_flows": 5, "n_attack_flows": 1}')
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")] \
+        if command == "simulate" else ["cell", "--ratio", "0.1"]
+    assert main([*argv, "--seed", seed]) == 1
+    assert "argument --seed: seed must be ASCII digits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["build", "smote", "train", "evaluate"])
 def test_the_stage_commands_are_gone(command, capsys):
     # `cell` runs one cell of the sweep by the sweep's own method instead.

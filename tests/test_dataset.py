@@ -1,7 +1,5 @@
 """Imbalanced sampling, stratified splits, and z-score normalization."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 from imbalidx.dataset import (
     DegenerateSplit,
     InsufficientPool,
-    NormalizationStats,
     build_imbalanced,
     normalize_apply,
     normalize_fit,
@@ -115,9 +112,9 @@ def test_split_preserves_class_counts():
 
 def test_split_is_seed_deterministic():
     y_rows = pool_labels(40, 360)
-    t1, _ = split_train_test(y_rows, seed=9)
-    t2, _ = split_train_test(y_rows, seed=9)
-    t3, _ = split_train_test(y_rows, seed=10)
+    t1, _ = split_train_test(y_rows, 0.8, seed=9)
+    t2, _ = split_train_test(y_rows, 0.8, seed=9)
+    t3, _ = split_train_test(y_rows, 0.8, seed=10)
     assert np.array_equal(t1, t2)
     assert not np.array_equal(t1, t3)
     assert np.count_nonzero(y_rows[t3] == ATTACK) == np.count_nonzero(y_rows[t1] == ATTACK)
@@ -141,7 +138,7 @@ def test_build_and_split_take_label_vectors():
         build_imbalanced(np.zeros((10, 2)), 1, 0.5, seed=0)
     data = LabeledDataset(np.zeros((10, 2)), np.array([ATTACK] * 5 + [NORMAL] * 5))
     with pytest.raises(ValueError, match="dataset labels must be 1-d"):
-        split_train_test(data, seed=0)
+        split_train_test(data, 0.8, seed=0)
 
 
 def test_normalize_two_point_column():
@@ -197,31 +194,6 @@ def test_normalize_apply_checks_column_count():
     for dtype in (np.float32, np.int64):
         with pytest.raises(ValueError, match="need a float64 matrix"):
             normalize_apply(np.zeros((2, 4), dtype), stats)
-
-
-def test_stats_from_json_validates_shapes():
-    with pytest.raises(ValueError):
-        NormalizationStats.from_json(json.dumps({"mean": [0.0, 1.0], "std": [1.0]}))
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[1, 2]",  # not an object
-        '{"std": [1.0]}',  # no mean
-        '{"mean": [0.0]}',  # no std
-        '{"mean": 0.0, "std": [1.0]}',  # a number, not an array
-        '{"mean": ["0"], "std": [1.0]}',  # a string inside
-        '{"mean": [true], "std": [1.0]}',
-        '{"mean": [NaN], "std": [1.0]}',  # not finite
-        '{"mean": [0.0], "std": [Infinity]}',
-        '{"mean": [0.0, 0.0], "std": [1.0, 0.0]}',  # would divide by zero
-        '{"mean": [0.0], "std": [-1.0]}',
-    ],
-)
-def test_stats_from_json_rejects_bad_sidecars(text):
-    with pytest.raises(ValueError):
-        NormalizationStats.from_json(text)
 
 
 def test_dataset_csv_round_trip(tmp_path):

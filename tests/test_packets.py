@@ -31,7 +31,6 @@ from imbalidx.packets import (
     format_addr,
     grid_seconds,
     parse_addr,
-    quantize_timestamp,
     quantize_us,
     read_packet_csv,
     read_pcap,
@@ -252,14 +251,16 @@ def test_parse_addr_takes_only_text(value):
 
 
 def test_quantize_timestamp():
-    # The grid value is reconstructed as sec + usec/1e6, the exact
+    # A time snaps to the microsecond grid by quantize_us, and its grid
+    # value is rebuilt by grid_seconds as sec + usec/1e6, the exact
     # expression both readers use, so equality is against that form.
-    assert quantize_timestamp(1.2345678) == 1 + 234568 / 1e6
-    assert quantize_timestamp(0.0) == 0.0
-    assert quantize_timestamp(3.0000004) == 3.0
+    assert quantize_us(1.2345678) == 1_234_568
+    assert grid_seconds(*divmod(quantize_us(1.2345678), 10**6)) == 1 + 234568 / 1e6
+    assert quantize_us(0.0) == 0
+    assert quantize_us(3.0000004) == 3_000_000
     # Quantizing is idempotent on the grid.
-    t = quantize_timestamp(977.123456)
-    assert quantize_timestamp(t) == t
+    t = grid_seconds(*divmod(quantize_us(977.123456), 10**6))
+    assert quantize_us(t) == 977_123_456
 
 
 def test_quantize_us_is_the_nearest_microsecond():
@@ -290,8 +291,9 @@ def test_pcap_records_carry_quantize_us_seconds_and_microseconds(tmp_path):
 
 @given(timestamps)
 def test_quantize_is_idempotent(t):
-    q = quantize_timestamp(t)
-    assert quantize_timestamp(q) == q
+    us = quantize_us(t)
+    q = grid_seconds(*divmod(us, 10**6))
+    assert quantize_us(q) == us
     assert abs(q - t) <= 5e-7 + 1e-9 * max(t, 1.0)
 
 

@@ -10,7 +10,6 @@ from imbalidx.smote import (
     TooFewMinority,
     _nearest_neighbors,
     augment_training_set,
-    minority_class,
     replay,
     smote,
     synthetic_count,
@@ -187,9 +186,17 @@ def test_config_validation():
 
 
 def test_minority_class_prefers_attack_on_ties():
-    assert minority_class(np.array([0, 0, 0, 1])) == 1
-    assert minority_class(np.array([1, 1, 1, 0])) == 0
-    assert minority_class(np.array([0, 1])) == 1
+    # SMOTE grows the attacks. At a tie they are still the class to grow,
+    # and a 10% target is already met, so the set passes through.
+    x = np.random.default_rng(5).normal(size=(40, 3))
+    y = np.array([1, 0] * 20, dtype=np.int64)
+    x_aug, y_aug, result = augment_training_set(x, y, target_ratio=0.10, k=5, seed=0)
+    assert result.n_synthetic == 0
+    assert x_aug is x and y_aug is y
+    # With more attacks than normals the normals are not grown instead.
+    y[:4] = 1
+    with pytest.raises(ValueError, match="22 attack rows outnumber 18 normal rows"):
+        augment_training_set(x, y, target_ratio=0.10, k=5, seed=0)
 
 
 def test_synthetic_count_examples():
@@ -231,7 +238,7 @@ def test_augment_training_set():
 def test_augment_passes_through_when_already_balanced():
     x = np.random.default_rng(3).normal(size=(100, 4))
     y = np.array([1] * 20 + [0] * 80, dtype=np.int64)
-    x_aug, y_aug, result = augment_training_set(x, y, target_ratio=0.10, seed=0)
+    x_aug, y_aug, result = augment_training_set(x, y, target_ratio=0.10, k=5, seed=0)
     assert result.n_synthetic == 0
     assert x_aug is x and y_aug is y
 
