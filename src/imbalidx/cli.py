@@ -82,11 +82,9 @@ def _read_capture(path) -> pk.PacketTable:
 
 
 def cmd_extract(args) -> int:
-    if not args.idle_timeout > 0:  # before reading the capture; NaN fails too
-        raise ValueError(f"--idle-timeout must be > 0, got {args.idle_timeout}")
     packets = _read_capture(args.input)
     rules = fl.read_label_csv(_input(args.labels, "label file")) if args.labels else []
-    feats = fl.features_from_packets(packets, rules, idle_timeout=args.idle_timeout)
+    feats = fl.features_from_packets(packets, rules)
     fl.write_features_csv(feats, args.out)
     print(f"{len(feats)} flows ({feats.n_attack} attack) -> {args.out}")
     return 0
@@ -132,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate traffic and label windows")
     p.add_argument("--config", required=True, help="SimConfig JSON path")
-    p.add_argument("--seed", type=_seed_arg,
-                   help="pins the capture; unseeded runs differ")
+    p.add_argument("--seed", type=_seed_arg, required=True,
+                   help="the seed the capture is drawn from")
     p.add_argument("--out", required=True, metavar="PREFIX",
                    help="output prefix; writes PREFIX.pcap and PREFIX.labels.csv")
     p.add_argument("--packets-csv", action="store_true",
@@ -144,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True,
                    help="pcap, or packet CSV (told apart by its header line)")
     p.add_argument("--labels", help="label window CSV; omit to label all Normal")
-    p.add_argument("--idle-timeout", type=float, default=fl.DEFAULT_IDLE_TIMEOUT,
-                   help="flow cut after this many idle seconds, > 0 (default 5)")
     p.add_argument("--out", required=True, help="feature CSV path")
     p.set_defaults(func=cmd_extract)
 

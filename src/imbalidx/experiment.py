@@ -98,8 +98,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"smote_ratios {missing} are not in ratios")
         if not self.seeds:
             raise ConfigInvalid("seeds must be non-empty")
-        if any(s < 0 for s in self.seeds):
-            raise ConfigInvalid("seeds must be non-negative")
+        if any(not 0 <= s < 2**64 for s in self.seeds):  # as --seed, for `cell`
+            raise ConfigInvalid("seeds must be non-negative and below 2**64")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigInvalid("seeds must be unique")
         if self.n_attack < 2:

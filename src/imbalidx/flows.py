@@ -1,7 +1,7 @@
 """Bidirectional flow assembly and per-flow traffic features, on columns.
 
 Packets sharing a canonical 5-tuple form one flow until an idle gap longer
-than the timeout closes it. The endpoint that sent the flow's first packet
+than IDLE_TIMEOUT closes it. The endpoint that sent the flow's first packet
 is the source for every directional feature. Assembly, features and
 labelling all work on the columns of a PacketTable; the result is one
 feature matrix row per flow, in flow creation order. Each per-packet
@@ -22,7 +22,8 @@ from .textio import ParseError, csv_rows, number_cells, write_csv
 NORMAL = 0
 ATTACK = 1
 
-DEFAULT_IDLE_TIMEOUT = 5.0
+# Seconds of silence that close a flow: fixed, as it defines one sample.
+IDLE_TIMEOUT = 5.0
 
 
 class UnorderedInput(ValueError):
@@ -55,24 +56,19 @@ class FlowTable:
         return self.start.shape[0]
 
 
-def assemble_flows(
-    packets: PacketTable, idle_timeout: float = DEFAULT_IDLE_TIMEOUT
-) -> FlowTable:
+def assemble_flows(packets: PacketTable) -> FlowTable:
     """Group a time-ordered packet table into flows.
 
     The canonical key is the smaller and the larger endpoint
     (address << 16 | port) plus the protocol, so a packet and its reverse
-    share a key. A gap longer than idle_timeout between consecutive packets
+    share a key. A gap longer than IDLE_TIMEOUT between consecutive packets
     of one key closes the flow; the next packet opens a fresh one. Flows
     are numbered in creation order, the order of their first packets.
-    ValueError unless idle_timeout > 0 (NaN included).
 
     Besides the packets and the result (`order` and `flow`, 8 bytes per
     packet each, and `forward`), it holds at most four 8-byte arrays per
     packet at once: the two keys, the sort order and one sorted key.
     """
-    if not idle_timeout > 0:
-        raise ValueError(f"idle_timeout must be > 0, got {idle_timeout!r}")
     ts = packets.ts
     behind = ts[1:] < ts[:-1]
     if behind.any():
@@ -97,7 +93,7 @@ def assemble_flows(
     order = np.lexsort((hi, lo))
 
     # A packet opens a flow when its key differs from the one before it in
-    # key order, or when it follows that packet by more than idle_timeout.
+    # key order, or when it follows that packet by more than IDLE_TIMEOUT.
     # Each sorted key is made, compared and dropped in turn.
     new = np.ones(len(packets), dtype=bool)
     key = lo[order]
@@ -107,7 +103,7 @@ def assemble_flows(
     del hi
     new[1:] |= key[1:] != key[:-1]
     key = ts[order]
-    new[1:] |= np.diff(key) > idle_timeout
+    new[1:] |= np.diff(key) > IDLE_TIMEOUT
     del key
     # Flows as runs of key order: where each starts, and its packet count.
     heads = np.flatnonzero(new)
@@ -348,13 +344,11 @@ class LabeledDataset:
 
 
 def features_from_packets(
-    packets: PacketTable,
-    rules: Sequence[LabelRule] = (),
-    idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
+    packets: PacketTable, rules: Sequence[LabelRule] = ()
 ) -> LabeledDataset:
     """assemble -> features -> label: one labelled row per flow, in flow
     creation order."""
-    flows = assemble_flows(packets, idle_timeout)
+    flows = assemble_flows(packets)
     return LabeledDataset(feature_matrix(flows), label_flows(flows, rules))
 
 

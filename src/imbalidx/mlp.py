@@ -11,11 +11,11 @@ The model keeps every parameter in one flat float64 buffer of its own,
 `params`, laid out W0, b0, W1, b1, ..., with the per-layer matrices and
 vectors as views into it; training updates that buffer in place, and its
 gradients and velocities are flat buffers of the same layout. The
-momentum step is then four whole-buffer operations whatever the depth:
-v *= momentum; g*lr into a scratch buffer; v -= scratch; theta += v. Every
-element goes through the same roundings as the per-array form
-v = momentum*v - lr*g; theta += v (each product rounded once, then the
-difference, then the sum), so both give the same bits.
+momentum step is then four whole-buffer operations whatever the depth
+(m = MOMENTUM, lr = LEARNING_RATE): v *= m; g*lr into a scratch buffer;
+v -= scratch; theta += v. Every element goes through the same roundings
+as the per-array form v = m*v - lr*g; theta += v (each product rounded
+once, then the difference, then the sum), so both give the same bits.
 
 A training step writes every array into buffers allocated once per
 train() call, one workspace per batch shape: the full batch and, when
@@ -110,12 +110,15 @@ class MlpModel:
         return self.layer_sizes[0]
 
 
+# The step rule, part of the method; TrainConfig sets only the budget.
+LEARNING_RATE = 0.01
+MOMENTUM = 0.9
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 256
-    learning_rate: float = 0.01
-    momentum: float = 0.9
 
     def __post_init__(self):
         check_fields(self)
@@ -123,10 +126,6 @@ class TrainConfig:
             raise ConfigInvalid(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigInvalid(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigInvalid(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigInvalid(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 def check_architecture(layer_sizes: Sequence[int]) -> List[int]:
@@ -288,10 +287,10 @@ def train(
 ) -> Tuple[MlpModel, List[float]]:
     """Fit in place and return (model, per-epoch mean losses).
 
-    Velocity update per parameter: v = momentum*v - lr*grad; theta += v.
-    Epoch shuffling comes from seed (anything np.random.default_rng
-    takes), so a (seed, data, config) triple fully determines the fitted
-    parameters. model.params, and so the weights and biases that view it,
+    Velocity update per parameter: v = MOMENTUM*v - LEARNING_RATE*grad;
+    theta += v. Epoch shuffling comes from seed (anything
+    np.random.default_rng takes), so a (seed, data, config) triple fully
+    determines the fitted parameters. model.params, and so the weights and biases that view it,
     is updated in place, and holds the parameters of the last completed
     step also when NonFiniteLoss is raised.
     """
@@ -326,8 +325,8 @@ def train(
             if not math.isfinite(batch_loss):
                 raise NonFiniteLoss(f"loss became {batch_loss}")
             total += batch_loss * ws.rows
-            vel *= config.momentum
-            np.multiply(grads, config.learning_rate, out=step)
+            vel *= MOMENTUM
+            np.multiply(grads, LEARNING_RATE, out=step)
             vel -= step
             model.params += vel
         history.append(total / n)

@@ -15,7 +15,7 @@ overlap is declared simulator policy: with fully distinguishable attacks,
 detection quality would not depend on the class ratio and the experiments
 downstream would have nothing to show.
 
-Every simulated session is one flow under flows.DEFAULT_IDLE_TIMEOUT.
+Every session stays inside flows.IDLE_TIMEOUT (5 s), so it is one flow.
 With Gaussian draws taken as bounded at six standard deviations, no gap
 inside a session exceeds SESSION_GAP_BOUND (2.81 s), and no response
 follows its request by more than RESPONSE_GAP_BOUND (0.21 s). Normal

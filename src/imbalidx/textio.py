@@ -274,10 +274,20 @@ def json_value(tp, value, key: str):
     return value
 
 
+def _unrepeated(pairs) -> dict:
+    """A JSON object's pairs as a dict; ConfigInvalid naming a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigInvalid(f"config repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json(text: str):
-    """Parsed JSON text; ConfigInvalid if it is not valid JSON."""
+    """Parsed JSON text; ConfigInvalid if it is not JSON or repeats a key."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unrepeated)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from None
 

@@ -26,11 +26,11 @@ from imbalidx import experiment
 from imbalidx import flows as fl
 from imbalidx import mlp
 from imbalidx import packets as pk
-from imbalidx.cli import main
+from imbalidx.cli import build_parser, main
 from imbalidx.metrics import MetricsReport, confusion
 from imbalidx.simulate import simulate
 from imbalidx.smote import augment_training_set
-from imbalidx.textio import config_from_json
+from imbalidx.textio import ConfigInvalid, config_from_json
 
 SIM_JSON = json.dumps({"n_normal_flows": 60, "n_attack_flows": 12})
 
@@ -52,9 +52,9 @@ def capture(tmp_path_factory):
         ["simulate", "--config", str(paths["config"]), "--seed", "5", "--packets-csv",
          "--out", str(root / "run")],
         ["extract", "--in", str(paths["pcap"]), "--labels", str(paths["labels"]),
-         "--idle-timeout", "60", "--out", str(paths["features"])],
+         "--out", str(paths["features"])],
         ["extract", "--in", str(paths["packets_csv"]), "--labels", str(paths["labels"]),
-         "--idle-timeout", "60", "--out", str(paths["csv_features"])],
+         "--out", str(paths["csv_features"])],
     ]
     for argv in steps:
         code = main(argv)
@@ -79,7 +79,7 @@ def test_extract_outputs(capture):
 
 def test_extract_writes_the_oracle_writers_bytes(capture, tmp_path):
     feats = fl.features_from_packets(pk.read_pcap(capture["pcap"]),
-                                     fl.read_label_csv(capture["labels"]), idle_timeout=60)
+                                     fl.read_label_csv(capture["labels"]))
     feature_csv_oracle.write_features_csv(feats, tmp_path / "oracle.csv")
     assert capture["features"].read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
@@ -190,6 +190,29 @@ def test_seed_takes_ascii_digits_only(command, seed, tmp_path, capsys):
     assert "argument --seed: seed must be ASCII digits" in capsys.readouterr().err
 
 
+def test_simulate_needs_a_seed(tmp_path, capsys):
+    # An unseeded capture could not be drawn again.
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(SIM_JSON)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "the following arguments are required: --seed" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
+
+
+def test_a_sweep_takes_only_seeds_that_cell_takes(capsys):
+    # So `imbalidx cell` can rerun every cell of every sweep: both stop
+    # below 2**64.
+    last = 2**64 - 1
+    assert build_parser().parse_args(["cell", "--ratio", "0.1", "--seed", str(last)]).seed == last
+    assert config_from_json(experiment.ExperimentConfig, f'{{"seeds": [{last}]}}').seeds == (last,)
+    assert main(["cell", "--ratio", "0.1", "--seed", str(last + 1)]) == 1
+    assert "below 2**64" in capsys.readouterr().err
+    with pytest.raises(ConfigInvalid, match=r"below 2\*\*64"):
+        config_from_json(experiment.ExperimentConfig, f'{{"seeds": [0, {last + 1}]}}')
+    with pytest.raises(ConfigInvalid, match=r"below 2\*\*64"):
+        experiment.ExperimentConfig(seeds=(last + 1,))
+
+
 @pytest.mark.parametrize("command", ["build", "smote", "train", "evaluate"])
 def test_the_stage_commands_are_gone(command, capsys):
     # `cell` runs one cell of the sweep by the sweep's own method instead.
@@ -198,7 +221,7 @@ def test_the_stage_commands_are_gone(command, capsys):
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
-    code = main(["simulate", "--config", str(tmp_path / "nope.json"),
+    code = main(["simulate", "--config", str(tmp_path / "nope.json"), "--seed", "0",
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert "not found" in capsys.readouterr().err
@@ -213,7 +236,7 @@ def test_missing_capture_exits_one(tmp_path, capsys):
 def test_bad_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text('{"n_normal_flow": 5}')
-    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    code = main(["simulate", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
 
@@ -244,15 +267,6 @@ def test_missing_input_file_exits_one(capture, tmp_path, command, flag, others):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
-def test_extract_rejects_meaningless_idle_timeouts(capture, tmp_path, capsys, timeout):
-    out = tmp_path / "features.csv"
-    assert main(["extract", "--in", str(capture["pcap"]), "--idle-timeout", timeout,
-                 "--out", str(out)]) == 2
-    assert "--idle-timeout" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "command,config,key",
     [
@@ -268,9 +282,16 @@ def test_extract_rejects_meaningless_idle_timeouts(capture, tmp_path, capsys, ti
         ("experiment", '{"smote_k": 5}', "unknown config keys: smote_k"),
         ("experiment", '{"smote_target_ratio": 0.1}', "unknown config keys: smote_target_ratio"),
         ("experiment", '{"pool_margin": 1000}', "unknown config keys: pool_margin"),
+        ("experiment", '{"train": {"learning_rate": 0.01}}',
+         "unknown config keys: train.learning_rate"),
+        ("experiment", '{"train": {"momentum": 0.9}}', "unknown config keys: train.momentum"),
         ("cell", '{"n_attack": "5"}', "n_attack"),
         ("cell", '{"train": {"epochs": 2.5}}', "train.epochs"),
         ("simulate", '{"seed": 5}', "seed"),
+        # A repeated key, which plain JSON reading would take its last value of.
+        ("simulate", '{"n_normal_flows": 5, "n_normal_flows": 7}',
+         "repeats key 'n_normal_flows'"),
+        ("experiment", '{"train": {"epochs": 2, "epochs": 3}}', "repeats key 'epochs'"),
         ("simulate", '{"attacker_addr": "010.0.0.66"}', "attacker_addr"),
         # Its SMOTE cell trains on 4 attacks, too few for SMOTE's k of 5.
         ("experiment", '{"n_attack": 5, "ratios": [0.1, 0.01], "smote_ratios": [0.01], '
@@ -283,6 +304,8 @@ def test_wrongly_typed_config_exits_two(tmp_path, command, config, key):
     argv = [command, "--config", str(cfg)]
     argv += ["--ratio", "0.5", "--seed", "0"] if command == "cell" else [
         "--out", str(tmp_path / "out.csv")]
+    if command == "simulate":
+        argv += ["--seed", "0"]
     proc = _run_cli(argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")

@@ -18,6 +18,7 @@ from imbalidx.flows import (
     ATTACK,
     FEATURE_CSV_HEADER,
     FEATURE_NAMES,
+    IDLE_TIMEOUT,
     NORMAL,
     LabeledDataset,
     LabelRule,
@@ -59,9 +60,9 @@ def window(a, b, start, end):
     return LabelRule(parse_addr(a), parse_addr(b), start, end)
 
 
-def features(records, idle_timeout=5.0):
+def features(records):
     """One {feature name: value} dict per flow."""
-    x = feature_matrix(assemble_flows(table(records), idle_timeout))
+    x = feature_matrix(assemble_flows(table(records)))
     return [dict(zip(FEATURE_NAMES, row)) for row in x.tolist()]
 
 
@@ -120,19 +121,14 @@ def test_feature_vector_has_23_fields():
 
 
 def test_idle_timeout_splits_flows():
+    assert IDLE_TIMEOUT == 5.0
     close = [pkt(0.0, A, B), pkt(0.1, A, B)]
-    assert len(assemble_flows(table(close), idle_timeout=5.0)) == 1
+    assert len(assemble_flows(table(close))) == 1
     far_apart = [pkt(0.0, A, B), pkt(10.0, A, B)]
-    assert len(assemble_flows(table(far_apart), idle_timeout=5.0)) == 2
+    assert len(assemble_flows(table(far_apart))) == 2
     # The boundary gap does not split: strict inequality.
     edge = [pkt(0.0, A, B), pkt(5.0, A, B)]
-    assert len(assemble_flows(table(edge), idle_timeout=5.0)) == 1
-
-
-@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
-def test_idle_timeout_must_be_positive(timeout):
-    with pytest.raises(ValueError, match="idle_timeout"):
-        assemble_flows(table(four_packet_flow()), idle_timeout=timeout)
+    assert len(assemble_flows(table(edge))) == 1
 
 
 def test_reverse_direction_joins_the_same_flow():
@@ -191,7 +187,7 @@ def build_packets(raw, a=A, b=B):
 @settings(max_examples=200)
 def test_additivity_and_oracle(raw):
     packets = build_packets(raw)
-    flows = assemble_flows(table(packets), idle_timeout=1e9)
+    flows = assemble_flows(table(packets))
     x = feature_matrix(flows)
     for i, row in enumerate(x.tolist()):
         f = dict(zip(FEATURE_NAMES, row))
@@ -221,7 +217,7 @@ def test_additivity_and_oracle(raw):
 def test_direction_symmetry_at_the_flow_level(raw):
     # Swapping the two direction roles of an assembled flow must swap every
     # S* feature with its D* partner and leave the t* features untouched.
-    flows = assemble_flows(table(build_packets(raw)), idle_timeout=1e9)
+    flows = assemble_flows(table(build_packets(raw)))
     mirror = replace(
         flows, forward=~flows.forward,
         src=flows.dst, dst=flows.src, sport=flows.dport, dport=flows.sport,
@@ -252,8 +248,8 @@ def test_endpoint_mirror_reanchors_the_initiator(raw):
         )
         for p in packets
     ]
-    orig = features(packets, idle_timeout=1e9)
-    swap = features(mirrored, idle_timeout=1e9)
+    orig = features(packets)
+    swap = features(mirrored)
     assert len(orig) == len(swap)
     for f, g in zip(orig, swap):
         assert (f["sport"], f["dport"]) == (g["dport"], g["sport"])
@@ -268,8 +264,8 @@ def test_endpoint_mirror_reanchors_the_initiator(raw):
 def test_time_shift_invariance(raw, shift):
     packets = build_packets(raw)
     shifted = [p._replace(timestamp=p.timestamp + shift) for p in packets]
-    orig = feature_matrix(assemble_flows(table(packets), idle_timeout=1e9))
-    moved = feature_matrix(assemble_flows(table(shifted), idle_timeout=1e9))
+    orig = feature_matrix(assemble_flows(table(packets)))
+    moved = feature_matrix(assemble_flows(table(shifted)))
     assert orig.shape == moved.shape
     # Timestamps are rounded to the float64 grid at their magnitude, so a
     # time difference may be off by a few spacings of the shifted grid:
@@ -475,7 +471,7 @@ def shared_endpoint_streams(draw):
     addrs, ports = st.sampled_from((A, B)), st.sampled_from((502, 1024))
     stream, us = [], 0
     for _ in range(draw(st.integers(0, 12))):
-        us += draw(st.sampled_from((0, 1, 400_000, 2_000_000)))
+        us += draw(st.sampled_from((0, 1, 400_000, 6_000_000)))
         proto = draw(st.sampled_from(list(Protocol)))
         sport, dport = (0, 0) if proto is Protocol.OTHER else (draw(ports), draw(ports))
         stream.append(PacketRecord(us / 1e6, draw(addrs), draw(addrs), sport, dport, proto, 60))
@@ -491,7 +487,7 @@ def test_forward_is_the_packed_endpoint_rule(stream):
     # A packet is forward iff its (src << 16) | sport equals that of its
     # flow's first packet.
     packets = table(stream)
-    flows = assemble_flows(packets, idle_timeout=1.0)
+    flows = assemble_flows(packets)
     endpoint = [(a << 16) | p for a, p in zip(packets.src.tolist(), packets.sport.tolist())]
     initiator = {}
     for i, f in enumerate(flows.flow.tolist()):
@@ -503,7 +499,7 @@ def test_forward_is_the_packed_endpoint_rule(stream):
 
 # --- the columnar path against the one-object-per-flow reference ----------
 
-TIMEOUT_US = 1_000_000
+TIMEOUT_US = round(IDLE_TIMEOUT * 1e6)
 # Gaps just below, at and above the idle timeout, plus equal timestamps.
 STEPS_US = (0, 1, 250_000, TIMEOUT_US - 1, TIMEOUT_US, TIMEOUT_US + 1, 3 * TIMEOUT_US)
 HOSTS = ("10.0.0.1", "10.0.0.2", "10.0.0.9", "10.0.0.10", "192.168.7.1")
@@ -549,9 +545,9 @@ def labelled_streams(draw):
     return stream, rules
 
 
-def assert_matches_oracle(packets: PacketTable, rules, idle_timeout):
-    got = features_from_packets(packets, rules, idle_timeout)
-    want_x, want_y = flow_oracle.extract(flow_oracle.records(packets), rules, idle_timeout)
+def assert_matches_oracle(packets: PacketTable, rules):
+    got = features_from_packets(packets, rules)
+    want_x, want_y = flow_oracle.extract(flow_oracle.records(packets), rules, IDLE_TIMEOUT)
     assert got.x.shape == want_x.shape
     assert got.x.tobytes() == want_x.tobytes()
     assert np.array_equal(got.y, want_y)
@@ -561,7 +557,7 @@ def assert_matches_oracle(packets: PacketTable, rules, idle_timeout):
 @settings(max_examples=300, deadline=None)
 def test_matches_oracle_on_random_streams(stream_and_rules):
     stream, rules = stream_and_rules
-    assert_matches_oracle(table(stream), rules, TIMEOUT_US / 1e6)
+    assert_matches_oracle(table(stream), rules)
 
 
 @pytest.fixture(scope="module")
@@ -574,7 +570,7 @@ def pool():
 
 def test_matches_oracle_on_simulated_pool(pool):
     _, packets, rules = pool
-    assert_matches_oracle(packets, rules, 5.0)
+    assert_matches_oracle(packets, rules)
 
 
 def test_flow_contract_on_simulated_pool(pool):

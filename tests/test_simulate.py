@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from imbalidx.flows import (
     ATTACK,
-    DEFAULT_IDLE_TIMEOUT,
     FEATURE_NAMES,
+    IDLE_TIMEOUT,
     assemble_flows,
     features_from_packets,
 )
@@ -144,10 +144,10 @@ def test_attack_packets_stay_inside_their_windows():
 def test_pipeline_labels_exactly_the_attack_sessions(seed):
     cfg = SimConfig(n_normal_flows=90, n_attack_flows=10)
     packets, rules = simulate(cfg, seed)
-    feats = features_from_packets(packets, rules, idle_timeout=60.0)
+    feats = features_from_packets(packets, rules)
     assert len(feats) == 100
     assert feats.n_attack == 10
-    flows = assemble_flows(packets, idle_timeout=60.0)
+    flows = assemble_flows(packets)
     on_attacker = (flows.src == sim.ATTACKER) | (flows.dst == sim.ATTACKER)
     assert np.array_equal(on_attacker, feats.y == ATTACK)
 
@@ -156,7 +156,7 @@ def test_pipeline_labels_exactly_the_attack_sessions(seed):
 def test_attack_flows_are_statistically_noisier(seed):
     cfg = SimConfig(n_normal_flows=90, n_attack_flows=10)
     packets, rules = simulate(cfg, seed)
-    feats = features_from_packets(packets, rules, idle_timeout=60.0)
+    feats = features_from_packets(packets, rules)
     jitter = feats.x[:, FEATURE_NAMES.index("src_jitter")]
     assert jitter[feats.y == ATTACK].mean() > 2.0 * jitter[feats.y != ATTACK].mean()
 
@@ -167,7 +167,7 @@ def test_mimics_share_the_normal_packet_count_range():
     # packets back from the PLC are the mimics.
     cfg = SimConfig(n_normal_flows=40, n_attack_flows=40)
     packets, rules = simulate(cfg, 14)
-    feats = features_from_packets(packets, rules, idle_timeout=60.0)
+    feats = features_from_packets(packets, rules)
     tpkts = feats.x[:, FEATURE_NAMES.index("tpkts")]
     answered = feats.x[:, FEATURE_NAMES.index("dpkts")] > 0
     mimic = (feats.y == ATTACK) & answered
@@ -231,7 +231,7 @@ def test_config_validation(kwargs):
 
 
 def test_session_gaps_stay_below_the_idle_timeout():
-    assert sim.SESSION_GAP_BOUND < DEFAULT_IDLE_TIMEOUT
+    assert sim.SESSION_GAP_BOUND < IDLE_TIMEOUT
 
 
 def test_normal_ports_come_round_after_a_session_and_the_timeout():
@@ -239,7 +239,7 @@ def test_normal_ports_come_round_after_a_session_and_the_timeout():
     # must start after the earlier one has ended and timed out.
     longest = ((sim.POLL_CYCLES[1] - 1) * (sim.POLL_PERIOD + 6 * sim.PERIOD_STDDEV)
                + 12 * sim.CYCLE_JITTER + sim.RESPONSE_DELAY[1])
-    assert sim._EPHEMERAL_SPAN * sim.FLOW_STAGGER > longest + DEFAULT_IDLE_TIMEOUT
+    assert sim._EPHEMERAL_SPAN * sim.FLOW_STAGGER > longest + IDLE_TIMEOUT
     packets, _ = simulate(SimConfig(n_normal_flows=70_000, n_attack_flows=0), 0)
     assert len(assemble_flows(packets)) == 70_000
 
@@ -278,6 +278,17 @@ def test_config_from_json_round_trip():
     assert cfg == SimConfig(n_normal_flows=5, n_attack_flows=1)
 
 
+# json.loads keeps the last value of a repeated key; a config refuses it.
+@pytest.mark.parametrize("cls,text,key", [
+    (SimConfig, '{"n_normal_flows": 5, "n_attack_flows": 1, "n_normal_flows": 7}',
+     "n_normal_flows"),
+    (ExperimentConfig, '{"train": {"epochs": 2, "batch_size": 8, "epochs": 3}}', "epochs"),
+], ids=["top-level", "nested"])
+def test_config_from_json_refuses_a_repeated_key(cls, text, key):
+    with pytest.raises(ConfigInvalid, match=f"^config repeats key '{key}'$"):
+        config_from_json(cls, text)
+
+
 BAD_CONFIGS = [
     (cls, text)
     for cls in (SimConfig, TrainConfig, ExperimentConfig)
@@ -291,12 +302,16 @@ BAD_CONFIGS = [
     (SimConfig, '{"attacker_addr": "010.0.0.66"}'),
     (TrainConfig, '{"epochs": "3"}'),  # string for an int
     (TrainConfig, '{"batch_size": 5.5}'),
-    (TrainConfig, '{"learning_rate": "0.1"}'),  # string for a float
-    (TrainConfig, '{"learning_rate": NaN}'),  # not finite
+    # The step rule is fixed, so its old keys are unknown, with values good or bad.
+    (TrainConfig, '{"learning_rate": "0.1"}'),
+    (TrainConfig, '{"learning_rate": NaN}'),
+    (TrainConfig, '{"momentum": 0.9}'),
     (ExperimentConfig, '{"n_attack": "5"}'),
     (ExperimentConfig, '{"n_attack": 50.5}'),
     (ExperimentConfig, '{"ratios": 5}'),  # scalar for a tuple
     (ExperimentConfig, '{"seeds": [0, 1.5]}'),  # float inside a tuple
+    (ExperimentConfig, '{"ratios": ["0.1"]}'),  # string for a float
+    (ExperimentConfig, '{"ratios": [NaN]}'),  # not finite
     (ExperimentConfig, '{"train": null}'),
     (ExperimentConfig, '{"sim": null}'),  # the simulated plant is fixed
     (ExperimentConfig, '{"train": {"epohcs": 3}}'),  # unknown nested key
