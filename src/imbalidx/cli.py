@@ -5,11 +5,13 @@ capture into flow features, `experiment` runs the whole ratio sweep, and
 `cell` runs one of the sweep's cells alone and prints its detail row.
 
 Exit codes: 0 success, 1 usage problems, 2 data or processing errors.
+A closed stdout is none of these: the work is done, so it exits 0, silently.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import astuple, fields
@@ -85,7 +87,9 @@ def cmd_extract(args) -> int:
     packets = _read_capture(args.input)
     rules = fl.read_label_csv(_input(args.labels, "label file")) if args.labels else []
     feats = fl.features_from_packets(packets, rules)
-    fl.write_features_csv(feats, args.out)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    fl.write_features_csv(feats, out)
     print(f"{len(feats)} flows ({feats.n_attack} attack) -> {args.out}")
     return 0
 
@@ -171,10 +175,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Nobody reads stdout any more. Point it at devnull, so that the
+        # interpreter's exit flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

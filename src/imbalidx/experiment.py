@@ -166,10 +166,16 @@ def _share_rows(x: np.ndarray, y: np.ndarray) -> None:
 
 def _seed_rows(cfg: ExperimentConfig, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """Simulate seed's pool and return its feature matrix x and labels y;
-    with a workdir, its feature CSV is kept there too."""
-    packets, rules = simulate(cfg.pool_sim(), np.random.SeedSequence([seed, _SIM]))
+    with a workdir, its feature CSV is kept there too. ValueError unless
+    the pool gave one flow per session and cfg.n_attack attack flows."""
+    sim = cfg.pool_sim()
+    packets, rules = simulate(sim, np.random.SeedSequence([seed, _SIM]))
     feats = features_from_packets(packets, rules)
     del packets
+    sessions = sim.n_normal_flows + sim.n_attack_flows
+    if len(feats) != sessions or feats.n_attack != cfg.n_attack:
+        raise ValueError(f"seed {seed}: the pool gave {len(feats)} flows ({feats.n_attack} "
+                         f"attack) for {sessions} sessions ({cfg.n_attack} attack)")
     if cfg.workdir is not None:
         out = Path(cfg.workdir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,10 @@
-"""Checks that hold after every test."""
+"""Checks that hold after every test, and the check of pinned report bytes."""
 
+import hashlib
 import multiprocessing
 import warnings
 
+import numpy as np
 import pytest
 
 # When a test fails, Hypothesis imports this module (and libcst) to print a
@@ -23,3 +25,14 @@ def no_child_process_outlives_the_test():
     # down, or a process not joined.
     yield
     assert multiprocessing.active_children() == []
+
+
+def assert_report_digests(report, pinned, what):
+    """Fail unless the files next to report hash to pinned {name: sha256},
+    naming the BLAS the training bits depend on and the digests measured."""
+    measured = {n: hashlib.sha256(report.with_name(n).read_bytes()).hexdigest() for n in pinned}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert measured == pinned, (
+        f"{what} report bytes moved; training bits depend on the BLAS kernel, and this run "
+        f"used numpy {np.__version__} with {blas.get('name')} {blas.get('version')}; "
+        f"measured {measured}")

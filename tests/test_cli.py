@@ -21,6 +21,7 @@ import pytest
 
 import feature_csv_oracle
 import imbalidx
+from conftest import assert_report_digests
 from imbalidx import dataset as ds
 from imbalidx import experiment
 from imbalidx import flows as fl
@@ -98,6 +99,15 @@ def test_extract_names_the_magic_of_a_capture_it_cannot_read(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"magic 0x{name} is not a classic pcap" in err
     assert not out.exists()
+
+
+def test_extract_creates_the_out_directory_once_its_inputs_are_read(capture, tmp_path):
+    out = tmp_path / "c" / "d" / "f.csv"
+    argv = ["extract", "--in", str(capture["pcap"]), "--out", str(out), "--labels"]
+    assert main(argv + [str(tmp_path / "missing.csv")]) == 1
+    assert not (tmp_path / "c").exists()
+    assert main(argv + [str(capture["labels"])]) == 0
+    assert out.read_bytes() == capture["features"].read_bytes()
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -241,10 +251,10 @@ def test_bad_config_key_exits_two(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def _run_cli(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(imbalidx.__file__).parents[1]))
+def _run_cli(argv, stdout=subprocess.PIPE, **env):
+    env = dict(os.environ, PYTHONPATH=str(Path(imbalidx.__file__).parents[1]), **env)
     return subprocess.run([sys.executable, "-m", "imbalidx.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 @pytest.mark.parametrize(
@@ -498,6 +508,43 @@ def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert report_bytes("reseeded")[0] != by_workers[0][0]
 
 
+def _without_the_last_window(packets, rules):
+    return packets, rules[:-1]
+
+
+def _with_the_middle_sessions_split(packets, rules):
+    # A 6 s gap, past the 5 s idle timeout, after the middle packet splits
+    # each session that straddles it, and moves later attacks off their windows.
+    cols = {c: getattr(packets, c) for c in pk.PacketTable.COLUMNS}
+    cols["ts"] = np.where(np.arange(len(packets)) > len(packets) // 2, packets.ts + 6.0, packets.ts)
+    return pk.PacketTable(**cols), rules
+
+
+@pytest.mark.parametrize(
+    "corrupt,broken",
+    [(_without_the_last_window, lambda flows, attack: flows == 1800 and attack == 39),
+     (_with_the_middle_sessions_split, lambda flows, attack: flows > 1800)],
+    ids=["window-lost", "sessions-split"],
+)
+def test_a_pool_that_breaks_the_flow_contract_stops_the_sweep(tmp_path, monkeypatch, capsys,
+                                                               corrupt, broken):
+    # Each seed's pool is 1,760 normal and 40 attack sessions.
+    real_simulate = experiment.simulate
+    monkeypatch.setattr(experiment, "simulate", lambda *a: corrupt(*real_simulate(*a)))
+    message = (r"seed 0: the pool gave (\d+) flows \((\d+) attack\) "
+               r"for 1800 sessions \(40 attack\)")
+    with pytest.raises(ValueError, match=message) as err:
+        experiment.run_experiment(config_from_json(experiment.ExperimentConfig, EXPERIMENT_JSON))
+    assert broken(*map(int, re.search(message, str(err.value)).groups()))
+    assert multiprocessing.active_children() == []
+    assert experiment._ROWS is None
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(EXPERIMENT_JSON)
+    assert main(["cell", "--config", str(cfg), "--ratio", "0.5", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(f"error: {message}\n", captured.err) and captured.out == ""
+
+
 def test_a_failing_cell_stops_the_sweep_and_leaves_no_worker(tmp_path, monkeypatch):
     # Twelve slow cells on two workers: the first failure reaches the
     # caller, and only the two cells already running by then ever start.
@@ -626,17 +673,31 @@ QUICK_SHA256 = {
 
 def test_the_quick_grids_report_bytes_are_pinned(tmp_path, monkeypatch):
     exp = config_from_json(experiment.ExperimentConfig, QUICK_JSON)
-    hashes = experiment.write_report(experiment.run_experiment(exp), tmp_path / "report.csv")
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert {name: hashes[name] for name in QUICK_SHA256} == QUICK_SHA256, (
-        "the quick grid's report bytes moved; training bits depend on the BLAS "
-        f"kernel, and this run used numpy {np.__version__} with "
-        f"{blas.get('name')} {blas.get('version')}")
+    experiment.write_report(experiment.run_experiment(exp), tmp_path / "report.csv")
+    assert_report_digests(tmp_path / "report.csv", QUICK_SHA256, "the quick grid's")
 
     _reseed_train(monkeypatch)
     reseeded = experiment.run_experiment(exp)
     assert experiment.detail_csv(reseeded.cells).encode() != \
         (tmp_path / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_is_not_an_error(tmp_path, unbuffered):
+    # The reader of stdout is gone before the sweep prints: the reports are
+    # written all the same, and that is success, in either buffering mode.
+    cfg = tmp_path / "quick.json"
+    cfg.write_text(QUICK_JSON)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_cli(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r" / "r.csv")],
+                        stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+        "r.csv", "r.manifest.json", "r.summary.csv"]
 
 
 # tracemalloc peaks in MiB above the memory held on entry, of the quick
