@@ -108,6 +108,14 @@ def cmd_cell(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _experiment_config(args.config)
+    # The report is written after the whole sweep; a path it cannot take
+    # is refused before the sweep starts.
+    out = Path(args.out)
+    if out.is_dir():
+        raise UsageError(f"--out is a directory: {out}")
+    above = next((a for a in out.parents if a.exists()), out.parent)
+    if not above.is_dir():
+        raise UsageError(f"--out is under {above}, which is not a directory")
     start = time.perf_counter()
     result = run_experiment(cfg)
     elapsed = time.perf_counter() - start

@@ -17,16 +17,16 @@ byte.
 The report columns after the cell keys are the fields of MetricsReport,
 in their order; this module names no metric itself.
 
-Seeds run one at a time, in config order, so only one seed's pool is
-alive at once. Cells do not: within a seed, each (ratio, smote) cell is
-one task on a pool of forked worker processes, one per usable CPU and at
-most one per cell. The pool's initializer hands each worker the seed's
-x and y, copy-on-write, so the parent keeps no sweep state. The largest
-training sets go first, and the report sorts the cells, so no output byte
-depends on the worker count.
+The parent runs the data stages one seed at a time, in config order, and
+saves each seed's x and y as .npy files in a temporary directory. Each
+(ratio, seed, smote) cell is a task on one pool of worker processes, one
+per usable CPU and at most one per cell of a seed, that maps its seed's
+files read-only; so the next seed is simulated while the last one's cells
+run. The largest training sets go first, and the report sorts the cells,
+so no output byte depends on the worker count.
 
 run_cell runs one cell alone, in the calling process, through the same
-_seed_rows and _run_cell, and detail_csv formats its row as write_report
+_run_seed and _run_cell, and detail_csv formats its row as write_report
 does; so `imbalidx cell` prints the sweep's own detail row.
 """
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -154,20 +155,11 @@ class ExperimentResult:
     summary: Tuple[SummaryRow, ...]
 
 
-# A cell worker's seed pool, (x, y); unset in the parent.
-_ROWS: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-
-def _share_rows(x: np.ndarray, y: np.ndarray) -> None:
-    """Cell pool initializer: keep the seed's pool for this worker's cells."""
-    global _ROWS
-    _ROWS = x, y
-
-
-def _seed_rows(cfg: ExperimentConfig, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Simulate seed's pool and return its feature matrix x and labels y;
-    with a workdir, its feature CSV is kept there too. ValueError unless
-    the pool gave one flow per session and cfg.n_attack attack flows."""
+def _run_seed(cfg: ExperimentConfig, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The data stage: simulate seed's pool and return its feature matrix
+    x and labels y; with a workdir, its feature CSV is kept there too.
+    ValueError unless the pool gave one flow per session and cfg.n_attack
+    attack flows."""
     sim = cfg.pool_sim()
     packets, rules = simulate(sim, np.random.SeedSequence([seed, _SIM]))
     feats = features_from_packets(packets, rules)
@@ -218,43 +210,16 @@ def _run_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool,
     return CellResult(ratio, seed, use_smote, MetricsReport.from_confusion(confusion(preds, yte)))
 
 
-def _pooled_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool) -> CellResult:
-    """A cell pool task: _run_cell on this worker's _ROWS."""
-    return _run_cell(cfg, seed, r_idx, use_smote, *_ROWS)
+def _row_file(rows_dir: str, seed: int, name: str) -> str:
+    return os.path.join(rows_dir, f"seed{seed}.{name}.npy")
 
 
-def _run_seed(cfg: ExperimentConfig, seed: int) -> List[CellResult]:
-    """Simulate one pool, then run every (ratio, smote) cell for this seed
-    on a pool of forked workers. Cells come back in the order they finish."""
-    # Imported here: every CLI start loads this module, and most commands
-    # never sweep.
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
-
-    x, y = _seed_rows(cfg, seed)
-
-    # Largest training set first (smallest ratio, SMOTE before plain), so
-    # the small cells fill in around the large ones.
-    by_ratio = sorted(enumerate(cfg.ratios), key=lambda item: item[1])
-    cells = [(r_idx, use_smote) for r_idx, ratio in by_ratio
-             for use_smote in ((True, False) if ratio in cfg.smote_ratios else (False,))]
-    workers = min(len(os.sched_getaffinity(0)), len(cells))
-    results: List[CellResult] = []
-    running = set()
-    # fork, so that each worker inherits initargs copy-on-write; none is pickled.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_share_rows,
-                             initargs=(x, y)) as pool:
-        # A cell is submitted only when a worker is free, so none waits in
-        # the pool's queue: after the first failure raises, no new cell
-        # starts, and leaving the block waits only for those already running.
-        for c in cells:
-            if len(running) == workers:
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                results.extend(f.result() for f in done)
-            running.add(pool.submit(_pooled_cell, cfg, seed, *c))
-        results.extend(f.result() for f in as_completed(running))
-    return results
+def _pooled_cell(cfg: ExperimentConfig, seed: int, r_idx: int, use_smote: bool,
+                 rows_dir: str) -> CellResult:
+    """A cell pool task: _run_cell on its seed's x and y, mapped read-only
+    from the files run_experiment saved in rows_dir."""
+    x, y = (np.load(_row_file(rows_dir, seed, name), mmap_mode="r") for name in "xy")
+    return _run_cell(cfg, seed, r_idx, use_smote, x, y)
 
 
 def _sorted_cells(cfg: ExperimentConfig, cells: List[CellResult]) -> List[CellResult]:
@@ -277,16 +242,40 @@ def summarize(cells: List[CellResult]) -> List[SummaryRow]:
 def run_experiment(
     cfg: ExperimentConfig = ExperimentConfig(), threads: int = 1
 ) -> ExperimentResult:
-    """Run the sweep, one seed at a time in config order, each seed's
-    cells on its own worker processes, so calls from concurrent threads
-    each keep their own rows; cells come back sorted by ratio desc, seed
+    """Run the sweep on one worker pool, as the module docstring says; the
+    row files go when it ends. Cells come back sorted by ratio desc, seed
     asc, smote asc. threads is accepted, and ignored, only because
     perfbench/worker.py passes it; it must be >= 1."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    # Imported here: every CLI start loads this module, and most commands
+    # never sweep.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
+
+    # Largest training set first (smallest ratio, SMOTE before plain), so
+    # the small cells fill in around the large ones.
+    by_ratio = sorted(enumerate(cfg.ratios), key=lambda item: item[1])
+    seed_cells = [(r_idx, use_smote) for r_idx, ratio in by_ratio
+                  for use_smote in ((True, False) if ratio in cfg.smote_ratios else (False,))]
+    workers = min(len(os.sched_getaffinity(0)), len(seed_cells))
     cells: List[CellResult] = []
-    for seed in cfg.seeds:
-        cells.extend(_run_seed(cfg, seed))
+    running = set()
+    # The pool closes before the directory goes, so no worker outlives its rows.
+    with tempfile.TemporaryDirectory() as rows_dir, ProcessPoolExecutor(workers) as pool:
+        for seed in cfg.seeds:
+            for name, rows in zip("xy", _run_seed(cfg, seed)):
+                np.save(_row_file(rows_dir, seed, name), rows)
+            # A cell is submitted only when a worker is free, so none waits
+            # in the pool's queue: after the first failure raises, no new
+            # cell starts, and leaving the block waits only for those
+            # already running. The pool is full from the first seed on, so
+            # a failure raises here at most one data stage late.
+            for c in seed_cells:
+                if len(running) == workers:
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    cells.extend(f.result() for f in done)
+                running.add(pool.submit(_pooled_cell, cfg, seed, *c, rows_dir))
+        cells.extend(f.result() for f in as_completed(running))
     cells = _sorted_cells(cfg, cells)
     return ExperimentResult(cfg, tuple(cells), tuple(summarize(cells)))
 
@@ -300,7 +289,7 @@ def run_cell(cfg: ExperimentConfig, ratio: float, seed: int, use_smote: bool) ->
         raise ConfigInvalid(f"ratio {ratio:g} is not in ratios {list(cfg.ratios)}")
     if use_smote and ratio not in cfg.smote_ratios:
         raise ConfigInvalid(f"ratio {ratio:g} is not in smote_ratios {list(cfg.smote_ratios)}")
-    return _run_cell(cfg, seed, cfg.ratios.index(ratio), use_smote, *_seed_rows(cfg, seed))
+    return _run_cell(cfg, seed, cfg.ratios.index(ratio), use_smote, *_run_seed(cfg, seed))
 
 
 _METRIC_NAMES = ",".join(f.name for f in fields(MetricsReport))

@@ -1,5 +1,5 @@
-"""The package keeps no public function that its own code never uses, and
-no setting without a reason to exist."""
+"""The package keeps no public function that its own code never uses, no
+setting without a reason to exist, and no process-global state."""
 
 import argparse
 import ast
@@ -43,6 +43,16 @@ def test_every_public_function_is_referenced_by_the_package():
         "public functions no package code uses; delete them, or allow one "
         f"with its reason: {sorted(unused - set(UNCALLED_ON_PURPOSE))}; "
         f"allowed but used or gone: {sorted(set(UNCALLED_ON_PURPOSE) - unused)}")
+
+
+def test_no_module_rebinds_a_global():
+    # State a cell needs travels in its task's arguments; a `global`
+    # statement would let one call leave state for the next.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(imbalidx.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == [], f"global statements: {found}"
 
 
 # Every setting a run can change, each config field and each option of each

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -156,7 +157,7 @@ def _fresh_import(code):
 
 
 def test_import_leaves_the_process_pool_modules_unloaded():
-    # _run_seed imports them when a sweep runs, so every CLI start skips
+    # run_experiment imports them when a sweep runs, so every CLI start skips
     # their import time; imbalidx.cli loads every other module.
     assert _fresh_import(
         "import sys, imbalidx.cli; "
@@ -386,7 +387,6 @@ def test_cell_prints_the_sweeps_own_detail_row(sweep, capsys):
         argv = ["cell", "--config", str(cfg), "--ratio", ratio, "--seed", seed]
         assert main(argv + ["--smote"] * int(smote)) == 0
         assert capsys.readouterr().out == header + row
-        assert experiment._ROWS is None
         assert multiprocessing.active_children() == []
 
 
@@ -406,10 +406,30 @@ def test_cell_refuses_a_cell_outside_the_grid(sweep, capsys, cell, fragment):
     assert captured.out == ""
 
 
-def test_experiment_rerun_is_byte_identical(sweep, tmp_path, capsys):
+@pytest.fixture
+def rows_tempdir(tmp_path, monkeypatch):
+    """A fresh, empty directory for tempfile, where a sweep keeps its row files."""
+    path = tmp_path / "tempdir"
+    path.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
+def test_experiment_rerun_is_byte_identical(sweep, tmp_path, capsys, rows_tempdir, monkeypatch):
+    # The second data stage sees the first seed's row files; none is left after.
     cfg, out = sweep
     redo = tmp_path / "report.csv"
+    seen = []
+    real_run_seed = experiment._run_seed
+
+    def looking_run_seed(cfg, seed):
+        seen.append(sorted(p.name for p in rows_tempdir.glob("*/*")))
+        return real_run_seed(cfg, seed)
+
+    monkeypatch.setattr(experiment, "_run_seed", looking_run_seed)
     assert main(["experiment", "--config", str(cfg), "--out", str(redo)]) == 0
+    assert seen == [[], ["seed0.x.npy", "seed0.y.npy"]]
+    assert list(rows_tempdir.iterdir()) == []
     first = capsys.readouterr().out.splitlines()[0]
     assert re.fullmatch(rf"6 cells in \d+\.\ds -> {re.escape(str(redo))}", first)
     for name in ("report.csv", "report.summary.csv", "report.manifest.json"):
@@ -436,8 +456,8 @@ def _reseed_train(monkeypatch):
 
 
 def test_seeds_run_one_at_a_time_in_config_order(tmp_path, monkeypatch):
-    # Each seed is held open long enough for a concurrent seed to start;
-    # even with threads=2, none may.
+    # The data stages: each is held open long enough for a concurrent one
+    # to start; even with threads=2, none may, and they run in config order.
     exp = config_from_json(experiment.ExperimentConfig, EXPERIMENT_200)
     reference = _report_bytes(experiment.run_experiment(exp), tmp_path / "ref" / "report.csv")
     real_run_seed = experiment._run_seed
@@ -469,6 +489,24 @@ def test_seeds_run_one_at_a_time_in_config_order(tmp_path, monkeypatch):
     assert _report_bytes(reseeded, tmp_path / "reseeded" / "report.csv")[0] != reference[0]
 
 
+@pytest.mark.parametrize("out,fragment", [
+    (".", "--out is a directory"),
+    ("report.csv/report.csv", "which is not a directory"),
+    ("report.csv/deeper/report.csv", "which is not a directory"),
+], ids=["directory", "under-a-file", "deep-under-a-file"])
+def test_experiment_refuses_an_unwritable_out_before_the_sweep(tmp_path, monkeypatch, capsys,
+                                                               out, fragment):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("imbalidx.cli.run_experiment", no_sweep)
+    (tmp_path / "report.csv").write_text("")
+    assert main(["experiment", "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out ") and fragment in captured.err
+    assert captured.out == ""
+
+
 def test_experiment_has_no_threads_flag(sweep, tmp_path, capsys):
     cfg, _ = sweep
     assert main(["experiment", "--config", str(cfg), "--threads", "2",
@@ -484,7 +522,7 @@ def test_run_experiment_rejects_threads_below_one():
 
 def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     # The pool takes one worker per usable CPU, so the affinity lookup sets
-    # the count; the spy records what each seed's pool was given.
+    # the count; the spy records what each run's one pool was given.
     exp = config_from_json(experiment.ExperimentConfig, EXPERIMENT_200)
     sizes = []
 
@@ -502,7 +540,7 @@ def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         by_workers.append(report_bytes(f"{len(cpus)}-workers"))
     assert by_workers[0] == by_workers[1]
-    assert sizes == [1, 1, 2, 2]  # two seeds per run
+    assert sizes == [1, 2]  # one pool per run
 
     _reseed_train(monkeypatch)
     assert report_bytes("reseeded")[0] != by_workers[0][0]
@@ -527,7 +565,7 @@ def _with_the_middle_sessions_split(packets, rules):
     ids=["window-lost", "sessions-split"],
 )
 def test_a_pool_that_breaks_the_flow_contract_stops_the_sweep(tmp_path, monkeypatch, capsys,
-                                                               corrupt, broken):
+                                                               rows_tempdir, corrupt, broken):
     # Each seed's pool is 1,760 normal and 40 attack sessions.
     real_simulate = experiment.simulate
     monkeypatch.setattr(experiment, "simulate", lambda *a: corrupt(*real_simulate(*a)))
@@ -537,7 +575,7 @@ def test_a_pool_that_breaks_the_flow_contract_stops_the_sweep(tmp_path, monkeypa
         experiment.run_experiment(config_from_json(experiment.ExperimentConfig, EXPERIMENT_JSON))
     assert broken(*map(int, re.search(message, str(err.value)).groups()))
     assert multiprocessing.active_children() == []
-    assert experiment._ROWS is None
+    assert list(rows_tempdir.iterdir()) == []
     cfg = tmp_path / "exp.json"
     cfg.write_text(EXPERIMENT_JSON)
     assert main(["cell", "--config", str(cfg), "--ratio", "0.5", "--seed", "0"]) == 2
@@ -545,7 +583,8 @@ def test_a_pool_that_breaks_the_flow_contract_stops_the_sweep(tmp_path, monkeypa
     assert re.fullmatch(f"error: {message}\n", captured.err) and captured.out == ""
 
 
-def test_a_failing_cell_stops_the_sweep_and_leaves_no_worker(tmp_path, monkeypatch):
+def test_a_failing_cell_stops_the_sweep_and_leaves_no_worker(tmp_path, monkeypatch,
+                                                              rows_tempdir):
     # Twelve slow cells on two workers: the first failure reaches the
     # caller, and only the two cells already running by then ever start.
     exp = experiment.ExperimentConfig(
@@ -566,7 +605,7 @@ def test_a_failing_cell_stops_the_sweep_and_leaves_no_worker(tmp_path, monkeypat
     with pytest.raises(mlp.NonFiniteLoss, match="nan"):
         experiment.run_experiment(exp)
     assert multiprocessing.active_children() == []
-    assert experiment._ROWS is None
+    assert list(rows_tempdir.iterdir()) == []
     assert len(started.read_text().splitlines()) == 2
 
 
@@ -712,7 +751,7 @@ CELL_PEAK_MIB = {"plain": 7.5, "smote": 8.3}
 
 def test_the_largest_cell_holds_its_dataset_about_twice():
     exp = config_from_json(experiment.ExperimentConfig, QUICK_JSON)
-    pool = experiment._seed_rows(exp, 0)
+    pool = experiment._run_seed(exp, 0)
     r_idx = exp.ratios.index(min(exp.ratios))
     peaks = {}
     tracemalloc.start()
